@@ -35,7 +35,6 @@ from .homology import (  # noqa: F401
     is_k_acyclic,
     pi1_report,
     reduced_homology,
-    smith_normal_form,
 )
 from .complexes import (  # noqa: F401
     DecoratedComplex,

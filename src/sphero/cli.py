@@ -181,9 +181,7 @@ def _poset_homology_rows(poset):
 
 
 def cmd_desclink(args) -> int:
-    config = Config.make(args.q, args.r,
-                         args.subgroup if args.subgroup in ("sym", "triv")
-                         else [w.strip() for w in args.subgroup.split(",")])
+    config = _config_from_args(args)
     want_full = args.full or not args.star
     want_star = args.star
     manifest = _manifest("desclink", {

@@ -10,7 +10,7 @@ vertex category are enumerated here at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .groups import (
     Address,
@@ -168,7 +168,7 @@ def tilings(q: int, t: int) -> list[tuple[Word, ...]]:
     out = []
     for split in _compositions(t, q):
         parts = [tilings(q, c) for c in split]
-        for combo in _product_lists(parts):
+        for combo in product(*parts):
             words = []
             for d, sub in enumerate(combo):
                 words.extend((d,) + w for w in sub)
@@ -183,15 +183,6 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _product_lists(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product_lists(lists[1:]):
-            yield (head,) + tail
 
 
 def _block_internal_vertices(block: Block) -> list[Word]:
@@ -299,7 +290,7 @@ def split_records(config: Config, n: int, cap: int = 6) -> list[SplitRecord]:
                     block = tuple(sorted(zip(tiling, perm)))
                     choices.append(canonical_block(config, block))
             block_choices.append(sorted(set(choices)))
-        for combo in _product_lists(block_choices):
+        for combo in product(*block_choices):
             out.add(SplitRecord(config, n, tuple(sorted(combo))))
     return sorted(out, key=lambda r: (r.k, r.object_id()))
 
@@ -315,7 +306,7 @@ def _cuts_of_words(words: set[Word], prefix: Word, q: int):
     child_cuts = []
     for d in range(q):
         child_cuts.append(list(_cuts_of_words(words, prefix + (d,), q)))
-    for combo in _product_lists(child_cuts):
+    for combo in product(*child_cuts):
         yield tuple(sorted(w for sub in combo for w in sub))
 
 
@@ -436,7 +427,7 @@ def cut_poset(record: SplitRecord) -> CutPoset:
     k = record.k
     n = record.n
     elems = []
-    for combo in _product_lists(per_block):
+    for combo in product(*per_block):
         size = sum(len(c) for c in combo)
         if size == k or size == n:
             continue  # the trivial partition and the full tile partition
@@ -611,6 +602,7 @@ def _chain_orbit_canonical(config: Config, chain: list[TreePair]) -> tuple:
         return start
     levels = [chain[0].domain.n] + [a.codomain.n for a in chain]
     max_depth = max((len(w) for a in chain for _, w in a.codomain.leaves), default=0)
+    words = [w for d in range(max_depth + 1) for w in product(range(config.q), repeat=d)]
     seen = {start: chain}
     frontier = [chain]
     while frontier:
@@ -618,7 +610,7 @@ def _chain_orbit_canonical(config: Config, chain: list[TreePair]) -> tuple:
         for level_pos in range(len(levels)):
             m = levels[level_pos]
             for s in range(1, m + 1):
-                for v in _words_up_to(config.q, max_depth):
+                for v in words:
                     for p in gens:
                         portraits = [LabeledIsometry.identity(config.q) for _ in range(m)]
                         portraits[s - 1] = LabeledIsometry.make(config.q, {v: p})
@@ -634,15 +626,6 @@ def _chain_orbit_canonical(config: Config, chain: list[TreePair]) -> tuple:
                             seen[key] = new
                             frontier.append(new)
     return min(seen)
-
-
-def _words_up_to(q: int, depth: int):
-    out = [()]
-    frontier = [()]
-    for _ in range(depth):
-        frontier = [w + (d,) for w in frontier for d in range(q)]
-        out.extend(frontier)
-    return out
 
 
 def _merge_arrows(config: Config, lvl_from: int, lvl_to: int) -> list[TreePair]:
@@ -701,7 +684,7 @@ def count_cell_orbits(config: Config, k: int, d: int, max_level: int = 3) -> int
             pool = _transformation_arrows(config, a) if a == b else _merge_arrows(config, a, b)
             arrow_pools.append(pool)
         canonicals = set()
-        for combo in _product_lists(arrow_pools):
+        for combo in product(*arrow_pools):
             chain = _normalize_chain(list(combo))
             canonicals.add(_chain_orbit_canonical(config, chain))
         total += len(canonicals)

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from random import Random
 
 from .perms import (
@@ -300,13 +301,6 @@ class LabeledIsometry:
         out = {self.apply_word(w): invert_perm(p) for w, p in self.labels}
         return LabeledIsometry.make(self.q, out)
 
-    def prepend(self, digit: int, root_label: Perm | None = None) -> dict[Word, Perm]:
-        """Labels of this portrait reattached below child `digit` (helper for merges)."""
-        out = {(digit,) + w: p for w, p in self.labels}
-        if root_label is not None and root_label != identity_perm(self.q):
-            out[()] = root_label
-        return out
-
 
 # ---------------------------------------------------------------------------
 # tree pairs
@@ -322,10 +316,6 @@ class ArrowKind(Enum):
 
 def is_merge_kind(kind: ArrowKind) -> bool:
     return kind in (ArrowKind.MERGE, ArrowKind.VERY_ELEMENTARY_MERGE)
-
-
-def is_transformation_kind(kind: ArrowKind) -> bool:
-    return kind in (ArrowKind.TRANSFORMATION, ArrowKind.STRICT_TRANSFORMATION)
 
 
 @dataclass(frozen=True)
@@ -386,18 +376,9 @@ class TreePair:
                 raise ValueError("depth is shallower than the domain partition")
             ms, mw = self.image_leaf(i)
             dec = self.decorations[i]
-            for tail in _all_words(q, depth - len(w)):
+            for tail in product(range(q), repeat=depth - len(w)):
                 out[(s, w + tail)] = (ms, mw + dec.apply_word(tail))
         return out
-
-
-def _all_words(q: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for w in _all_words(q, length - 1):
-        for d in range(q):
-            yield w + (d,)
 
 
 def identity_element(config: Config, n: int | None = None) -> TreePair:

@@ -1,15 +1,16 @@
 """Exact integral simplicial homology via Smith normal form.
 
-Boundary matrices are kept as sparse integer columns.  Large matrices go
-through a unit-pivot column reduction whose leftover core (empty on
-torsion-free instances) falls back to a dense Smith normal form over Python
-integers, so no overflow is possible.  The dense routine also certifies its
-unimodular transforms by re-multiplication.
+Boundary matrices are kept as sparse integer columns and reduced by one
+elimination: a unit-pivot column pass, then a Euclidean sparse Smith normal
+form on the leftover core of columns with non-unit lows, cleared on the pivot
+rows (empty on torsion-free instances).  Entries are Python integers, so no
+overflow is possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 Column = dict[int, int]
 
@@ -43,9 +44,12 @@ class ChainComplex:
         return 0
 
     def boundary_columns(self, d: int) -> list[Column]:
-        """Columns of the boundary map from dimension d, empty beyond range."""
+        """Columns of the boundary map from dimension d, empty beyond range.
+
+        The columns are shared, not copied: the reducer copies what it edits.
+        """
         if 1 <= d <= self.dim:
-            return [dict(c) for c in self.boundaries[d - 1]]
+            return list(self.boundaries[d - 1])
         return []
 
     def euler_characteristic(self) -> int:
@@ -134,113 +138,6 @@ def flag_complex(vertices: list, edges: list[tuple], max_dim: int) -> ChainCompl
 
 # ---------------------------------------------------------------------------
 # Smith normal form
-
-
-def smith_normal_form(matrix: list[list[int]], with_transforms: bool = True):
-    """Invariant factors of an integer matrix.
-
-    Returns (factors, rank) or, with transforms, (factors, rank, P, Q) where
-    P @ matrix @ Q is the diagonal of factors; the transforms are certified by
-    re-multiplication before returning.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    a = [list(row) for row in matrix]
-    P = [[int(i == j) for j in range(m)] for i in range(m)] if with_transforms else None
-    Q = [[int(i == j) for j in range(n)] for i in range(n)] if with_transforms else None
-
-    def row_op(i, j, c):  # row i -= c * row j
-        a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-        if P is not None:
-            P[i] = [x - c * y for x, y in zip(P[i], P[j])]
-
-    def col_op(i, j, c):  # col i -= c * col j
-        for row in a:
-            row[i] -= c * row[j]
-        if Q is not None:
-            for row in Q:
-                row[i] -= c * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if P is not None:
-            P[i], P[j] = P[j], P[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if Q is not None:
-            for row in Q:
-                row[i], row[j] = row[j], row[i]
-
-    factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # find a nonzero entry of minimal absolute value in the active block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    qv = a[i][t] // a[t][t]
-                    row_op(i, t, qv)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    qv = a[t][j] // a[t][t]
-                    col_op(j, t, qv)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # enforce divisibility into the remaining block
-        piv = a[t][t]
-        fixup = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % piv:
-                    row_op(t, i, -1)  # add row i to row t, then restart pivot work
-                    fixup = True
-                    break
-            if fixup:
-                break
-        if fixup:
-            continue
-        if piv < 0:
-            a[t] = [-x for x in a[t]]
-            if P is not None:
-                P[t] = [-x for x in P[t]]
-        factors.append(a[t][t])
-        t += 1
-
-    rank = len(factors)
-    if with_transforms:
-        _certify_snf(matrix, factors, P, Q)
-        return factors, rank, P, Q
-    return factors, rank
-
-
-def _certify_snf(matrix, factors, P, Q):
-    m, n = len(P), len(Q)
-    prod = [[sum(P[i][k] * matrix[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-    prod = [[sum(prod[i][k] * Q[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-    for i in range(m):
-        for j in range(n):
-            want = factors[i] if i == j and i < len(factors) else 0
-            if prod[i][j] != want:
-                raise HomologyError("Smith normal form certificate failed")
 
 
 def _divisibility_chain(diag: list[int]) -> list[int]:
@@ -340,14 +237,15 @@ def _sparse_snf_full(columns: list[Column]) -> tuple[list[int], int]:
 def sparse_invariant_factors(columns: list[Column]) -> tuple[list[int], int]:
     """Invariant factors and rank from sparse integer columns.
 
-    Unit-pivot reduction on the lowest row of each column is attempted first;
-    when every column reduces to zero or to a unit low the matrix has unit
-    factors only.  Otherwise the original matrix goes to the full sparse
-    routine, whose Euclidean pivoting avoids the coefficient blowup of the
-    fast path.
+    Each column is reduced on its lowest row against the unit pivots found so
+    far; a column whose low ends up a unit becomes a pivot, any other nonzero
+    column is parked.  Parked columns are then cleared on every pivot row.  The
+    pivot columns are unit triangular on the pivot rows, so the matrix is
+    equivalent to an identity block plus the cleared parked columns, and only
+    that core goes to the Euclidean routine.
     """
     pivots: dict[int, Column] = {}
-    parked = False
+    parked: list[Column] = []
     for col0 in columns:
         col = dict(col0)
         while col:
@@ -368,11 +266,34 @@ def sparse_invariant_factors(columns: list[Column]) -> tuple[list[int], int]:
         if abs(col[low]) == 1:
             pivots[low] = col
         else:
-            parked = True
-            break
-    if not parked:
-        return [1] * len(pivots), len(pivots)
-    return _sparse_snf_full(columns)
+            parked.append(col)
+    core: list[Column] = []
+    for col in parked:
+        # highest pivot row first: pivots[r] has no entry below r, so fill-in
+        # only lands on lower rows and no cleared row comes back
+        todo = [-r for r in col if r in pivots]
+        heapify(todo)
+        while todo:
+            r = -heappop(todo)
+            if r not in col:
+                continue  # cancelled by fill-in, or queued twice
+            p = pivots[r]
+            f = col[r] * p[r]
+            for rr, v in p.items():
+                nv = col.get(rr, 0) - f * v
+                if nv:
+                    if rr not in col and rr in pivots:
+                        heappush(todo, -rr)
+                    col[rr] = nv
+                else:
+                    col.pop(rr, None)
+        if col:
+            core.append(col)
+    units = [1] * len(pivots)
+    if not core:
+        return units, len(pivots)
+    factors, rank = _sparse_snf_full(core)
+    return units + factors, len(pivots) + rank
 
 
 # ---------------------------------------------------------------------------

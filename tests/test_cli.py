@@ -105,6 +105,20 @@ def test_desclink_n1_empty(tmp_path):
     assert doc["full_poset"]["objects"] == []
 
 
+def test_desclink_subgroup_words_parse_as_in_verify_nu(tmp_path):
+    # an empty word in a comma list is dropped, as verify-nu and build-cn do
+    docs = []
+    for sub in ("21", "21,"):
+        out = tmp_path / f"dl{len(docs)}.json"
+        assert run(["desclink", "--q", "2", "--subgroup", sub, "--n", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc.pop("manifest")["params"]["subgroup"] == sub
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert run(["verify-nu", "--q", "2", "--subgroup", "21,", "--nmax", "2",
+                "--out", str(tmp_path / "v.csv")]) == 0
+
+
 def test_desclink_cap(tmp_path):
     assert run(["desclink", "--q", "2", "--n", "9", "--cap", "6"]) == 3
 

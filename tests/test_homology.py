@@ -2,17 +2,22 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from dense_snf import smith_normal_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphero import homology
+from sphero.complexes import build_complex
+from sphero.groups import Config
 from sphero.homology import (
     HomologyError,
+    _divisibility_chain,
+    _sparse_snf_full,
     complex_from_simplices,
     flag_complex,
     is_k_acyclic,
     pi1_report,
     reduced_homology,
-    smith_normal_form,
     sparse_invariant_factors,
 )
 
@@ -56,6 +61,122 @@ def test_snf_random_certified_and_matches_sparse(seed):
     sfactors, srank = sparse_invariant_factors([c for c in cols if c])
     assert srank == rank
     assert sorted(x for x in sfactors if x > 1) == sorted(x for x in factors if x > 1)
+
+
+# ---------------------------------------------------------------------------
+# unit-pivot pass with a Schur core, against the whole-matrix Euclidean oracle
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Every column list that sparse_invariant_factors hands to _sparse_snf_full."""
+    seen: list[list[dict]] = []
+
+    def spy(columns):
+        seen.append([dict(c) for c in columns])
+        return _sparse_snf_full(columns)
+
+    monkeypatch.setattr(homology, "_sparse_snf_full", spy)
+    return seen
+
+
+def _random_columns(rng):
+    m, n = rng.randrange(3, 13), rng.randrange(3, 13)
+    density = rng.choice((0.2, 0.35, 0.5))
+    return [{i: v for i in range(m) if rng.random() < density and (v := rng.randrange(-3, 4))}
+            for _ in range(n)]
+
+
+def _torsion_columns(rng):
+    """A sparse matrix with a factor 2 or 3: a diagonal mixed by unimodular steps."""
+    m, n = rng.randrange(3, 13), rng.randrange(3, 13)
+    k = rng.randrange(1, min(m, n) + 1)
+    diag = [rng.choice((1, 1, 2, 3)) for _ in range(k)]
+    diag[rng.randrange(k)] = rng.choice((2, 3))
+    cols = [{r: d} for r, d in zip(rng.sample(range(m), k), diag)] + [{} for _ in range(n - k)]
+    for _ in range(rng.randrange(1, m + n)):
+        c = rng.choice((1, -1))
+        if rng.random() < 0.5:  # column dst += c * column src
+            dst, src = rng.sample(range(n), 2)
+            for r, v in cols[src].items():
+                cols[dst][r] = cols[dst].get(r, 0) + c * v
+        else:  # row dst += c * row src
+            dst, src = rng.sample(range(m), 2)
+            for col in cols:
+                if src in col:
+                    col[dst] = col.get(dst, 0) + c * col[src]
+        cols = [{r: v for r, v in col.items() if v} for col in cols]
+    rng.shuffle(cols)
+    return cols, _divisibility_chain(diag)
+
+
+def test_schur_core_matches_whole_matrix_oracle(cores):
+    rng = Random(20260301)
+    torsion_seen = 0
+    for trial in range(600):
+        if trial % 2:
+            cols, diag = _torsion_columns(rng)
+        else:
+            cols, diag = _random_columns(rng), None
+        nonzero = [c for c in cols if c]
+        cores.clear()
+        factors, rank = sparse_invariant_factors(cols)
+        want_factors, want_rank = _sparse_snf_full(cols)
+        assert (sorted(factors), rank) == (sorted(want_factors), want_rank), cols
+        if diag is not None:
+            assert sorted(factors) == diag, cols
+        assert len(cores) <= 1
+        if any(f > 1 for f in factors):
+            torsion_seen += 1
+            assert cores, f"torsion without a parked column: {cols}"
+        if nonzero and abs(nonzero[0][max(nonzero[0])]) == 1:
+            # the first nonzero column is a unit pivot and never reaches the core
+            assert not cores or len(cores[0]) < len(nonzero), cols
+    assert torsion_seen >= 300
+
+
+def test_schur_core_has_no_entry_on_a_pivot_row(cores):
+    # A unit triangular block on rows 0..k-1 comes first, and every other
+    # column is a multiple of 3 on rows >= k: the pivot rows are exactly 0..k-1.
+    rng = Random(7)
+    for _ in range(300):
+        k, extra = rng.randrange(1, 8), rng.randrange(1, 5)
+        cols = []
+        for i in range(k):
+            col = {r: rng.randrange(-3, 4) for r in range(i) if rng.random() < 0.5}
+            col[i] = rng.choice((1, -1))
+            cols.append(col)
+        for _ in range(rng.randrange(1, 6)):
+            col = {r: rng.randrange(-3, 4) for r in range(k) if rng.random() < 0.6}
+            col.update({k + e: 3 * rng.randrange(-2, 3) for e in range(extra)})
+            col[k + rng.randrange(extra)] = 3
+            cols.append(col)
+        cols = [{r: v for r, v in col.items() if v} for col in cols]
+        cores.clear()
+        factors, rank = sparse_invariant_factors(cols)
+        assert len(cores) == 1
+        assert all(r >= k for col in cores[0] for r in col), cols
+        want_factors, want_rank = _sparse_snf_full(cols)
+        assert (sorted(factors), rank) == (sorted(want_factors), want_rank), cols
+        assert sorted(factors)[:k] == [1] * k and all(f % 3 == 0 for f in sorted(factors)[k:])
+
+
+def test_schur_core_on_matching_complex_boundary(cores):
+    # d_3 of the q=2 sym complex at n=9 carries 8 x Z/3
+    cols = build_complex(Config.make(2, 1, "sym"), 9).chain_complex(3).boundary_columns(3)
+    factors, rank = sparse_invariant_factors(cols)
+    want_factors, want_rank = _sparse_snf_full(cols)
+    assert (sorted(factors), rank) == (sorted(want_factors), want_rank)
+    assert [f for f in factors if f > 1] == [3] * 8
+    assert len(cores) == 1 and len(cores[0]) < len(cols)
+
+
+def test_matching_complex_m7_has_z3_in_degree_one():
+    # the q=2 sym complex at n=7 is the matching complex M_7 (Bouc 1992)
+    cc = build_complex(Config.make(2, 1, "sym"), 7).chain_complex(2)
+    res = reduced_homology(cc, 1)
+    assert res.betti == (0, 0)
+    assert res.torsion == ((), (3,))
 
 
 # ---------------------------------------------------------------------------
