@@ -118,8 +118,8 @@ def vertex_descending_link(cx: DecoratedComplex, a: DecoratedVertex) -> tuple[De
     """Full subcomplex on vertices disjoint from a with larger minimum, relabeled.
 
     Returns the relabeled complex on {1..k} together with the order-preserving
-    relabeling of the ground set; the result is asserted to coincide with the
-    freshly built complex on k elements.
+    relabeling of the ground set; the relabeled vertices are asserted to be
+    those of the freshly built complex on k elements (none when k <= 1).
     """
     config = cx.config
     base = set(range(1, config.q + 1))
@@ -128,26 +128,15 @@ def vertex_descending_link(cx: DecoratedComplex, a: DecoratedVertex) -> tuple[De
     min_a = min(a.support)
     avail = [x for x in range(min_a + 1, cx.n + 1) if x not in a.support]
     relabel = {x: i + 1 for i, x in enumerate(avail)}
-    k = len(avail)
-    keep = [v for v in cx.vertices
-            if not (set(v.support) & set(a.support)) and min_a < min(v.support)]
-    relabeled = sorted(
+    relabeled = tuple(sorted(
         (DecoratedVertex(tuple(sorted(relabel[x] for x in v.support)), v.decoration)
-         for v in keep),
+         for v in cx.vertices
+         if not (set(v.support) & set(a.support)) and min_a < min(v.support)),
         key=lambda v: (v.support, v.decoration),
-    )
-    edges = []
-    for i, v in enumerate(relabeled):
-        si = set(v.support)
-        for j in range(i + 1, len(relabeled)):
-            if not (si & set(relabeled[j].support)):
-                edges.append((i, j))
-    sub = DecoratedComplex(max(k, 1), config, tuple(relabeled), tuple(edges))
-    if k >= 1:
-        if sub != build_complex(config, k):
-            raise AssertionError("descending link does not match the complex on k elements")
-    elif relabeled:
-        raise AssertionError("descending link should be empty")
+    ))
+    sub = build_complex(config, max(len(avail), 1))
+    if relabeled != sub.vertices:
+        raise AssertionError("descending link does not match the complex on k elements")
     return sub, relabel
 
 
@@ -185,37 +174,34 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _block_internal_vertices(block: Block) -> list[Word]:
-    out = set()
-    for w, _ in block:
-        for i in range(len(w)):
-            out.add(w[:i])
-    return sorted(out)
-
-
 def canonical_block(config: Config, block: Block) -> Block:
     """Minimal representative of the block under the D-admissible isometry action.
 
-    Only labels at internal vertices of the tiling move the tiles, so the
-    orbit is closed under single-label moves there.
+    The orbit is every independent choice of a label in D at each internal
+    vertex of the tiling, so the minimum is found bottom-up: each child
+    subtree is replaced by its own minimum, and the root label places the
+    children.  Child segments have fixed lengths, so for a fixed root label the
+    smallest block is the concatenation of the segment minima.
     """
+    if len(block) == 1 or len(config.group) == 1:
+        return block
+    return _min_tiling(config.group, config.q, block)
+
+
+def _min_tiling(group: frozenset[Perm], q: int, block: Block) -> Block:
     if len(block) == 1:
         return block
-    gens = [p for p in config.sorted_group() if p != identity_perm(config.q)]
-    if not gens:
-        return block
-    seen = {block}
-    frontier = [block]
-    while frontier:
-        cur = frontier.pop()
-        for v in _block_internal_vertices(cur):
-            for p in gens:
-                iso = LabeledIsometry.make(config.q, {v: p})
-                moved = tuple(sorted((iso.apply_word(w), t) for w, t in cur))
-                if moved not in seen:
-                    seen.add(moved)
-                    frontier.append(moved)
-    return min(seen)
+    children: list[list[Tile]] = [[] for _ in range(q)]
+    for w, t in block:
+        children[w[0]].append((w[1:], t))
+    mins = [_min_tiling(group, q, tuple(c)) for c in children]
+    # The label p moves child c to position p[c]; D is closed under inverses,
+    # so putting child p[d] at position d runs over the same arrangements.
+    # Children carry disjoint targets, so two arrangements first differ where
+    # they hold different children, and there the children's first tiles decide.
+    firsts = [m[0] for m in mins]
+    best = min(group, key=lambda p: [firsts[c] for c in p])
+    return tuple(((d,) + w, t) for d, c in enumerate(best) for w, t in mins[c])
 
 
 @dataclass(frozen=True)
@@ -284,12 +270,12 @@ def split_records(config: Config, n: int, cap: int = 6) -> list[SplitRecord]:
             if len(group) == 1:
                 block_choices.append([(((), group[0]),)])
                 continue
-            choices = []
-            for tiling in tilings(config.q, len(group)):
-                for perm in permutations(group):
-                    block = tuple(sorted(zip(tiling, perm)))
-                    choices.append(canonical_block(config, block))
-            block_choices.append(sorted(set(choices)))
+            choices = {
+                canonical_block(config, tuple(sorted(zip(tiling, perm))))
+                for tiling in tilings(config.q, len(group))
+                for perm in permutations(group)
+            }
+            block_choices.append(sorted(choices))
         for combo in product(*block_choices):
             out.add(SplitRecord(config, n, tuple(sorted(combo))))
     return sorted(out, key=lambda r: (r.k, r.object_id()))
@@ -325,7 +311,11 @@ def _induced_blocks(config: Config, block: Block, cut: tuple[Word, ...]) -> list
 
 
 def has_arrow(r1: SplitRecord, r2: SplitRecord) -> bool:
-    """Whether r1 factors through r2, i.e. r1 arises by cutting r2's trees."""
+    """Whether r1 factors through r2, i.e. r1 arises by cutting r2's trees.
+
+    A pairwise test, kept as the reference for the arrows that
+    ``split_class_poset`` generates from cuts.
+    """
     if r1.k <= r2.k or r1.n != r2.n:
         return False
     targets1 = [frozenset(t for _, t in b) for b in r1.blocks]
@@ -350,18 +340,26 @@ def has_arrow(r1: SplitRecord, r2: SplitRecord) -> bool:
 
 
 def split_class_poset(config: Config, n: int, cap: int = 6) -> GenPoset:
-    """Poset of splitting classes below a level-n vertex, arrows by factorization."""
+    """Poset of splitting classes below a level-n vertex, arrows by factorization.
+
+    Arrows are generated from the coarser record: every choice of one cut per
+    block induces a finer set of blocks, which is a record unless it is the
+    all-singletons partition.  This is the condition of ``has_arrow``.
+    """
     if n <= 1:
         return GenPoset.make([], [])
     records = split_records(config, n, cap)
-    by_id = {r.object_id(): r for r in records}
+    ids = {r.blocks: r.object_id() for r in records}
     arrows = []
-    recs = list(records)
-    for r1 in recs:
-        for r2 in recs:
-            if r1.k > r2.k and has_arrow(r1, r2):
-                arrows.append((r1.object_id(), r2.object_id()))
-    return GenPoset.make(list(by_id), arrows).require_valid()
+    for r2 in records:
+        per_block = [block_cuts(config, b) for b in r2.blocks]
+        for combo in product(*per_block):
+            blocks = tuple(sorted(
+                ib for b, cut in zip(r2.blocks, combo) for ib in _induced_blocks(config, b, cut)
+            ))
+            if len(blocks) > r2.k and blocks in ids:
+                arrows.append((ids[blocks], ids[r2.blocks]))
+    return GenPoset.make(list(ids.values()), arrows).require_valid()
 
 
 def elementary_split_poset(config: Config, n: int, cap: int = 6) -> tuple[GenPoset, dict[str, str]]:

@@ -25,10 +25,11 @@ class GenPoset:
 
     @staticmethod
     def make(objects, arrows) -> "GenPoset":
-        objs = tuple(sorted(set(objects)))
+        known = set(objects)
+        objs = tuple(sorted(known))
         arr = frozenset((a, b) for a, b in arrows if a != b)
         for a, b in arr:
-            if a not in objs or b not in objs:
+            if a not in known or b not in known:
                 raise PosetError(f"arrow ({a},{b}) mentions unknown object")
         return GenPoset(objs, arr)
 
@@ -201,7 +202,11 @@ def chains(p: GenPoset, max_len: int | None = None) -> list[list[tuple[ObjId, ..
     """
     if not p.is_honest:
         raise PosetError("order complex requires an honest poset; collapse isomorphisms first")
-    succ = {o: p.successors(o) for o in p.objects}
+    succ: dict[ObjId, list[ObjId]] = {o: [] for o in p.objects}
+    for a, b in p.arrows:
+        succ[a].append(b)
+    for ys in succ.values():
+        ys.sort()
     out: list[list[tuple[ObjId, ...]]] = [[(o,) for o in p.objects]]
     d = 0
     while out[d] and (max_len is None or d < max_len):

@@ -136,9 +136,10 @@ def test_criterion_04_morse_recursion():
 def test_criterion_05_lk_star_vs_lk():
     """Splitting posets and their very elementary subposets have equal homology."""
     t0 = time.time()
-    for sub in ("sym", "triv"):
+    h_top = {}
+    for sub, nmax in (("sym", 6), ("triv", 5)):
         config = Config.make(2, 1, sub)
-        for n in (2, 3, 4):
+        for n in range(2, nmax + 1):
             full = split_class_poset(config, n)
             star, inclusion = elementary_split_poset(config, n)
             assert set(inclusion) <= set(full.objects)
@@ -149,6 +150,14 @@ def test_criterion_05_lk_star_vs_lk():
             h_star = reduced_homology(order_complex(underlying_poset(star)[0]), 2)
             assert h_full.betti == h_star.betti, (sub, n)
             assert h_full.torsion == h_star.torsion, (sub, n)
+            h_top[sub, n] = h_full
+    # the very elementary model at q=2, Sym(2) is the matching complex M_n:
+    # M_5 is the Petersen graph (6 independent cycles) and M_6 a wedge of 16
+    # circles (Bouc 1992); for the trivial D at n=5 the graph has 20 vertices,
+    # 60 edges and no triangles, so 41 cycles
+    for key, betti in (("sym", 5), (0, 6, 0)), (("sym", 6), (0, 16, 0)), (("triv", 5), (0, 41, 0)):
+        assert h_top[key].betti == betti, key
+        assert all(not t for t in h_top[key].torsion), key
     # exact pins for n=3, Sym(2)
     config = Config.make(2, 1, "sym")
     full = split_class_poset(config, 3)

@@ -1,4 +1,8 @@
+from itertools import permutations
+from random import Random
+
 import pytest
+from block_orbit import orbit_canonical_block
 
 from sphero.complexes import (
     DecoratedComplex,
@@ -14,6 +18,7 @@ from sphero.complexes import (
     decorations_for,
     elementary_record_to_simplex,
     elementary_split_poset,
+    has_arrow,
     make_record,
     morse_value,
     parse_tiling_id,
@@ -255,6 +260,50 @@ def test_block_canonicalization(sym2, triv2):
     block_b = (((0,), 2), ((1,), 1))
     assert canonical_block(sym2, block_a) == canonical_block(sym2, block_b)
     assert canonical_block(triv2, block_a) != canonical_block(triv2, block_b)
+
+
+# every labeling of a tiling through 5 tiles; at 6 tiles a seeded sample of the
+# 720, since the orbit search takes about 4 ms a block there
+SAMPLED_LABELINGS = 40
+
+
+def test_canonical_block_matches_orbit_search():
+    """The bottom-up minimum equals the minimum over the whole orbit."""
+    rng = Random(20260418)
+    cases = [(2, 6, ("sym", "triv")), (3, 5, ("sym", "triv", ["213"], ["231"]))]
+    checked = 0
+    for q, max_tiles, subgroups in cases:
+        for t in range(1, max_tiles + 1):
+            labelings = list(permutations(range(1, t + 1)))
+            for tiling in tilings(q, t):
+                sample = labelings if t <= 5 else rng.sample(labelings, SAMPLED_LABELINGS)
+                for perm in sample:
+                    block = tuple(sorted(zip(tiling, perm)))
+                    for sub in subgroups:
+                        config = Config.make(q, 1, sub)
+                        want = orbit_canonical_block(config, block)
+                        assert canonical_block(config, block) == want, (q, sub, block)
+                        checked += 1
+    assert checked > 8_000
+
+
+def _arrows_by_pairs(config, n):
+    records = split_records(config, n)
+    return {(r1.object_id(), r2.object_id())
+            for r1 in records for r2 in records if r1.k > r2.k and has_arrow(r1, r2)}
+
+
+@pytest.mark.parametrize("q,sub,n", [
+    (2, "sym", 2), (2, "sym", 3), (2, "sym", 4),
+    (2, "triv", 2), (2, "triv", 3), (2, "triv", 4),
+    (3, "sym", 5), (3, "triv", 5), (3, ["213"], 5),
+])
+def test_split_poset_arrows_match_pairwise_has_arrow(q, sub, n):
+    """Arrows generated from cuts are exactly the pairs that has_arrow accepts."""
+    config = Config.make(q, 1, sub)
+    poset = split_class_poset(config, n)
+    assert poset.arrows or n == 2  # at n = 2 the only refinement is all singletons
+    assert poset.arrows == _arrows_by_pairs(config, n)
 
 
 def test_block_cuts_of_deep_tiling(sym2):
