@@ -28,13 +28,13 @@ def main() -> int:
     for sub in args.subgroups.split(","):
         config = Config.make(args.q, 1, sub.strip())
         for n in range(2, args.nmax + 1):
-            t0 = time.time()
+            t0 = time.perf_counter()
             records = split_records(config, n, cap=args.cap)
             by_k: dict[int, int] = {}
             for r in records:
                 by_k[r.k] = by_k.get(r.k, 0) + 1
-            full = split_class_poset(config, n, cap=args.cap)
-            star, _ = elementary_split_poset(config, n, cap=args.cap)
+            full = split_class_poset(config, n, cap=args.cap, records=records)
+            star, _ = elementary_split_poset(config, n, cap=args.cap, records=records, full=full)
             hf = reduced_homology(order_complex(underlying_poset(full)[0]), 2)
             hs = reduced_homology(order_complex(underlying_poset(star)[0]), 2)
             match = hf.betti == hs.betti and hf.torsion == hs.torsion
@@ -42,7 +42,7 @@ def main() -> int:
             print(f"D={sub:<5} n={n}  objects={len(full.objects):>4} "
                   f"(by block count {dict(sorted(by_k.items()))})  arrows={len(full.arrows):>4}  "
                   f"star={len(star.objects):>4}  betti={hf.betti}  "
-                  f"match={'yes' if match else 'NO'}  {time.time() - t0:.1f}s")
+                  f"match={'yes' if match else 'NO'}  {time.perf_counter() - t0:.1f}s")
     return 0 if ok else 1
 
 

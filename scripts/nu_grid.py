@@ -31,7 +31,7 @@ def main() -> int:
     for sub in args.subgroups.split(","):
         config = Config.make(args.q, 1, sub.strip())
         for n in range(args.nmin, args.nmax + 1):
-            t0 = time.time()
+            t0 = time.perf_counter()
             nu = connectivity_bound(config, n)
             cx = build_complex(config, n)
             if not cx.vertices:
@@ -46,7 +46,7 @@ def main() -> int:
             ok = ok and good
             flag = "" if good else "  <-- FAIL"
             print(f"{sub:>6} {n:>3} {nu:>3} {cells:>24} {betti:>16} "
-                  f"{time.time() - t0:>6.1f}s{flag}")
+                  f"{time.perf_counter() - t0:>6.1f}s{flag}")
     return 0 if ok else 1
 
 

@@ -21,6 +21,7 @@ from .complexes import (
     connectivity_bound,
     elementary_split_poset,
     split_class_poset,
+    split_records,
 )
 from .groups import (
     Config,
@@ -192,15 +193,17 @@ def cmd_desclink(args) -> int:
     try:
         payload = {}
         rows = []
-        res_full = res_star = None
+        res_full = res_star = full = None
+        records = split_records(config, args.n, cap=args.cap) if args.n > 1 else []
         if want_full:
-            full = split_class_poset(config, args.n, cap=args.cap)
+            full = split_class_poset(config, args.n, cap=args.cap, records=records)
             payload["full_poset"] = full.to_json()
             frows, res_full = _poset_homology_rows(full)
             rows += [["full"] + r for r in frows]
             payload["full_components"] = len(full.components())
         if want_star:
-            star, inclusion = elementary_split_poset(config, args.n, cap=args.cap)
+            star, inclusion = elementary_split_poset(config, args.n, cap=args.cap,
+                                                     records=records, full=full)
             payload["star_poset"] = star.to_json()
             payload["inclusion"] = inclusion
             srows, res_star = _poset_homology_rows(star)

@@ -339,16 +339,19 @@ def has_arrow(r1: SplitRecord, r2: SplitRecord) -> bool:
     return True
 
 
-def split_class_poset(config: Config, n: int, cap: int = 6) -> GenPoset:
+def split_class_poset(config: Config, n: int, cap: int = 6, *,
+                      records: list[SplitRecord] | None = None) -> GenPoset:
     """Poset of splitting classes below a level-n vertex, arrows by factorization.
 
     Arrows are generated from the coarser record: every choice of one cut per
     block induces a finer set of blocks, which is a record unless it is the
     all-singletons partition.  This is the condition of ``has_arrow``.
+    ``records``, if given, is ``split_records(config, n, cap)``.
     """
     if n <= 1:
         return GenPoset.make([], [])
-    records = split_records(config, n, cap)
+    if records is None:
+        records = split_records(config, n, cap)
     ids = {r.blocks: r.object_id() for r in records}
     arrows = []
     for r2 in records:
@@ -362,10 +365,18 @@ def split_class_poset(config: Config, n: int, cap: int = 6) -> GenPoset:
     return GenPoset.make(list(ids.values()), arrows).require_valid()
 
 
-def elementary_split_poset(config: Config, n: int, cap: int = 6) -> tuple[GenPoset, dict[str, str]]:
-    """Subposet of very elementary splitting classes, with its inclusion map."""
-    full = split_class_poset(config, n, cap)
-    records = split_records(config, n, cap) if n > 1 else []
+def elementary_split_poset(config: Config, n: int, cap: int = 6, *,
+                           records: list[SplitRecord] | None = None,
+                           full: GenPoset | None = None) -> tuple[GenPoset, dict[str, str]]:
+    """Subposet of very elementary splitting classes, with its inclusion map.
+
+    ``records`` and ``full``, if given, are ``split_records(config, n, cap)``
+    and ``split_class_poset(config, n, cap)``; each is built here otherwise.
+    """
+    if records is None:
+        records = split_records(config, n, cap) if n > 1 else []
+    if full is None:
+        full = split_class_poset(config, n, cap, records=records)
     keep = {r.object_id() for r in records if r.is_very_elementary}
     sub = full.full_subcategory(keep)
     inclusion = {o: o for o in sub.objects}

@@ -5,6 +5,23 @@ elimination: a unit-pivot column pass, then a Euclidean sparse Smith normal
 form on the leftover core of columns with non-unit lows, cleared on the pivot
 rows (empty on torsion-free instances).  Entries are Python integers, so no
 overflow is possible.
+
+``reduced_homology`` needs only the rank and invariant factors of each
+boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
+2021).  The first boundary is the incidence matrix of a graph: it is totally
+unimodular, so its rank comes from a spanning forest and every factor is 1.
+Each higher boundary is reduced as its transpose, the coboundary, in
+anti-transposed order (faces from last to first, cofaces on reversed rows),
+so the pass pivots on the smallest coface.  Rows that carry a unit pivot in
+one coboundary name columns of the next that reduce to zero, and those
+columns are left out.  This is exact over the integers.  For the forest,
+d1 d2 = 0 and peeling the forest from its leaves write each forest-edge row
+of d2 as an integer combination of the other rows.  Above it, a unit pivot
+column c is an integer combination of coboundary columns, so the next
+coboundary kills it.  Its pivot is +-1 and its other entries lie on later
+cofaces, so the cleared columns form a unit triangular set, and leaving them
+out is a unimodular column operation.  Transposing keeps the invariant
+factors.
 """
 
 from __future__ import annotations
@@ -234,7 +251,8 @@ def _sparse_snf_full(columns: list[Column]) -> tuple[list[int], int]:
     return _divisibility_chain(diag), len(diag)
 
 
-def sparse_invariant_factors(columns: list[Column]) -> tuple[list[int], int]:
+def sparse_invariant_factors(columns: list[Column],
+                             pivot_rows: set[int] | None = None) -> tuple[list[int], int]:
     """Invariant factors and rank from sparse integer columns.
 
     Each column is reduced on its lowest row against the unit pivots found so
@@ -242,17 +260,20 @@ def sparse_invariant_factors(columns: list[Column]) -> tuple[list[int], int]:
     column is parked.  Parked columns are then cleared on every pivot row.  The
     pivot columns are unit triangular on the pivot rows, so the matrix is
     equivalent to an identity block plus the cleared parked columns, and only
-    that core goes to the Euclidean routine.
+    that core goes to the Euclidean routine.  If ``pivot_rows`` is given, the
+    rows of the unit pivots are added to it.
     """
     pivots: dict[int, Column] = {}
     parked: list[Column] = []
-    for col0 in columns:
-        col = dict(col0)
+    for col in columns:
+        shared = True  # still the caller's column: copied before its first edit
         while col:
             low = max(col)
             p = pivots.get(low)
             if p is None:
                 break
+            if shared:
+                col, shared = dict(col), False
             f = col[low] * p[low]  # p[low] is +-1
             for r, v in p.items():
                 nv = col.get(r, 0) - f * v
@@ -264,9 +285,9 @@ def sparse_invariant_factors(columns: list[Column]) -> tuple[list[int], int]:
             continue
         low = max(col)
         if abs(col[low]) == 1:
-            pivots[low] = col
+            pivots[low] = col  # pivot columns are only read from here on
         else:
-            parked.append(col)
+            parked.append(dict(col) if shared else col)
     core: list[Column] = []
     for col in parked:
         # highest pivot row first: pivots[r] has no entry below r, so fill-in
@@ -289,6 +310,8 @@ def sparse_invariant_factors(columns: list[Column]) -> tuple[list[int], int]:
                     col.pop(rr, None)
         if col:
             core.append(col)
+    if pivot_rows is not None:
+        pivot_rows.update(pivots)
     units = [1] * len(pivots)
     if not core:
         return units, len(pivots)
@@ -315,20 +338,66 @@ class HomologyResult:
             yield d, self.betti[d], list(self.torsion[d])
 
 
+def _spanning_forest(n0: int, edges: list[Column]) -> set[int]:
+    """Indices of the edges that Kruskal's union-find keeps, in column order."""
+    parent = list(range(n0))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    forest = set()
+    for j, col in enumerate(edges):
+        a, b = map(find, col)
+        if a != b:
+            parent[a] = b
+            forest.add(j)
+    return forest
+
+
+def _coboundary(boundary: list[Column], n_faces: int, cleared: set[int]) -> list[Column]:
+    """The transpose of a boundary matrix in anti-transposed order, cleared faces left out.
+
+    Columns are the faces from the last to the first, and coface j sits on row
+    len(boundary) - 1 - j, so the max-low pass pivots on the smallest coface.
+    Cleared faces and faces without cofaces give no column.
+    """
+    top = len(boundary) - 1
+    cob: list[Column] = [{} for _ in range(n_faces)]
+    for j, col in enumerate(boundary):
+        row = top - j
+        for r, v in col.items():
+            cob[r][row] = v
+    return [cob[r] for r in range(n_faces - 1, -1, -1) if cob[r] and r not in cleared]
+
+
 def reduced_homology(cx: ChainComplex, through_dim: int, check: bool = True) -> HomologyResult:
-    """Reduced homology in degrees 0..through_dim (degree 0 via augmentation)."""
+    """Reduced homology in degrees 0..through_dim (degree 0 via augmentation).
+
+    Boundaries are reduced as coboundaries with clearing (module docstring).
+    The cells in ``cx.boundaries[0]`` must be edges, as ``complex_from_simplices``
+    builds them.
+    """
     if check:
         cx.check_boundary_squared()
     n0 = cx.n_cells(0)
     rank: dict[int, int] = {}
     factors: dict[int, list[int]] = {}
     rank[0] = 1 if n0 else 0  # augmentation
+    cleared: set[int] = set()  # cells whose rows of the next boundary are dropped
     for d in range(1, through_dim + 2):
         cols = cx.boundary_columns(d)
-        if cols:
-            f, r = sparse_invariant_factors(cols)
-        else:
+        if not cols:
             f, r = [], 0
+        elif d == 1:
+            # an incidence matrix: totally unimodular, rank from a spanning forest
+            cleared = _spanning_forest(n0, cols)
+            f, r = [1] * len(cleared), len(cleared)
+        else:
+            pivots: set[int] = set()
+            f, r = sparse_invariant_factors(_coboundary(cols, cx.n_cells(d - 1), cleared), pivots)
+            cleared = {len(cols) - 1 - p for p in pivots}
         factors[d], rank[d] = f, r
     betti, torsion = [], []
     for d in range(0, through_dim + 1):

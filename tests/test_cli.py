@@ -98,6 +98,29 @@ def test_desclink_full_and_star(tmp_path):
     assert lines[1] == "model,dim,betti,torsion"
 
 
+def test_desclink_full_and_star_enumerates_once(tmp_path, monkeypatch):
+    # the star poset is cut from the full poset and records the command built
+    from sphero import cli, complexes
+
+    calls = {"split_records": 0, "split_class_poset": 0}
+
+    def counted(name):
+        fn = getattr(complexes, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapped = counted(name)
+        monkeypatch.setattr(complexes, name, wrapped)
+        monkeypatch.setattr(cli, name, wrapped, raising=False)
+    assert run(["desclink", "--q", "2", "--subgroup", "sym", "--n", "4", "--full", "--star",
+                "--out", str(tmp_path / "dl.json")]) == 0
+    assert calls == {"split_records": 1, "split_class_poset": 1}
+
+
 def test_desclink_n1_empty(tmp_path):
     out = tmp_path / "dl1.json"
     assert run(["desclink", "--q", "2", "--n", "1", "--out", str(out)]) == 0

@@ -3,11 +3,12 @@ from random import Random
 
 import pytest
 from dense_snf import smith_normal_form
+from homology_oracle import reduced_homology_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphero import homology
-from sphero.complexes import build_complex
+from sphero.complexes import build_complex, connectivity_bound
 from sphero.groups import Config
 from sphero.homology import (
     HomologyError,
@@ -233,9 +234,12 @@ def test_boundary_squared_guard():
         reduced_homology(bad, 1)
 
 
+RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+                 (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+
+
 def test_projective_plane_torsion():
-    tris = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-            (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+    tris = RP2_TRIANGLES
     edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
     cx = complex_from_simplices([[(i,) for i in range(6)], edges, sorted(tris)])
     res = reduced_homology(cx, 2)
@@ -255,6 +259,108 @@ def test_euler_characteristic_matches_betti_sum():
         chi_cells = cx.euler_characteristic()
         chi_betti = 1 + sum((-1) ** d * res.betti[d] for d in range(len(res.betti)))
         assert chi_cells == chi_betti
+
+
+# ---------------------------------------------------------------------------
+# coboundary order with clearing, against the homology-direction loop
+
+
+def _closure(facets):
+    """Sorted simplex lists per dimension of the complex the facets generate."""
+    by_dim: dict[int, set] = {}
+    for f in facets:
+        for k in range(1, len(f) + 1):
+            by_dim.setdefault(k - 1, set()).update(combinations(f, k))
+    return [sorted(by_dim[d]) for d in range(len(by_dim))]
+
+
+def test_clearing_matches_oracle_on_random_complexes():
+    rng = Random(20261018)
+    disconnected = torsion = 0
+    for trial in range(300):
+        n = rng.randrange(6, 13)
+        through = rng.choice((2, 3))
+        if trial % 2:
+            # flag complex of a seeded graph, often disconnected
+            p = rng.choice((0.15, 0.3, 0.5, 0.7))
+            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+            cx = flag_complex(list(range(n)), edges, through + 1)
+        else:
+            # seeded triangles and tetrahedra, half of the time on top of a
+            # relabeled six-vertex projective plane (Z/2 in degree one)
+            facets = [tuple(sorted(rng.sample(range(n), rng.choice((3, 3, 4)))))
+                      for _ in range(rng.randrange(2, 2 * n))]
+            if trial % 4 == 0:
+                label = rng.sample(range(n), 6)
+                facets += [tuple(sorted(label[v] for v in t)) for t in RP2_TRIANGLES]
+            cx = complex_from_simplices(_closure(facets))
+        want = reduced_homology_oracle(cx, through)
+        assert reduced_homology(cx, through) == want, (trial, want)
+        disconnected += want.betti[0] > 0
+        torsion += any(want.torsion)
+    assert disconnected >= 20 and torsion >= 10, (disconnected, torsion)
+
+
+@pytest.mark.parametrize("sub,n,torsion", [
+    ("sym", 7, ((), (3,))),  # Bouc 1992
+    ("sym", 9, ((), (), (3,) * 8)),
+    ("triv", 8, ((), (), ())),
+])
+def test_clearing_matches_oracle_on_grid_points(sub, n, torsion):
+    config = Config.make(2, 1, sub)
+    through = connectivity_bound(config, n) + 1
+    cc = build_complex(config, n).chain_complex(through + 1)
+    res = reduced_homology(cc, through)
+    assert res == reduced_homology_oracle(cc, through)
+    assert res.torsion == torsion
+
+
+def _rank_mod_p(columns, p):
+    """Rank over F_p: each column reduced on its lowest row against the pivots so far."""
+    pivots: dict[int, dict[int, int]] = {}
+    for col0 in columns:
+        col = {r: v % p for r, v in col0.items() if v % p}
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                inv = pow(col[low], -1, p)
+                pivots[low] = {r: v * inv % p for r, v in col.items()}
+                break
+            f = col[low]
+            for r, v in piv.items():
+                nv = (col.get(r, 0) - f * v) % p
+                if nv:
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
+    return len(pivots)
+
+
+def test_ranks_mod_p_certify_grid_homology():
+    # rank_p of each boundary is the number of its invariant factors prime to p;
+    # the ranks and torsion are read off reduced_homology through nu+1
+    config = Config.make(2, 1, "sym")
+    drops = []
+    for n in range(2, 10):
+        through = max(connectivity_bound(config, n) + 1, 0)
+        cc = build_complex(config, n).chain_complex(through + 2)
+        res = reduced_homology(cc, through)
+        rank = [1]  # augmentation
+        for d in range(through + 1):
+            rank.append(cc.n_cells(d) - rank[d] - res.betti[d])
+        for d in range(1, through + 2):
+            cols = cc.boundary_columns(d)
+            for p in (2, 3, 10007):
+                prime_to_p = rank[d] - sum(t % p == 0 for t in res.torsion[d - 1])
+                assert _rank_mod_p(cols, p) == prime_to_p, (n, d, p)
+                if prime_to_p < rank[d]:
+                    drops.append((n, d, p, rank[d] - prime_to_p))
+        if cc.dim <= through + 1:  # no cell above: the whole complex
+            full = reduced_homology(cc, cc.dim)
+            chi = sum((-1) ** d * b for d, b in enumerate(full.betti))
+            assert chi == cc.euler_characteristic() - 1, n
+    assert drops == [(7, 2, 3, 1), (9, 3, 3, 8)]
 
 
 # ---------------------------------------------------------------------------
