@@ -42,6 +42,7 @@ from .trading import (
     euler_characteristic,
     run_staircase,
     sparsify,
+    sum_inventories,
 )
 
 EXIT_OK = 0
@@ -271,9 +272,7 @@ def cmd_trade(args) -> int:
     except ScheduleError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEDULE
-    before = sparsified.stages[0]
-    for inv in sparsified.stages[1:args.prefix]:
-        before = before.add(inv)
+    before = sum_inventories(sparsified.stages[:args.prefix])
     manifest = _manifest("trade", {"schedule": os.path.basename(args.schedule),
                                    "prefix": args.prefix}, args.seed)
     payload = {

@@ -229,6 +229,8 @@ class LabeledIsometry:
         for w, p in items:
             if len(p) != q or not is_perm(p):
                 raise ValueError(f"label at {w} is not a permutation of {q} letters")
+            if any(d < 0 or d >= q for d in w):
+                raise ValueError(f"label at {w} is on no vertex of the {q}-ary tree")
         return LabeledIsometry(q, items)
 
     @staticmethod
@@ -252,20 +254,15 @@ class LabeledIsometry:
                 raise ValueError(f"label {perm_to_word(p)} at {w} is outside D")
 
     def apply_word(self, word: Word) -> Word:
-        if not self.labels:
-            return word
-        table = self.label_dict()
-        prefixes = {w[:i] for w, _ in self.labels for i in range(len(w) + 1)}
-        out: list[int] = []
-        cur: Word = ()
-        for i, d in enumerate(word):
-            if cur not in prefixes:
-                out.extend(word[i:])
-                break
-            p = table.get(cur)
-            out.append(p[d] if p else d)
-            cur = cur + (d,)
-        return tuple(out)
+        """Image of a word: digit i moves by the label at word[:i]."""
+        out = None
+        for w, p in self.labels:
+            i = len(w)
+            if i < len(word) and word[:i] == w:
+                if out is None:
+                    out = list(word)
+                out[i] = p[word[i]]
+        return word if out is None else tuple(out)
 
     def restrict(self, u: Word) -> "LabeledIsometry":
         """The induced automorphism of the subtree below u, rebased to a root."""
@@ -352,10 +349,6 @@ class TreePair:
     def level(self) -> int:
         return self.domain.n
 
-    @property
-    def is_group_shaped(self) -> bool:
-        return self.domain.n == self.codomain.n == self.config.r
-
     def image_leaf(self, i: int) -> Address:
         return self.codomain.leaves[self.leaf_map[i]]
 
@@ -400,158 +393,104 @@ def isometry_element(config: Config, portraits: list[LabeledIsometry] | None = N
     return TreePair(config, part, part, tuple(range(n)), tuple(portraits))
 
 
-def _raw_inverse(g: TreePair) -> TreePair:
-    k = len(g.domain.leaves)
-    inv_map = [0] * k
-    for i, j in enumerate(g.leaf_map):
-        inv_map[j] = i
-    decs = tuple(g.decorations[inv_map[j]].inverse() for j in range(k))
-    return TreePair(g.config, g.codomain, g.domain, tuple(inv_map), decs)
+# A tree pair under construction is a map {domain leaf: (image leaf, decoration)}.
+Entries = dict[Address, tuple[Address, LabeledIsometry]]
+
+
+def _entries(g: TreePair) -> Entries:
+    return {a: (g.image_leaf(i), g.decorations[i]) for i, a in enumerate(g.domain.leaves)}
+
+
+def _pair(config: Config, n: int, m: int, entries: Entries) -> TreePair:
+    """The tree pair from n onto m summands with the given leaves."""
+    dom = sorted(entries)
+    cod = sorted(img for img, _ in entries.values())
+    index = {a: j for j, a in enumerate(cod)}
+    return TreePair(config, LeafPartition(n, tuple(dom)), LeafPartition(m, tuple(cod)),
+                    tuple(index[entries[a][0]] for a in dom), tuple(entries[a][1] for a in dom))
+
+
+def _reduce(config: Config, entries: Entries) -> Entries:
+    """Merge cherries until none is left, in place; returns entries.
+
+    A cherry is a vertex whose q children are domain leaves mapped onto the q
+    children of one codomain vertex by a permutation tau in D.  It is merged
+    into one leaf whose decoration has tau at the root and the children's
+    decorations below.  A merge changes only its own q leaves and q images,
+    so it never spoils another cherry, and the reduced pair does not depend
+    on the order of the merges.  The worklist runs deepest first, and each
+    merge queues the parent it may have completed.
+    """
+    q, D = config.q, config.group
+    work: dict[int, set[Address]] = {}
+    for s, w in entries:
+        if w:
+            work.setdefault(len(w) - 1, set()).add((s, w[:-1]))
+    for depth in range(max(work, default=-1), -1, -1):
+        for s, pw in work.pop(depth, ()):
+            children = [(s, pw + (d,)) for d in range(q)]
+            if any(c not in entries for c in children):
+                continue
+            imgs = [entries[c][0] for c in children]
+            t, stem = imgs[0][0], imgs[0][1][:-1]
+            if any(ms != t or not mw or mw[:-1] != stem for ms, mw in imgs):
+                continue
+            tau = tuple(mw[-1] for _, mw in imgs)
+            if tau not in D:
+                continue
+            labels: dict[Word, Perm] = {} if tau == identity_perm(q) else {(): tau}
+            for d, c in enumerate(children):
+                labels.update(((d,) + w, p) for w, p in entries.pop(c)[1].labels)
+            entries[(s, pw)] = ((t, stem), LabeledIsometry.make(q, labels))
+            if pw:
+                work.setdefault(depth - 1, set()).add((s, pw[:-1]))
+    return entries
 
 
 def inverse(g: TreePair) -> TreePair:
-    return canonical_form(_raw_inverse(g))
-
-
-def refine_domain(g: TreePair, refined: LeafPartition) -> TreePair:
-    """Rewrite g on a finer domain partition without changing the boundary map."""
-    if refined.n != g.domain.n:
-        raise ValueError("summand count mismatch")
-    new_entries = []  # (domain address, image address, decoration)
-    for a in refined.leaves:
-        i = g.domain.leaf_index_of(a)
-        s, w = g.domain.leaves[i]
-        u = a[1][len(w):]
-        dec = g.decorations[i]
-        ms, mw = g.image_leaf(i)
-        new_entries.append((a, (ms, mw + dec.apply_word(u)), dec.restrict(u)))
-    new_entries.sort(key=lambda e: e[0])
-    images = sorted(e[1] for e in new_entries)
-    index = {a: i for i, a in enumerate(images)}
-    codomain = LeafPartition(g.codomain.n, tuple(images))
-    leaf_map = tuple(index[e[1]] for e in new_entries)
-    decs = tuple(e[2] for e in new_entries)
-    return TreePair(g.config, refined, codomain, leaf_map, decs)
+    entries = {img: (a, dec.inverse()) for a, (img, dec) in _entries(g).items()}
+    return _pair(g.config, g.codomain.n, g.domain.n, _reduce(g.config, entries))
 
 
 def compose(g: TreePair, h: TreePair) -> TreePair:
-    """The element g∘h (h applied first), in canonical form."""
+    """The element g∘h (h applied first), in canonical form.
+
+    Each leaf b of the common refinement of h's codomain and g's domain lies
+    below an image leaf of h and below a domain leaf of g.  Its preimage
+    under h, its image under g and the composite decoration on it make one
+    leaf of the result.
+    """
     if g.config != h.config:
         raise ValueError("config mismatch")
     if g.domain.n != h.codomain.n:
         raise ValueError("summand counts do not compose")
-    mid = common_refinement(h.codomain, g.domain)
-    h_ref = _raw_inverse(refine_domain(_raw_inverse(h), mid))
-    g_ref = refine_domain(g, mid)
-    # h_ref.codomain == g_ref.domain == mid up to canonical sorting
-    entries = []
-    mid_index = {a: i for i, a in enumerate(g_ref.domain.leaves)}
-    for i, a in enumerate(h_ref.domain.leaves):
-        j = mid_index[h_ref.image_leaf(i)]
-        img = g_ref.image_leaf(j)
-        dec = g_ref.decorations[j].compose(h_ref.decorations[i])
-        entries.append((a, img, dec))
-    images = sorted(e[1] for e in entries)
-    index = {a: i for i, a in enumerate(images)}
-    result = TreePair(
-        g.config,
-        h_ref.domain,
-        LeafPartition(g.codomain.n, tuple(images)),
-        tuple(index[e[1]] for e in entries),
-        tuple(e[2] for e in entries),
-    )
-    return canonical_form(result)
+    pre = {img: (a, dec) for a, (img, dec) in _entries(h).items()}
+    entries: Entries = {}
+    for b in common_refinement(h.codomain, g.domain).leaves:
+        hi = h.codomain.leaves[h.codomain.leaf_index_of(b)]
+        (s, w), hd = pre[hi]
+        u = hd.inverse().apply_word(b[1][len(hi[1]):])
+        k = g.domain.leaf_index_of(b)
+        v = b[1][len(g.domain.leaves[k][1]):]
+        gd = g.decorations[k]
+        ms, mw = g.image_leaf(k)
+        entries[(s, w + u)] = ((ms, mw + gd.apply_word(v)), gd.restrict(v).compose(hd.restrict(u)))
+    return _pair(g.config, h.domain.n, g.codomain.n, _reduce(g.config, entries))
 
 
 def expand_leaf(g: TreePair, leaf_index: int) -> TreePair:
     """Split one domain leaf (and its image) one level down; inverse of a cherry merge."""
-    q = g.config.q
+    entries = _entries(g)
     s, w = g.domain.leaves[leaf_index]
-    ms, mw = g.image_leaf(leaf_index)
-    dec = g.decorations[leaf_index]
-    root = dec.label_dict().get((), identity_perm(q))
-    dom = [a for i, a in enumerate(g.domain.leaves) if i != leaf_index]
-    cod = [a for j, a in enumerate(g.codomain.leaves) if j != g.leaf_map[leaf_index]]
-    pairs = {g.domain.leaves[i]: (g.image_leaf(i), g.decorations[i])
-             for i in range(len(g.domain.leaves)) if i != leaf_index}
-    for d in range(q):
-        da = (s, w + (d,))
-        ia = (ms, mw + (root[d],))
-        dom.append(da)
-        cod.append(ia)
-        pairs[da] = (ia, dec.restrict((d,)))
-    dom.sort()
-    cod.sort()
-    cod_index = {a: i for i, a in enumerate(cod)}
-    leaf_map = tuple(cod_index[pairs[a][0]] for a in dom)
-    decs = tuple(pairs[a][1] for a in dom)
-    return TreePair(g.config, LeafPartition(g.domain.n, tuple(dom)),
-                    LeafPartition(g.codomain.n, tuple(cod)), leaf_map, decs)
+    (ms, mw), dec = entries.pop((s, w))
+    for d in range(g.config.q):
+        entries[(s, w + (d,))] = ((ms, mw + dec.apply_word((d,))), dec.restrict((d,)))
+    return _pair(g.config, g.domain.n, g.codomain.n, entries)
 
 
 def canonical_form(g: TreePair) -> TreePair:
-    """The unique reduced representative of the boundary map of g.
-
-    A cherry (q sibling domain leaves mapped onto q sibling codomain leaves)
-    is merged one level up whenever the induced sibling permutation lies in D;
-    the merged decoration absorbs the permutation and the child decorations.
-    Reduction is repeated until no cherry qualifies.
-    """
-    q = g.config.q
-    D = g.config.group
-    dom = list(g.domain.leaves)
-    pairs = {a: (g.image_leaf(i), g.decorations[i]) for i, a in enumerate(dom)}
-    changed = True
-    while changed:
-        changed = False
-        parents: dict[Address, list[Address]] = {}
-        leafset = set(dom)
-        for (s, w) in dom:
-            if w:
-                parents.setdefault((s, w[:-1]), []).append((s, w))
-        for (s, pw), children in parents.items():
-            if len(children) != q:
-                continue
-            if any((s, pw + (d,)) not in leafset for d in range(q)):
-                continue
-            imgs = [pairs[(s, pw + (d,))][0] for d in range(q)]
-            words = [w for _, w in imgs]
-            if any(not w for w in words):
-                continue
-            t = imgs[0][0]
-            if any(a[0] != t for a in imgs):
-                continue
-            stem = words[0][:-1]
-            if any(w[:-1] != stem for w in words):
-                continue
-            tau = tuple(words[d][-1] for d in range(q))
-            if not is_perm(tau) or tau not in D:
-                continue
-            # merge the cherry
-            merged_labels: dict[Word, Perm] = {}
-            if tau != identity_perm(q):
-                merged_labels[()] = tau
-            for d in range(q):
-                child = (s, pw + (d,))
-                for w2, p in pairs[child][1].labels:
-                    merged_labels[(d,) + w2] = p
-                del pairs[child]
-                dom.remove(child)
-            new_leaf = (s, pw)
-            dom.append(new_leaf)
-            pairs[new_leaf] = ((t, stem), LabeledIsometry.make(q, merged_labels))
-            changed = True
-            break
-    dom.sort()
-    cod = sorted(pairs[a][0] for a in dom)
-    cod_index = {a: i for i, a in enumerate(cod)}
-    return TreePair(
-        g.config,
-        LeafPartition(g.domain.n, tuple(dom)),
-        LeafPartition(g.codomain.n, tuple(cod)),
-        tuple(cod_index[pairs[a][0]] for a in dom),
-        tuple(pairs[a][1] for a in dom),
-    )
+    """The unique reduced representative of the boundary map of g (see _reduce)."""
+    return _pair(g.config, g.domain.n, g.codomain.n, _reduce(g.config, _entries(g)))
 
 
 # ---------------------------------------------------------------------------

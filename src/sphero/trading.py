@@ -41,10 +41,7 @@ class CellInventory:
         return sum(c for (dd, _), c in self.counts if dd == d)
 
     def add(self, other: "CellInventory") -> "CellInventory":
-        out = self.as_dict()
-        for k, c in other.counts:
-            out[k] = out.get(k, 0) + c
-        return CellInventory.make(out)
+        return sum_inventories((self, other))
 
     def to_json(self) -> list:
         return [[d, label, c] for (d, label), c in self.counts]
@@ -56,6 +53,15 @@ class CellInventory:
             key = (int(d), str(label))
             counts[key] = counts.get(key, 0) + int(c)
         return CellInventory.make(counts)
+
+
+def sum_inventories(inventories) -> CellInventory:
+    """The cells of all the given inventories together."""
+    out: dict[tuple[int, str], int] = {}
+    for inv in inventories:
+        for k, c in inv.counts:
+            out[k] = out.get(k, 0) + c
+    return CellInventory.make(out)
 
 
 def trade_cell(inv: CellInventory, d: int, label: str) -> CellInventory:
@@ -161,10 +167,7 @@ def sparsify(s: FiltrationSchedule, require: int | None = None) -> tuple[Filtrat
     new_conn: list[int | None] = []
     prev = -1
     for idx, b in enumerate(bounds):
-        inv = CellInventory.make({})
-        for i in range(prev + 1, b + 1):
-            inv = inv.add(s.stages[i])
-        new_stages.append(inv)
+        new_stages.append(sum_inventories(s.stages[prev + 1:b + 1]))
         if idx < len(bounds) - 1:
             new_conn.append(min(pairs[j] for j in range(b, bounds[idx + 1])))
         else:
@@ -210,10 +213,7 @@ def run_staircase(s: FiltrationSchedule, prefix_len: int) -> tuple[CellInventory
                 stages[j][(dd, label)] = 0
                 stages[j][(d + 2, label)] = stages[j].get((d + 2, label), 0) + c
                 events.extend([(j, d, label)] * c)
-    final = CellInventory.make({})
-    for st in stages:
-        final = final.add(CellInventory.make({k: v for k, v in st.items() if v}))
-    return final, TradeLog(tuple(events))
+    return sum_inventories(map(CellInventory.make, stages)), TradeLog(tuple(events))
 
 
 def replay_log(s: FiltrationSchedule, prefix_len: int, log: TradeLog) -> CellInventory:
@@ -224,7 +224,4 @@ def replay_log(s: FiltrationSchedule, prefix_len: int, log: TradeLog) -> CellInv
             raise ValueError(f"log replays a missing cell at stage {stage}")
         stages[stage][(d, label)] -= 1
         stages[stage][(d + 2, label)] = stages[stage].get((d + 2, label), 0) + 1
-    total = CellInventory.make({})
-    for st in stages:
-        total = total.add(CellInventory.make({k: v for k, v in st.items() if v}))
-    return total
+    return sum_inventories(map(CellInventory.make, stages))

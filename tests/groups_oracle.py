@@ -1,0 +1,165 @@
+"""The earlier tree-pair arithmetic of sphero.groups, kept as a test oracle.
+
+compose refines both factors through full TreePairs (two raw inverses and two
+refinements), canonical_form restarts its cherry scan after every merge, and
+apply_word rebuilds its label table and prefix set on every call.  The only
+edits are that apply_word is a function of the isometry, and the functions
+here call it and each other instead of the library's.
+"""
+
+from __future__ import annotations
+
+from sphero.groups import (
+    Address,
+    LabeledIsometry,
+    LeafPartition,
+    TreePair,
+    Word,
+    common_refinement,
+)
+from sphero.perms import Perm, identity_perm, is_perm
+
+
+def apply_word(iso: LabeledIsometry, word: Word) -> Word:
+    if not iso.labels:
+        return word
+    table = iso.label_dict()
+    prefixes = {w[:i] for w, _ in iso.labels for i in range(len(w) + 1)}
+    out: list[int] = []
+    cur: Word = ()
+    for i, d in enumerate(word):
+        if cur not in prefixes:
+            out.extend(word[i:])
+            break
+        p = table.get(cur)
+        out.append(p[d] if p else d)
+        cur = cur + (d,)
+    return tuple(out)
+
+
+def raw_inverse(g: TreePair) -> TreePair:
+    k = len(g.domain.leaves)
+    inv_map = [0] * k
+    for i, j in enumerate(g.leaf_map):
+        inv_map[j] = i
+    decs = tuple(g.decorations[inv_map[j]].inverse() for j in range(k))
+    return TreePair(g.config, g.codomain, g.domain, tuple(inv_map), decs)
+
+
+def inverse(g: TreePair) -> TreePair:
+    return canonical_form(raw_inverse(g))
+
+
+def refine_domain(g: TreePair, refined: LeafPartition) -> TreePair:
+    """Rewrite g on a finer domain partition without changing the boundary map."""
+    if refined.n != g.domain.n:
+        raise ValueError("summand count mismatch")
+    new_entries = []  # (domain address, image address, decoration)
+    for a in refined.leaves:
+        i = g.domain.leaf_index_of(a)
+        s, w = g.domain.leaves[i]
+        u = a[1][len(w):]
+        dec = g.decorations[i]
+        ms, mw = g.image_leaf(i)
+        new_entries.append((a, (ms, mw + apply_word(dec, u)), dec.restrict(u)))
+    new_entries.sort(key=lambda e: e[0])
+    images = sorted(e[1] for e in new_entries)
+    index = {a: i for i, a in enumerate(images)}
+    codomain = LeafPartition(g.codomain.n, tuple(images))
+    leaf_map = tuple(index[e[1]] for e in new_entries)
+    decs = tuple(e[2] for e in new_entries)
+    return TreePair(g.config, refined, codomain, leaf_map, decs)
+
+
+def compose(g: TreePair, h: TreePair) -> TreePair:
+    """The element g∘h (h applied first), in canonical form."""
+    if g.config != h.config:
+        raise ValueError("config mismatch")
+    if g.domain.n != h.codomain.n:
+        raise ValueError("summand counts do not compose")
+    mid = common_refinement(h.codomain, g.domain)
+    h_ref = raw_inverse(refine_domain(raw_inverse(h), mid))
+    g_ref = refine_domain(g, mid)
+    # h_ref.codomain == g_ref.domain == mid up to canonical sorting
+    entries = []
+    mid_index = {a: i for i, a in enumerate(g_ref.domain.leaves)}
+    for i, a in enumerate(h_ref.domain.leaves):
+        j = mid_index[h_ref.image_leaf(i)]
+        img = g_ref.image_leaf(j)
+        dec = g_ref.decorations[j].compose(h_ref.decorations[i])
+        entries.append((a, img, dec))
+    images = sorted(e[1] for e in entries)
+    index = {a: i for i, a in enumerate(images)}
+    result = TreePair(
+        g.config,
+        h_ref.domain,
+        LeafPartition(g.codomain.n, tuple(images)),
+        tuple(index[e[1]] for e in entries),
+        tuple(e[2] for e in entries),
+    )
+    return canonical_form(result)
+
+
+def canonical_form(g: TreePair) -> TreePair:
+    """The unique reduced representative of the boundary map of g.
+
+    A cherry (q sibling domain leaves mapped onto q sibling codomain leaves)
+    is merged one level up whenever the induced sibling permutation lies in D;
+    the merged decoration absorbs the permutation and the child decorations.
+    Reduction is repeated until no cherry qualifies.
+    """
+    q = g.config.q
+    D = g.config.group
+    dom = list(g.domain.leaves)
+    pairs = {a: (g.image_leaf(i), g.decorations[i]) for i, a in enumerate(dom)}
+    changed = True
+    while changed:
+        changed = False
+        parents: dict[Address, list[Address]] = {}
+        leafset = set(dom)
+        for (s, w) in dom:
+            if w:
+                parents.setdefault((s, w[:-1]), []).append((s, w))
+        for (s, pw), children in parents.items():
+            if len(children) != q:
+                continue
+            if any((s, pw + (d,)) not in leafset for d in range(q)):
+                continue
+            imgs = [pairs[(s, pw + (d,))][0] for d in range(q)]
+            words = [w for _, w in imgs]
+            if any(not w for w in words):
+                continue
+            t = imgs[0][0]
+            if any(a[0] != t for a in imgs):
+                continue
+            stem = words[0][:-1]
+            if any(w[:-1] != stem for w in words):
+                continue
+            tau = tuple(words[d][-1] for d in range(q))
+            if not is_perm(tau) or tau not in D:
+                continue
+            # merge the cherry
+            merged_labels: dict[Word, Perm] = {}
+            if tau != identity_perm(q):
+                merged_labels[()] = tau
+            for d in range(q):
+                child = (s, pw + (d,))
+                for w2, p in pairs[child][1].labels:
+                    merged_labels[(d,) + w2] = p
+                del pairs[child]
+                dom.remove(child)
+            new_leaf = (s, pw)
+            dom.append(new_leaf)
+            pairs[new_leaf] = ((t, stem), LabeledIsometry.make(q, merged_labels))
+            changed = True
+            break
+    dom.sort()
+    cod = sorted(pairs[a][0] for a in dom)
+    cod_index = {a: i for i, a in enumerate(cod)}
+    return TreePair(
+        g.config,
+        LeafPartition(g.domain.n, tuple(dom)),
+        LeafPartition(g.codomain.n, tuple(cod)),
+        tuple(cod_index[pairs[a][0]] for a in dom),
+        tuple(pairs[a][1] for a in dom),
+    )

@@ -1,3 +1,4 @@
+import json
 import math
 from random import Random
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groups_oracle as oracle
+from sphero.cli import main as cli_main
 from sphero.groups import (
     INFINITE_DISTANCE,
     ArrowKind,
@@ -26,6 +29,7 @@ from sphero.groups import (
     is_merge_kind,
     isometry_element,
     random_element,
+    random_labeled_isometry,
     stabilizer_test,
     subnormal_depth,
     thompson_membership,
@@ -154,6 +158,112 @@ def test_q3_composition(rng, sym3):
         ab = compose(a, b)
         for x, bx in b.act_on_depth(5).items():
             assert ab.apply(x) == a.apply(bx)
+
+
+# ---------------------------------------------------------------------------
+# the earlier arithmetic (tests/groups_oracle.py) as oracle
+
+ORACLE_CONFIGS = [(q, d, r) for q, d in ((2, "sym"), (2, "triv"), (3, "sym"), (3, "triv"),
+                                        (3, ["213"])) for r in (1, 2)]
+
+
+def _expanded(rng, g, times):
+    for _ in range(times):
+        g = expand_leaf(g, rng.randrange(len(g.domain.leaves)))
+    return g
+
+
+def test_apply_word_matches_oracle(rng):
+    for q, d, r in ORACLE_CONFIGS:
+        config = Config.make(q, r, d)
+        for _ in range(40):
+            iso = random_labeled_isometry(rng, config, 3)
+            for _ in range(3):
+                iso = iso.compose(random_labeled_isometry(rng, config, 3))
+            for _ in range(10):
+                word = tuple(rng.randrange(q) for _ in range(rng.randrange(6)))
+                assert iso.apply_word(word) == oracle.apply_word(iso, word)
+
+
+def test_group_ops_match_oracle(rng):
+    for q, d, r in ORACLE_CONFIGS:
+        config = Config.make(q, r, d)
+        for _ in range(12):
+            a, b = random_element(rng, config, 3), random_element(rng, config, 3)
+            assert compose(a, b) == oracle.compose(a, b)
+            assert inverse(a) == oracle.inverse(a)
+            raw_a, raw_b = _expanded(rng, a, rng.randint(1, 3)), _expanded(rng, b, rng.randint(1, 3))
+            assert canonical_form(raw_a) == oracle.canonical_form(raw_a) == a
+            assert compose(raw_a, raw_b) == oracle.compose(raw_a, raw_b)
+            assert inverse(raw_a) == oracle.inverse(raw_a)
+
+
+def test_local_similarity_ops_match_oracle(rng):
+    # h: n -> k and g: k -> m summands with n, k, m distinct
+    for q, d, r in ORACLE_CONFIGS:
+        config = Config.make(q, r, d)
+        n, k, m = 1 + 2 * (q - 1), 1 + (q - 1), 1
+        for _ in range(12):
+            h = random_element(rng, config, 3, n=n, m=k)
+            g = random_element(rng, config, 3, n=k, m=m)
+            assert compose(g, h) == oracle.compose(g, h)
+            assert inverse(h) == oracle.inverse(h)
+            assert compose(inverse(g), g) == identity_element(config, k)
+            raw = _expanded(rng, h, rng.randint(1, 3))
+            assert canonical_form(raw) == oracle.canonical_form(raw) == h
+
+
+def test_expand_leaf_matches_oracle_refinement(rng):
+    for q, d, r in ORACLE_CONFIGS:
+        config = Config.make(q, r, d)
+        for trial in range(20):
+            g = random_element(rng, config, 3, n=r + (q - 1) * (trial % 2))
+            i = rng.randrange(len(g.domain.leaves))
+            s, w = g.domain.leaves[i]
+            finer = sorted(set(g.domain.leaves) - {(s, w)} | {(s, w + (x,)) for x in range(q)})
+            want = oracle.refine_domain(g, LeafPartition(g.domain.n, tuple(finer)))
+            assert expand_leaf(g, i) == want
+
+
+def test_compose_and_inverse_build_one_pair(rng, monkeypatch):
+    config = Config.make(3, 2, "sym")
+    a, b = (_expanded(rng, random_element(rng, config, 3), 2) for _ in range(2))
+    built = []
+    init = TreePair.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(TreePair, "__post_init__", counted)
+    compose(a, b)
+    assert len(built) == 1
+    inverse(a)
+    assert len(built) == 2
+
+
+# ---------------------------------------------------------------------------
+# labels only on vertices of the tree
+
+
+def _json_with_label_at(word):
+    doc = element_to_json(identity_element(Config.make(2, 1, "sym")))
+    doc["decorations"] = [{word: "21"}]
+    return doc
+
+
+def test_label_off_the_tree_is_rejected():
+    with pytest.raises(ValueError):
+        LabeledIsometry.make(2, {(5,): (1, 0)})
+    with pytest.raises(ValueError):
+        element_from_json(_json_with_label_at("5"))
+    assert element_from_json(_json_with_label_at("1")).decorations[0].labels == (((1,), (1, 0)),)
+
+
+def test_cli_rejects_label_off_the_tree(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_json_with_label_at("5")))
+    assert cli_main(["group", "canon", "--input", str(bad)]) == 2
 
 
 # ---------------------------------------------------------------------------
