@@ -173,38 +173,33 @@ class LeafPartition:
 
     def leaf_index_of(self, a: Address) -> int:
         """Index of the unique leaf that is a prefix of address a."""
-        s, w = a
-        # a prefix sorts immediately before all of its extensions
-        i = bisect_right(self.leaves, a) - 1
-        if i >= 0:
-            ls, lw = self.leaves[i]
-            if ls == s and len(lw) <= len(w) and w[: len(lw)] == lw:
-                return i
-        raise KeyError(f"no leaf above {format_address(a)}")
+        i = _ball_index(self, a)
+        if i is None:
+            raise KeyError(f"no leaf above {format_address(a)}")
+        return i
 
     def max_depth(self) -> int:
         return max((len(w) for _, w in self.leaves), default=0)
 
 
+def _ball_index(p: LeafPartition, a: Address) -> int | None:
+    """Index of the leaf of p that is a prefix of address a, or None."""
+    # a prefix sorts immediately before all of its extensions
+    i = bisect_right(p.leaves, a) - 1
+    if i >= 0:
+        s, w = p.leaves[i]
+        if s == a[0] and a[1][: len(w)] == w:
+            return i
+    return None
+
+
 def common_refinement(p1: LeafPartition, p2: LeafPartition) -> LeafPartition:
-    """Coarsest partition refining both; every leaf extends a leaf of each."""
+    """Coarsest partition refining both: the leaves of each that lie in a ball of the other."""
     if p1.n != p2.n:
         raise ValueError("partitions live on different summand counts")
-    set1, set2 = set(p1.leaves), set(p2.leaves)
-    out: list[Address] = []
-    for a in p1.leaves:
-        s, w = a
-        if a in set2:
-            out.append(a)
-            continue
-        # a is strictly nested with some leaves of p2
-        deeper = [b for b in p2.leaves if b[0] == s and len(b[1]) > len(w) and b[1][: len(w)] == w]
-        if deeper:
-            out.extend(deeper)
-        else:
-            out.append(a)  # a sits below a leaf of p2
-    out = sorted(set(out))
-    return LeafPartition(p1.n, tuple(out))
+    leaves = {a for a in p1.leaves if _ball_index(p2, a) is not None}
+    leaves.update(b for b in p2.leaves if _ball_index(p1, b) is not None)
+    return LeafPartition(p1.n, tuple(sorted(leaves)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +370,7 @@ class TreePair:
 
 
 def identity_element(config: Config, n: int | None = None) -> TreePair:
-    n = config.r if n is None else n
-    part = LeafPartition.roots(n)
-    decs = tuple(LabeledIsometry.identity(config.q) for _ in range(n))
-    return TreePair(config, part, part, tuple(range(n)), decs)
+    return isometry_element(config, n=n)
 
 
 def isometry_element(config: Config, portraits: list[LabeledIsometry] | None = None,
@@ -501,54 +493,16 @@ def forest_portraits(g: TreePair) -> list[LabeledIsometry] | None:
     """Portraits of g as a strict transformation, or None if g is not one.
 
     g lies in the product of the D-admissible isometry groups of the summands
-    iff each summand maps to itself by a tree automorphism all of whose vertex
-    permutations (including those induced above the leaves) lie in D.
+    iff its reduced form sends each summand root to itself.  Every cherry of
+    such an isometry has its vertex permutation in D, so it reduces to the
+    roots; conversely a root-to-root pair is an isometry with its decorations
+    as portraits, and those have labels in D.  Equal leaf counts make the
+    summand counts equal.
     """
-    if g.domain.n != g.codomain.n:
+    c = canonical_form(g)
+    if any(w or c.image_leaf(i) != (s, ()) for i, (s, w) in enumerate(c.domain.leaves)):
         return None
-    q = g.config.q
-    D = g.config.group
-    by_summand: dict[int, list[tuple[Word, Word, LabeledIsometry]]] = {}
-    for i, (s, w) in enumerate(g.domain.leaves):
-        ms, mw = g.image_leaf(i)
-        if ms != s or len(mw) != len(w):
-            return None
-        by_summand.setdefault(s, []).append((w, mw, g.decorations[i]))
-
-    def extract(entries: list[tuple[Word, Word, LabeledIsometry]]) -> dict[Word, Perm] | None:
-        # entries: (domain word, image word, decoration), words relative to a ball
-        if len(entries) == 1 and entries[0][0] == ():
-            return entries[0][2].label_dict()
-        tau = [None] * q
-        groups: list[list[tuple[Word, Word, LabeledIsometry]]] = [[] for _ in range(q)]
-        for w, mw, dec in entries:
-            d, e = w[0], mw[0]
-            if tau[d] is None:
-                tau[d] = e
-            elif tau[d] != e:
-                return None
-            groups[d].append((w[1:], mw[1:], dec))
-        tau_p = tuple(tau)
-        if None in tau or not is_perm(tau_p) or tau_p not in D:
-            return None
-        labels: dict[Word, Perm] = {}
-        if tau_p != identity_perm(q):
-            labels[()] = tau_p
-        for d in range(q):
-            sub = extract(groups[d])
-            if sub is None:
-                return None
-            for w, p in sub.items():
-                labels[(d,) + w] = p
-        return labels
-
-    portraits = []
-    for s in range(1, g.domain.n + 1):
-        labels = extract(by_summand.get(s, []))
-        if labels is None:
-            return None
-        portraits.append(LabeledIsometry.make(q, labels))
-    return portraits
+    return list(c.decorations)
 
 
 def depth_triviality(g: TreePair) -> int | float | None:
@@ -715,7 +669,7 @@ def element_from_json(data: dict) -> TreePair:
             tuple(int(i) for i in data["map"]),
             decs,
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from exc
 
 
@@ -750,22 +704,21 @@ def random_labeled_isometry(rng: Random, config: Config, max_depth: int = 2) -> 
 
 
 def random_partition_with_leaf_count(rng: Random, config: Config, n: int,
-                                     count: int, tries: int = 200) -> LeafPartition:
-    """A partition of an n-summand forest with exactly `count` leaves."""
+                                     count: int) -> LeafPartition:
+    """A partition of an n-summand forest with exactly `count` leaves.
+
+    Each split adds q - 1 leaves, so the required number of splits lands on
+    `count` exactly.
+    """
     q = config.q
     if count < n or (count - n) % (q - 1) != 0:
         raise ValueError(f"no partition of {n} summands with {count} leaves")
-    splits = (count - n) // (q - 1)
-    for _ in range(tries):
-        leaves = {(s, ()) for s in range(1, n + 1)}
-        for _ in range(splits):
-            a = sorted(leaves)[rng.randrange(len(leaves))]
-            leaves.remove(a)
-            for d in range(q):
-                leaves.add((a[0], a[1] + (d,)))
-        if len(leaves) == count:
-            return LeafPartition(n, tuple(sorted(leaves)))
-    raise RuntimeError("could not sample a partition")
+    leaves = {(s, ()) for s in range(1, n + 1)}
+    for _ in range((count - n) // (q - 1)):
+        a = sorted(leaves)[rng.randrange(len(leaves))]
+        leaves.remove(a)
+        leaves.update((a[0], a[1] + (d,)) for d in range(q))
+    return LeafPartition(n, tuple(sorted(leaves)))
 
 
 def random_element(rng: Random, config: Config, max_depth: int = 4,

@@ -120,7 +120,11 @@ def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
 
 
 def flag_complex(vertices: list, edges: list[tuple], max_dim: int) -> ChainComplex:
-    """Clique complex of a simple graph, truncated above max_dim."""
+    """Clique complex of a simple graph, truncated above max_dim.
+
+    Cliques are extended by larger vertices only, in increasing order, from a
+    lexicographically ordered frontier, so each dimension comes out sorted.
+    """
     verts = sorted(set(vertices))
     vindex = {v: i for i, v in enumerate(verts)}
     n = len(verts)
@@ -147,8 +151,8 @@ def flag_complex(vertices: list, edges: list[tuple], max_dim: int) -> ChainCompl
                 nxt.append((bigger, allowed & adj[j] & ~((1 << (j + 1)) - 1)))
         if not cells:
             break
-        by_dim.append(sorted(cells))
-        frontier = sorted(nxt)
+        by_dim.append(cells)
+        frontier = nxt
         d += 1
     return complex_from_simplices(by_dim)
 

@@ -120,45 +120,21 @@ def transitive_closure(objects, arrows) -> GenPoset:
     return GenPoset.make(objects, arr)
 
 
-def check_subgroupoid(c: GenPoset, pairs) -> frozenset[Arrow]:
-    """Validate a symmetric arrow subrelation and return its closure as used here.
+def quotient_by_subgroupoid(c: GenPoset, pairs) -> tuple[GenPoset, dict[ObjId, ObjId]]:
+    """Collapse each cluster of the subgroupoid to a point.
 
-    Every listed pair must be an isomorphism pair of c; the relation is closed
-    into an equivalence on its object support (unique isomorphisms compose).
+    Every listed pair must be an isomorphism pair of c.  Since c is closed
+    under composition, a chain of such pairs already joins isomorphic objects,
+    so the clusters need no closure step.  Returns the quotient and the
+    projection map; the class of x is named by its minimal member.
     """
-    rel = set()
+    c.require_valid()
+    cls: dict[ObjId, set[ObjId]] = {o: {o} for o in c.objects}
     for a, b in pairs:
         if a == b:
             continue
         if (a, b) not in c.arrows or (b, a) not in c.arrows:
             raise PosetError(f"({a},{b}) is not an isomorphism pair of the category")
-        rel.add((a, b))
-        rel.add((b, a))
-    # close under composition within the groupoid
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for b2, c2 in list(rel):
-                if b == b2 and a != c2 and (a, c2) not in rel:
-                    if (a, c2) not in c.arrows or (c2, a) not in c.arrows:
-                        raise PosetError("subgroupoid closure leaves the isomorphism relation")
-                    rel.add((a, c2))
-                    rel.add((c2, a))
-                    changed = True
-    return frozenset(rel)
-
-
-def quotient_by_subgroupoid(c: GenPoset, pairs) -> tuple[GenPoset, dict[ObjId, ObjId]]:
-    """Collapse each cluster of the subgroupoid to a point.
-
-    Returns the quotient and the projection map; the class of x is named by
-    its minimal member.
-    """
-    c.require_valid()
-    rel = check_subgroupoid(c, pairs)
-    cls: dict[ObjId, set[ObjId]] = {o: {o} for o in c.objects}
-    for a, b in rel:
         if cls[a] is not cls[b]:
             merged = cls[a] | cls[b]
             for o in merged:

@@ -120,9 +120,15 @@ class FiltrationSchedule:
     @staticmethod
     def from_json(data: dict) -> "FiltrationSchedule":
         stages, conn = [], []
-        for entry in data["stages"]:
-            stages.append(CellInventory.from_json(entry["cells"]))
-            conn.append(entry.get("connectivity"))
+        try:
+            for entry in data["stages"]:
+                stages.append(CellInventory.from_json(entry["cells"]))
+                c = entry.get("connectivity")
+                if c is not None and (isinstance(c, bool) or not isinstance(c, int)):
+                    raise ValueError(f"connectivity {c!r} is not an integer")
+                conn.append(c)
+        except TypeError as exc:
+            raise ValueError(f"malformed schedule JSON: {exc}") from exc
         return FiltrationSchedule.make(stages, conn)
 
     def is_sparsified(self, prefix: int | None = None) -> bool:

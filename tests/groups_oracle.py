@@ -2,9 +2,11 @@
 
 compose refines both factors through full TreePairs (two raw inverses and two
 refinements), canonical_form restarts its cherry scan after every merge, and
-apply_word rebuilds its label table and prefix set on every call.  The only
-edits are that apply_word is a function of the isometry, and the functions
-here call it and each other instead of the library's.
+apply_word rebuilds its label table and prefix set on every call.
+common_refinement scans the other side for the leaves below each nested leaf,
+and forest_portraits walks the leaves of each summand down from the root.
+The only edits are that apply_word is a function of the isometry, and the
+functions here call it and each other instead of the library's.
 """
 
 from __future__ import annotations
@@ -15,9 +17,29 @@ from sphero.groups import (
     LeafPartition,
     TreePair,
     Word,
-    common_refinement,
 )
 from sphero.perms import Perm, identity_perm, is_perm
+
+
+def common_refinement(p1: LeafPartition, p2: LeafPartition) -> LeafPartition:
+    """Coarsest partition refining both; every leaf extends a leaf of each."""
+    if p1.n != p2.n:
+        raise ValueError("partitions live on different summand counts")
+    set2 = set(p2.leaves)
+    out: list[Address] = []
+    for a in p1.leaves:
+        s, w = a
+        if a in set2:
+            out.append(a)
+            continue
+        # a is strictly nested with some leaves of p2
+        deeper = [b for b in p2.leaves if b[0] == s and len(b[1]) > len(w) and b[1][: len(w)] == w]
+        if deeper:
+            out.extend(deeper)
+        else:
+            out.append(a)  # a sits below a leaf of p2
+    out = sorted(set(out))
+    return LeafPartition(p1.n, tuple(out))
 
 
 def apply_word(iso: LabeledIsometry, word: Word) -> Word:
@@ -163,3 +185,57 @@ def canonical_form(g: TreePair) -> TreePair:
         tuple(cod_index[pairs[a][0]] for a in dom),
         tuple(pairs[a][1] for a in dom),
     )
+
+
+def forest_portraits(g: TreePair) -> list[LabeledIsometry] | None:
+    """Portraits of g as a strict transformation, or None if g is not one.
+
+    g lies in the product of the D-admissible isometry groups of the summands
+    iff each summand maps to itself by a tree automorphism all of whose vertex
+    permutations (including those induced above the leaves) lie in D.
+    """
+    if g.domain.n != g.codomain.n:
+        return None
+    q = g.config.q
+    D = g.config.group
+    by_summand: dict[int, list[tuple[Word, Word, LabeledIsometry]]] = {}
+    for i, (s, w) in enumerate(g.domain.leaves):
+        ms, mw = g.image_leaf(i)
+        if ms != s or len(mw) != len(w):
+            return None
+        by_summand.setdefault(s, []).append((w, mw, g.decorations[i]))
+
+    def extract(entries: list[tuple[Word, Word, LabeledIsometry]]) -> dict[Word, Perm] | None:
+        # entries: (domain word, image word, decoration), words relative to a ball
+        if len(entries) == 1 and entries[0][0] == ():
+            return entries[0][2].label_dict()
+        tau = [None] * q
+        groups: list[list[tuple[Word, Word, LabeledIsometry]]] = [[] for _ in range(q)]
+        for w, mw, dec in entries:
+            d, e = w[0], mw[0]
+            if tau[d] is None:
+                tau[d] = e
+            elif tau[d] != e:
+                return None
+            groups[d].append((w[1:], mw[1:], dec))
+        tau_p = tuple(tau)
+        if None in tau or not is_perm(tau_p) or tau_p not in D:
+            return None
+        labels: dict[Word, Perm] = {}
+        if tau_p != identity_perm(q):
+            labels[()] = tau_p
+        for d in range(q):
+            sub = extract(groups[d])
+            if sub is None:
+                return None
+            for w, p in sub.items():
+                labels[(d,) + w] = p
+        return labels
+
+    portraits = []
+    for s in range(1, g.domain.n + 1):
+        labels = extract(by_summand.get(s, []))
+        if labels is None:
+            return None
+        portraits.append(LabeledIsometry.make(q, labels))
+    return portraits

@@ -1,7 +1,7 @@
 import json
 
 from sphero.cli import main
-from sphero.groups import element_to_json, identity_element, inverse
+from sphero.groups import Config, element_to_json, identity_element, inverse
 
 from conftest import make_x0
 
@@ -214,3 +214,35 @@ def test_trade_schema_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nope": true}')
     assert run(["trade", "--schedule", str(bad), "--prefix", "1"]) == 2
+
+
+def _group_doc(**changes):
+    doc = element_to_json(make_x0(Config.make(2, 1, "triv")))
+    doc.update(changes)
+    return doc
+
+
+def test_group_rejects_malformed_fields(tmp_path):
+    bad = tmp_path / "bad.json"
+    for doc in (_group_doc(decorations=["x"] * 3), _group_doc(decorations="xyz"),
+                _group_doc(domain=[5, 5, 5]), _group_doc(codomain=[5, 5, 5])):
+        bad.write_text(json.dumps(doc))
+        assert run(["group", "canon", "--input", str(bad)]) == 2
+
+
+def _schedule(tmp_path, stages):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"labels": ["H"], "stages": stages}))
+    return str(path)
+
+
+def test_trade_rejects_malformed_schedules(tmp_path):
+    cells = [[0, "H", 1]]
+    for stages in ("abc", [5], [{"cells": 5}],
+                   [{"cells": cells, "connectivity": "x"}, {"cells": cells}],
+                   [{"cells": cells, "connectivity": True}, {"cells": cells}],
+                   [{"cells": cells, "connectivity": 1.5}, {"cells": cells}]):
+        assert run(["trade", "--schedule", _schedule(tmp_path, stages), "--prefix", "2"]) == 2
+    ok = [{"cells": cells, "connectivity": 0}, {"cells": cells, "connectivity": None}]
+    assert run(["trade", "--schedule", _schedule(tmp_path, ok), "--prefix", "2",
+                "--out", str(tmp_path / "t.json")]) == 0

@@ -24,12 +24,14 @@ from sphero.groups import (
     element_from_json,
     element_to_json,
     expand_leaf,
+    forest_portraits,
     identity_element,
     inverse,
     is_merge_kind,
     isometry_element,
     random_element,
     random_labeled_isometry,
+    random_partition,
     stabilizer_test,
     subnormal_depth,
     thompson_membership,
@@ -223,6 +225,73 @@ def test_expand_leaf_matches_oracle_refinement(rng):
             finer = sorted(set(g.domain.leaves) - {(s, w)} | {(s, w + (x,)) for x in range(q)})
             want = oracle.refine_domain(g, LeafPartition(g.domain.n, tuple(finer)))
             assert expand_leaf(g, i) == want
+
+
+def _oracle_depth(g):
+    portraits = oracle.forest_portraits(g)
+    if portraits is None:
+        return None
+    return min((p.min_support_depth() for p in portraits), default=math.inf)
+
+
+def _half_swap(config):
+    """Swap the first two children of the root of summand 1, labels trivial."""
+    q, r = config.q, config.r
+    part = LeafPartition(r, tuple(sorted([(1, (d,)) for d in range(q)]
+                                         + [(s, ()) for s in range(2, r + 1)])))
+    leaf_map = (1, 0) + tuple(range(2, len(part.leaves)))
+    decs = (LabeledIsometry.identity(q),) * len(part.leaves)
+    return TreePair(config, part, part, leaf_map, decs)
+
+
+def _strictness_inputs(rng, config):
+    """Isometries (expanded 0-3 times), random elements, conjugates and the half swap."""
+    q, r = config.q, config.r
+    for _ in range(15):
+        iso = isometry_element(config, [random_labeled_isometry(rng, config, 3) for _ in range(r)])
+        yield _expanded(rng, iso, rng.randint(0, 3))
+        yield _expanded(rng, random_element(rng, config, 3), rng.randint(0, 1))
+        # phi nu phi^-1 with nu an isometry of the domain forest of phi, as in
+        # the subnormality test of conjugates_into
+        n = rng.choice([r, r + q - 1])
+        phi = random_element(rng, config, 3, n=n, m=r)
+        nu = isometry_element(config, [random_labeled_isometry(rng, config, 3) for _ in range(n)], n)
+        yield compose(phi, compose(nu, inverse(phi)))
+    yield _half_swap(config)
+
+
+def test_strictness_matches_oracle(rng):
+    strict = not_strict = 0
+    for q, d, r in ORACLE_CONFIGS:
+        config = Config.make(q, r, d)
+        for g in _strictness_inputs(rng, config):
+            want = oracle.forest_portraits(g)
+            assert forest_portraits(g) == want
+            assert depth_triviality(g) == _oracle_depth(g)
+            assert (classify_arrow(g) == ArrowKind.STRICT_TRANSFORMATION) == (want is not None)
+            strict += want is not None
+            not_strict += want is None
+    assert strict > 200 and not_strict > 50
+
+
+def _refined(rng, part, q, times):
+    leaves = set(part.leaves)
+    for _ in range(times):
+        s, w = sorted(leaves)[rng.randrange(len(leaves))]
+        leaves.remove((s, w))
+        leaves.update((s, w + (x,)) for x in range(q))
+    return LeafPartition(part.n, tuple(sorted(leaves)))
+
+
+def test_common_refinement_matches_oracle(rng):
+    for q in (2, 3):
+        for r in (1, 2):
+            config = Config.make(q, r, "triv")
+            for _ in range(40):
+                p1, p2 = (random_partition(rng, config, r, 3) for _ in range(2))
+                finer = _refined(rng, p1, q, rng.randint(1, 4))
+                for a, b in ((p1, p2), (p2, p1), (p1, p1), (p1, finer), (finer, p1)):
+                    assert common_refinement(a, b) == oracle.common_refinement(a, b)
 
 
 def test_compose_and_inverse_build_one_pair(rng, monkeypatch):

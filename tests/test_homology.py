@@ -247,6 +247,23 @@ def test_projective_plane_torsion():
     assert res.torsion[1] == (2,)
 
 
+def test_flag_complex_bases_come_out_sorted():
+    # the clique search emits every dimension in sorted order, with no sort of its own
+    rng = Random(23)
+    for trial in range(60):
+        n = rng.randrange(3, 9)
+        labels = list(range(0, 3 * n, 3)) if trial % 2 else [f"v{i:02d}" for i in range(n)]
+        rng.shuffle(labels)
+        edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < 0.6]
+        cx = flag_complex(labels, edges, n)
+        adjacent = {frozenset(e) for e in edges}
+        for d, cells in enumerate(cx.basis):
+            assert list(cells) == sorted(cells)
+            want = [c for c in combinations(sorted(labels), d + 1)
+                    if all(frozenset(p) in adjacent for p in combinations(c, 2))]
+            assert list(cells) == want
+
+
 def test_euler_characteristic_matches_betti_sum():
     rng = Random(11)
     for _ in range(15):

@@ -65,6 +65,15 @@ def test_quotient_four_object_example():
     assert q.arrows == frozenset({("A", "C")})
 
 
+def test_quotient_joins_a_chain_of_iso_pairs():
+    # a ≅ b ≅ c listed as (a, b), (b, c): composition closure already holds a ≅ c
+    iso = [(x, y) for x in "abc" for y in "abc" if x != y]
+    p = GenPoset.make(["a", "b", "c", "d"], iso + [(x, "d") for x in "abc"])
+    q, proj = quotient_by_subgroupoid(p, [("a", "b"), ("b", "c")])
+    assert proj == {"a": "a", "b": "a", "c": "a", "d": "d"}
+    assert q == GenPoset.make(["a", "d"], [("a", "d")])
+
+
 def test_subgroupoid_validation():
     p = transitive_closure(["x", "y"], [("x", "y")])
     with pytest.raises(PosetError):
