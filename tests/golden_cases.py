@@ -1,10 +1,12 @@
-"""Byte-for-byte goldens of `sphero group` and `sphero trade` on seeded inputs.
+"""Byte-for-byte goldens of `sphero group`, `trade`, `build-cn` and `verify-nu`.
 
 The inputs under tests/golden/inputs are seeded elements for q in {2, 3},
 D in {sym, triv}, r in {1, 2}, a vertex-type pair from 3 summands onto 1,
-and one filtration schedule.  tests/golden/outputs holds what each command
-in CASES wrote.  `python tests/golden_cases.py` rewrites both; run it only
-when an output is meant to change.
+and one filtration schedule; `build-cn` and `verify-nu` read no input file.
+tests/golden/outputs holds what each command in CASES wrote, one file per
+output flag of the case (`build-cn` also writes its boundary matrices).
+`python tests/golden_cases.py` rewrites both; run it only when an output is
+meant to change.
 """
 
 from __future__ import annotations
@@ -38,8 +40,15 @@ def _inp(name: str) -> str:
     return os.path.join(INPUTS, name + ".json")
 
 
-def _cases() -> list[tuple[str, list[str]]]:
-    """(output name, sphero argv without --out) for every golden."""
+Outputs = tuple[tuple[str, str], ...]  # (output flag, golden file name)
+
+
+def _json_out(name: str) -> Outputs:
+    return (("--out", name + ".json"),)
+
+
+def _cases() -> list[tuple[str, list[str], Outputs]]:
+    """(case name, sphero argv without output flags, outputs) for every golden."""
     cases = []
     for q, d, r in CONFIGS:
         key = f"q{q}-{d}-r{r}"
@@ -62,6 +71,18 @@ def _cases() -> list[tuple[str, list[str]]]:
         (f"{VERTEX}-subnormal", ["group", "subnormal", "--phi", v, "--k", "2"]),
         ("trade", ["trade", "--schedule", _inp("schedule"), "--prefix", "4"]),
     ]
+    cases = [(name, argv, _json_out(name)) for name, argv in cases]
+    for q, d, n, max_dim in ((2, "sym", 6, 3), (2, "triv", 5, 2), (3, "sym", 6, 1), (2, "21", 5, None)):
+        name = f"build-cn-q{q}-{d}-n{n}"
+        argv = ["build-cn", "--q", str(q), "--subgroup", d, "--n", str(n)]
+        if max_dim is not None:
+            argv += ["--max-dim", str(max_dim)]
+        cases.append((name, argv, _json_out(name) + (("--dump-matrices", name + ".matrices.txt"),)))
+    for q, nmax in ((2, 8), (3, 7)):
+        name = f"verify-nu-q{q}-sym-nmax{nmax}"
+        argv = ["verify-nu", "--q", str(q), "--subgroup", "sym", "--nmax", str(nmax),
+                "--pi1-budget", "5000"]
+        cases.append((name, argv, (("--out", name + ".csv"),)))
     return cases
 
 
@@ -108,17 +129,18 @@ def _write_inputs() -> None:
     dump("schedule", SCHEDULE)
 
 
-def run_case(argv: list[str], out: str) -> int:
+def run_case(argv: list[str], outputs: Outputs, directory: str) -> int:
+    """Run one case, writing each output flag's file into directory."""
     from sphero.cli import main
 
-    return main(argv + ["--out", out])
+    return main(argv + [x for flag, name in outputs for x in (flag, os.path.join(directory, name))])
 
 
 def main() -> None:
     _write_inputs()
     os.makedirs(OUTPUTS, exist_ok=True)
-    for name, argv in CASES:
-        if run_case(argv, os.path.join(OUTPUTS, name + ".json")) != 0:
+    for name, argv, outputs in CASES:
+        if run_case(argv, outputs, OUTPUTS) != 0:
             sys.exit(f"{name}: nonzero exit")
 
 
