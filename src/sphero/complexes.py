@@ -10,7 +10,7 @@ vertex category are enumerated here at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .groups import (
     Address,
@@ -166,12 +166,10 @@ def tilings(q: int, t: int) -> list[tuple[Word, ...]]:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Ordered splits of total into parts positive summands, in lexicographic order."""
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def canonical_block(config: Config, block: Block) -> Block:
@@ -685,8 +683,7 @@ def count_cell_orbits(config: Config, k: int, d: int, max_level: int = 3) -> int
     if d == 0:
         return len(populated)
     total = 0
-    seqs = _level_sequences(populated, d)
-    for seq in seqs:
+    for seq in combinations_with_replacement(populated[::-1], d + 1):
         arrow_pools = []
         for i in range(d):
             a, b = seq[i], seq[i + 1]
@@ -698,18 +695,3 @@ def count_cell_orbits(config: Config, k: int, d: int, max_level: int = 3) -> int
             canonicals.add(_chain_orbit_canonical(config, chain))
         total += len(canonicals)
     return total
-
-
-def _level_sequences(populated: list[int], d: int):
-    out = []
-
-    def rec(acc):
-        if len(acc) == d + 1:
-            out.append(tuple(acc))
-            return
-        for m in populated:
-            if not acc or m <= acc[-1]:
-                rec(acc + [m])
-
-    rec([])
-    return out

@@ -481,8 +481,11 @@ def expand_leaf(g: TreePair, leaf_index: int) -> TreePair:
 
 
 def canonical_form(g: TreePair) -> TreePair:
-    """The unique reduced representative of the boundary map of g (see _reduce)."""
-    return _pair(g.config, g.domain.n, g.codomain.n, _reduce(g.config, _entries(g)))
+    """The unique reduced representative of the boundary map of g (see _reduce); g if reduced."""
+    entries = _entries(g)
+    if len(_reduce(g.config, entries)) == len(g.leaf_map):
+        return g  # no cherry merged
+    return _pair(g.config, g.domain.n, g.codomain.n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +650,16 @@ def element_to_json(g: TreePair) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def element_from_json(data: dict) -> TreePair:
     try:
-        q = int(data["q"])
-        r = int(data["r"])
+        q = _json_int(data["q"], "q")
+        r = _json_int(data["r"], "r")
         gens = tuple(word_to_perm(w) for w in data["D"])
         config = Config(q, r, gens)
         domain = [parse_address(t) for t in data["domain"]]
@@ -666,7 +675,7 @@ def element_from_json(data: dict) -> TreePair:
             config,
             LeafPartition(max(n_dom, 1), tuple(sorted(domain))),
             LeafPartition(max(n_cod, 1), tuple(sorted(codomain))),
-            tuple(int(i) for i in data["map"]),
+            tuple(_json_int(i, "leaf index") for i in data["map"]),
             decs,
         )
     except (KeyError, TypeError, IndexError, AttributeError) as exc:

@@ -1,6 +1,8 @@
 """Exact integral simplicial homology via Smith normal form.
 
-Boundary matrices are kept as sparse integer columns and reduced by one
+A chain complex is its simplex bases.  Boundary matrices are not stored:
+one face enumeration derives them, as sparse integer columns, from the
+bases, so boundary squared vanishes by construction.  They are reduced by one
 elimination: a unit-pivot column pass, then a Euclidean sparse Smith normal
 form on the leftover core of columns with non-unit lows, cleared on the pivot
 rows (empty on torsion-free instances).  Entries are Python integers, so no
@@ -12,7 +14,7 @@ boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
 unimodular, so its rank comes from a spanning forest and every factor is 1.
 Each higher boundary is reduced as its transpose, the coboundary, in
 anti-transposed order (faces from last to first, cofaces on reversed rows),
-so the pass pivots on the smallest coface.  Rows that carry a unit pivot in
+built straight from the two bases, so the pass pivots on the smallest coface.  Rows that carry a unit pivot in
 one coboundary name columns of the next that reduce to zero, and those
 columns are left out.  This is exact over the integers.  For the forest,
 d1 d2 = 0 and peeling the forest from its leaves write each forest-edge row
@@ -26,6 +28,7 @@ factors.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -42,14 +45,14 @@ class HomologyError(ValueError):
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Ordered simplex bases per dimension and integer boundary columns.
+    """A simplicial complex as ordered simplex bases, one per dimension.
 
-    boundaries[d] maps dimension-d basis elements (d >= 1) to integer
-    combinations of dimension-(d-1) basis elements.
+    basis[d] lists the d-simplices as sorted vertex tuples.  Boundaries are
+    not stored: ``faces`` derives them from the bases, so every boundary
+    squares to zero by construction.
     """
 
     basis: tuple[tuple[tuple, ...], ...]
-    boundaries: tuple[tuple[Column, ...], ...]  # index d-1 holds boundary of dim d
 
     @property
     def dim(self) -> int:
@@ -60,14 +63,31 @@ class ChainComplex:
             return len(self.basis[d])
         return 0
 
-    def boundary_columns(self, d: int) -> list[Column]:
-        """Columns of the boundary map from dimension d, empty beyond range.
+    def faces(self, d: int) -> Iterator[tuple[int, int, int]]:
+        """(cell index, face index, sign) for every face of every d-cell, 1 <= d <= dim.
 
-        The columns are shared, not copied: the reducer copies what it edits.
+        Face i of a simplex drops its vertex i and carries the sign (-1)^i.
+        A face missing from basis[d-1] raises HomologyError.
         """
-        if 1 <= d <= self.dim:
-            return list(self.boundaries[d - 1])
-        return []
+        index = {s: i for i, s in enumerate(self.basis[d - 1])}
+        for j, s in enumerate(self.basis[d]):
+            sign = 1
+            for i in range(len(s)):
+                try:
+                    r = index[s[:i] + s[i + 1:]]
+                except KeyError:
+                    raise HomologyError(f"a face of {s} is not a {d - 1}-cell") from None
+                yield j, r, sign
+                sign = -sign
+
+    def boundary_columns(self, d: int) -> list[Column]:
+        """Columns of the boundary map from dimension d, empty beyond range."""
+        if not 1 <= d <= self.dim:
+            return []
+        cols: list[Column] = [{} for _ in self.basis[d]]
+        for j, r, v in self.faces(d):
+            cols[j][r] = v
+        return cols
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.n_cells(d) for d in range(self.dim + 1))
@@ -76,20 +96,22 @@ class ChainComplex:
         """Boundary matrices as text: a dimension header, then row-major integers."""
         lines = []
         for d in range(1, self.dim + 1):
-            rows = self.n_cells(d - 1)
-            cols = self.n_cells(d)
+            rows, cols = self.n_cells(d - 1), self.n_cells(d)
             lines.append(f"dim {d} {rows}x{cols}")
             table = [[0] * cols for _ in range(rows)]
-            for j, col in enumerate(self.boundaries[d - 1]):
-                for r, v in col.items():
-                    table[r][j] = v
+            for j, r, v in self.faces(d):
+                table[r][j] = v
             lines.extend(" ".join(str(x) for x in row) for row in table)
         return "\n".join(lines) + "\n"
 
     def check_boundary_squared(self) -> None:
+        """Raise HomologyError if some boundary composed with the next is nonzero.
+
+        It holds by construction, so only tests call this, as an oracle.
+        """
         for d in range(2, self.dim + 1):
-            lower = self.boundaries[d - 2]
-            for j, col in enumerate(self.boundaries[d - 1]):
+            lower = self.boundary_columns(d - 1)
+            for j, col in enumerate(self.boundary_columns(d)):
                 acc: Column = {}
                 for r, v in col.items():
                     for rr, vv in lower[r].items():
@@ -103,20 +125,8 @@ class ChainComplex:
 
 
 def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
-    """Build boundary columns from sorted simplex lists (vertex tuples sorted)."""
-    basis = tuple(tuple(s) for s in simplices_by_dim)
-    boundaries = []
-    for d in range(1, len(basis)):
-        index = {s: i for i, s in enumerate(basis[d - 1])}
-        cols = []
-        for s in basis[d]:
-            col: Column = {}
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1:]
-                col[index[face]] = (-1) ** j
-            cols.append(col)
-        boundaries.append(tuple(cols))
-    return ChainComplex(basis, tuple(boundaries))
+    """The complex with these sorted simplex lists (vertex tuples sorted) as its bases."""
+    return ChainComplex(tuple(tuple(s) for s in simplices_by_dim))
 
 
 def flag_complex(vertices: list, edges: list[tuple], max_dim: int) -> ChainComplex:
@@ -337,10 +347,6 @@ class HomologyResult:
     def is_trivial_through(self, k: int) -> bool:
         return all(self.betti[d] == 0 and not self.torsion[d] for d in range(k + 1))
 
-    def rows(self):
-        for d in range(len(self.betti)):
-            yield d, self.betti[d], list(self.torsion[d])
-
 
 def _spanning_forest(n0: int, edges: list[Column]) -> set[int]:
     """Indices of the edges that Kruskal's union-find keeps, in column order."""
@@ -360,56 +366,49 @@ def _spanning_forest(n0: int, edges: list[Column]) -> set[int]:
     return forest
 
 
-def _coboundary(boundary: list[Column], n_faces: int, cleared: set[int]) -> list[Column]:
-    """The transpose of a boundary matrix in anti-transposed order, cleared faces left out.
+def _coboundary(cx: ChainComplex, d: int, cleared: set[int]) -> list[Column]:
+    """The transpose of the boundary from dimension d in anti-transposed order, cleared faces left out.
 
-    Columns are the faces from the last to the first, and coface j sits on row
-    len(boundary) - 1 - j, so the max-low pass pivots on the smallest coface.
-    Cleared faces and faces without cofaces give no column.
+    Columns are the (d-1)-cells from the last to the first, and d-cell j sits
+    on row n_cells(d) - 1 - j, so the max-low pass pivots on the smallest
+    coface.  Cleared faces and faces without cofaces give no column.
     """
-    top = len(boundary) - 1
-    cob: list[Column] = [{} for _ in range(n_faces)]
-    for j, col in enumerate(boundary):
-        row = top - j
-        for r, v in col.items():
-            cob[r][row] = v
-    return [cob[r] for r in range(n_faces - 1, -1, -1) if cob[r] and r not in cleared]
+    top = cx.n_cells(d) - 1
+    cob: list[Column | None] = [{} for _ in range(cx.n_cells(d - 1))]
+    for r in cleared:
+        cob[r] = None
+    for j, r, v in cx.faces(d):
+        col = cob[r]
+        if col is not None:
+            col[top - j] = v
+    return [col for col in reversed(cob) if col]
 
 
-def reduced_homology(cx: ChainComplex, through_dim: int, check: bool = True) -> HomologyResult:
+def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     """Reduced homology in degrees 0..through_dim (degree 0 via augmentation).
 
-    Boundaries are reduced as coboundaries with clearing (module docstring).
-    The cells in ``cx.boundaries[0]`` must be edges, as ``complex_from_simplices``
-    builds them.
+    The first boundary goes to a spanning forest, and each higher one is
+    reduced as a cleared coboundary (module docstring).
     """
-    if check:
-        cx.check_boundary_squared()
     n0 = cx.n_cells(0)
-    rank: dict[int, int] = {}
+    rank: dict[int, int] = {0: 1 if n0 else 0}  # augmentation
     factors: dict[int, list[int]] = {}
-    rank[0] = 1 if n0 else 0  # augmentation
     cleared: set[int] = set()  # cells whose rows of the next boundary are dropped
     for d in range(1, through_dim + 2):
-        cols = cx.boundary_columns(d)
-        if not cols:
+        if not cx.n_cells(d):
             f, r = [], 0
         elif d == 1:
             # an incidence matrix: totally unimodular, rank from a spanning forest
-            cleared = _spanning_forest(n0, cols)
+            cleared = _spanning_forest(n0, cx.boundary_columns(1))
             f, r = [1] * len(cleared), len(cleared)
         else:
             pivots: set[int] = set()
-            f, r = sparse_invariant_factors(_coboundary(cols, cx.n_cells(d - 1), cleared), pivots)
-            cleared = {len(cols) - 1 - p for p in pivots}
+            f, r = sparse_invariant_factors(_coboundary(cx, d, cleared), pivots)
+            cleared = {cx.n_cells(d) - 1 - p for p in pivots}
         factors[d], rank[d] = f, r
-    betti, torsion = [], []
-    for d in range(0, through_dim + 1):
-        nd = cx.n_cells(d)
-        b = nd - rank[d] - rank[d + 1]
-        betti.append(b)
-        torsion.append(tuple(x for x in factors[d + 1] if x > 1))
-    return HomologyResult(tuple(betti), tuple(torsion))
+    betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
+    torsion = tuple(tuple(x for x in factors[d + 1] if x > 1) for d in range(through_dim + 1))
+    return HomologyResult(betti, torsion)
 
 
 def is_k_acyclic(cx: ChainComplex, k: int) -> tuple[bool, HomologyResult]:
@@ -475,7 +474,7 @@ def pi1_report(cx: ChainComplex, budget: int = 5000) -> dict:
         for (a, b, c) in cx.basis[2]:
             w = edge_word(a, b) + edge_word(b, c) + tuple(-x for x in reversed(edge_word(a, c)))
             relators.append(_free_reduce(w))
-    h1 = reduced_homology(cx, 1, check=False)
+    h1 = reduced_homology(cx, 1)
     if h1.betti[1] > 0 or h1.torsion[1]:
         return {"status": "nontrivial", "h1_betti": h1.betti[1], "h1_torsion": list(h1.torsion[1])}
     status = _tietze_trivializes(len(gen_of_edge), relators, budget)
@@ -559,26 +558,12 @@ def simplicial_join(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     Vertices of the two inputs are tagged to stay disjoint; simplices are all
     unions of a simplex from each side (or from one side alone).
     """
-    def tagged(cx: ChainComplex, tag: str):
-        out = [[] for _ in range(cx.dim + 1)]
-        for d in range(cx.dim + 1):
-            for s in cx.basis[d]:
-                out[d].append(tuple((tag, v) for v in s))
-        return out
-
-    sa, sb = tagged(a, "a"), tagged(b, "b")
-    max_dim = (len(sa) - 1) + (len(sb) - 1) + 1
-    by_dim: list[set] = [set() for _ in range(max_dim + 1)]
-    for d, cells in enumerate(sa):
-        for s in cells:
-            by_dim[d].add(s)
-    for d, cells in enumerate(sb):
-        for s in cells:
-            by_dim[d].add(s)
+    sa = [[tuple(("a", v) for v in s) for s in cells] for cells in a.basis]
+    sb = [[tuple(("b", v) for v in s) for s in cells] for cells in b.basis]
+    by_dim: list[set] = [set() for _ in range(a.dim + b.dim + 2)]
+    for d, cells in [*enumerate(sa), *enumerate(sb)]:
+        by_dim[d].update(cells)
     for da, cells_a in enumerate(sa):
         for db, cells_b in enumerate(sb):
-            for s in cells_a:
-                for t in cells_b:
-                    by_dim[da + db + 1].add(tuple(sorted(s + t)))
-    listed = [sorted(cells) for cells in by_dim if cells]
-    return complex_from_simplices(listed)
+            by_dim[da + db + 1].update(tuple(sorted(s + t)) for s in cells_a for t in cells_b)
+    return complex_from_simplices([sorted(cells) for cells in by_dim if cells])

@@ -18,6 +18,12 @@ class ScheduleError(ValueError):
         self.missing_k = missing_k
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 @dataclass(frozen=True)
 class CellInventory:
     """Counts of equivariant cells keyed by (dimension, isotropy label)."""
@@ -50,8 +56,8 @@ class CellInventory:
     def from_json(data) -> "CellInventory":
         counts: dict[tuple[int, str], int] = {}
         for d, label, c in data:
-            key = (int(d), str(label))
-            counts[key] = counts.get(key, 0) + int(c)
+            key = (_json_int(d, "dimension"), str(label))
+            counts[key] = counts.get(key, 0) + _json_int(c, "cell count")
         return CellInventory.make(counts)
 
 
@@ -124,9 +130,7 @@ class FiltrationSchedule:
             for entry in data["stages"]:
                 stages.append(CellInventory.from_json(entry["cells"]))
                 c = entry.get("connectivity")
-                if c is not None and (isinstance(c, bool) or not isinstance(c, int)):
-                    raise ValueError(f"connectivity {c!r} is not an integer")
-                conn.append(c)
+                conn.append(None if c is None else _json_int(c, "connectivity"))
         except TypeError as exc:
             raise ValueError(f"malformed schedule JSON: {exc}") from exc
         return FiltrationSchedule.make(stages, conn)

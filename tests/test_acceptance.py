@@ -185,7 +185,7 @@ def test_criterion_06_cut_poset_cones():
                     continue
                 cp = cut_poset(record)
                 check_cone_relations(cp)
-                res = reduced_homology(order_complex(cp.poset), 2, check=False)
+                res = reduced_homology(order_complex(cp.poset), 2)
                 assert all(b == 0 for b in res.betti), record.object_id()
                 assert all(not t for t in res.torsion), record.object_id()
                 checked += 1

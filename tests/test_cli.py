@@ -230,6 +230,14 @@ def test_group_rejects_malformed_fields(tmp_path):
         assert run(["group", "canon", "--input", str(bad)]) == 2
 
 
+def test_group_rejects_non_integers(tmp_path):
+    ident = element_to_json(identity_element(Config.make(2, 1, "triv")))
+    bad = tmp_path / "bad.json"
+    for change in ({"q": 2.9}, {"map": [0.7]}):
+        bad.write_text(json.dumps(dict(ident, **change)))
+        assert run(["group", "canon", "--input", str(bad)]) == 2, change
+
+
 def _schedule(tmp_path, stages):
     path = tmp_path / "sched.json"
     path.write_text(json.dumps({"labels": ["H"], "stages": stages}))
@@ -246,3 +254,10 @@ def test_trade_rejects_malformed_schedules(tmp_path):
     ok = [{"cells": cells, "connectivity": 0}, {"cells": cells, "connectivity": None}]
     assert run(["trade", "--schedule", _schedule(tmp_path, ok), "--prefix", "2",
                 "--out", str(tmp_path / "t.json")]) == 0
+
+
+def test_trade_rejects_non_integer_cells(tmp_path):
+    cells = [[0, "H", 1]]
+    for bad in ([0, "H", 1.5], [True, "H", 1]):
+        stages = [{"cells": cells + [bad], "connectivity": 0}, {"cells": cells}]
+        assert run(["trade", "--schedule", _schedule(tmp_path, stages), "--prefix", "2"]) == 2, bad

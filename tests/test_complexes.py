@@ -1,10 +1,11 @@
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 
 import pytest
 from block_orbit import orbit_canonical_block
 
 from sphero.complexes import (
+    _compositions,
     DecoratedComplex,
     DecoratedVertex,
     EnumerationCap,
@@ -176,6 +177,13 @@ def test_tilings_counts():
     assert tilings(3, 2) == []
     assert len(tilings(3, 3)) == 1
     assert len(tilings(3, 5)) == 3
+
+
+def test_compositions_are_positive_splits_in_lexicographic_order():
+    for total in range(1, 8):
+        for parts in range(1, 5):
+            want = [c for c in product(range(1, total + 1), repeat=parts) if sum(c) == total]
+            assert list(_compositions(total, parts)) == want, (total, parts)
 
 
 def test_split_record_counts_n3(sym2, triv2):
@@ -354,7 +362,7 @@ def test_all_cut_posets_acyclic_n4(sym2, triv2):
                 continue
             cp = cut_poset(r)
             check_cone_relations(cp)
-            res = reduced_homology(order_complex(cp.poset), 2, check=False)
+            res = reduced_homology(order_complex(cp.poset), 2)
             assert all(b == 0 for b in res.betti)
             assert all(not t for t in res.torsion)
 
@@ -413,7 +421,7 @@ def test_morse_method_on_split_poset(sym2, triv2):
             assert under.objects == ()  # coarsenings are never built earlier
             cp = cut_poset(records[oid])
             assert poset_isomorphic(over, cp.poset)
-            res = reduced_homology(order_complex(over), 2, check=False)
+            res = reduced_homology(order_complex(over), 2)
             assert all(b == 0 for b in res.betti)
         # acyclic links at every stage: total homology equals the base's
         h_full = reduced_homology(order_complex(underlying_poset(full)[0]), 2)

@@ -106,6 +106,13 @@ def test_canonical_form_is_fixpoint_on_reduced(x0):
     assert canonical_form(x0) == x0
 
 
+def test_canonical_form_returns_a_reduced_pair_itself(rng, x0, sym2):
+    assert canonical_form(x0) is x0
+    for _ in range(20):
+        c = canonical_form(_expanded(rng, random_element(rng, sym2, 3), 2))
+        assert canonical_form(c) is c
+
+
 def test_canonical_form_collapses_subdivided_identity(triv2):
     part = LeafPartition(1, ((1, (0,)), (1, (1,))))
     decs = (LabeledIsometry.identity(2),) * 2
@@ -309,6 +316,26 @@ def test_compose_and_inverse_build_one_pair(rng, monkeypatch):
     assert len(built) == 1
     inverse(a)
     assert len(built) == 2
+
+
+def test_forest_portraits_builds_no_pair_on_a_reduced_strict_transformation(rng, monkeypatch):
+    config = Config.make(2, 2, "sym")
+    phi = random_element(rng, config, 3, n=3, m=2)
+    nu, mu = (isometry_element(config, [random_labeled_isometry(rng, config, 3) for _ in range(3)], 3)
+              for _ in range(2))
+    # the reduced pairs compose returns: a strict product, and a conjugate as in conjugates_into
+    strict, conj = compose(nu, mu), compose(phi, compose(nu, inverse(phi)))
+    built = []
+    init = TreePair.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(TreePair, "__post_init__", counted)
+    assert forest_portraits(nu) is not None and forest_portraits(strict) is not None
+    forest_portraits(conj)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
