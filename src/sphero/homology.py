@@ -2,28 +2,28 @@
 
 A chain complex is its simplex bases.  Boundary matrices are not stored:
 one face enumeration derives them, as sparse integer columns, from the
-bases, so boundary squared vanishes by construction.  They are reduced by one
-elimination: a unit-pivot column pass, then a Euclidean sparse Smith normal
-form on the leftover core of columns with non-unit lows, cleared on the pivot
-rows (empty on torsion-free instances).  Entries are Python integers, so no
-overflow is possible.
+bases, so boundary squared vanishes by construction.  They are reduced by
+one elimination: a unit-pivot column pass, then a Euclidean sparse Smith
+normal form on the leftover core of columns with non-unit lows, cleared on
+the pivot rows (empty on torsion-free instances).  Entries are Python
+integers, so no overflow is possible.
 
 ``reduced_homology`` needs only the rank and invariant factors of each
 boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
 2021).  The first boundary is the incidence matrix of a graph: it is totally
 unimodular, so its rank comes from a spanning forest and every factor is 1.
-Each higher boundary is reduced as its transpose, the coboundary, in
-anti-transposed order (faces from last to first, cofaces on reversed rows),
-built straight from the two bases, so the pass pivots on the smallest coface.  Rows that carry a unit pivot in
-one coboundary name columns of the next that reduce to zero, and those
-columns are left out.  This is exact over the integers.  For the forest,
-d1 d2 = 0 and peeling the forest from its leaves write each forest-edge row
-of d2 as an integer combination of the other rows.  Above it, a unit pivot
-column c is an integer combination of coboundary columns, so the next
-coboundary kills it.  Its pivot is +-1 and its other entries lie on later
-cofaces, so the cleared columns form a unit triangular set, and leaving them
-out is a unimodular column operation.  Transposing keeps the invariant
-factors.
+Each higher boundary is reduced as its transpose, the coboundary, built
+straight from the two bases in anti-transposed order (faces from last to
+first, cofaces on reversed rows), so the pass pivots on the smallest coface.
+Rows that carry a unit pivot in one coboundary name columns of the next that
+reduce to zero, and those columns are left out.  This is exact over the
+integers.  For the forest, d1 d2 = 0 and peeling the forest from its leaves
+write each forest-edge row of d2 as an integer combination of the other rows.
+Above it, a unit pivot column c is an integer combination of coboundary
+columns, so the next coboundary kills it.  Its pivot is +-1 and its other
+entries lie on later cofaces, so the cleared columns form a unit triangular
+set, and leaving them out is a unimodular column operation.  Transposing keeps
+the invariant factors.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def _spanning_forest(n0: int, edges: list[Column]) -> set[int]:
 
 
 def _coboundary(cx: ChainComplex, d: int, cleared: set[int]) -> list[Column]:
-    """The transpose of the boundary from dimension d in anti-transposed order, cleared faces left out.
+    """The coboundary of dimension d in anti-transposed order, cleared faces left out.
 
     Columns are the (d-1)-cells from the last to the first, and d-cell j sits
     on row n_cells(d) - 1 - j, so the max-low pass pivots on the smallest

@@ -72,7 +72,8 @@ def _cases() -> list[tuple[str, list[str], Outputs]]:
         ("trade", ["trade", "--schedule", _inp("schedule"), "--prefix", "4"]),
     ]
     cases = [(name, argv, _json_out(name)) for name, argv in cases]
-    for q, d, n, max_dim in ((2, "sym", 6, 3), (2, "triv", 5, 2), (3, "sym", 6, 1), (2, "21", 5, None)):
+    for q, d, n, max_dim in ((2, "sym", 6, 3), (2, "triv", 5, 2), (3, "sym", 6, 1),
+                             (2, "21", 5, None)):
         name = f"build-cn-q{q}-{d}-n{n}"
         argv = ["build-cn", "--q", str(q), "--subgroup", d, "--n", str(n)]
         if max_dim is not None:

@@ -321,7 +321,7 @@ def test_compose_and_inverse_build_one_pair(rng, monkeypatch):
 def test_forest_portraits_builds_no_pair_on_a_reduced_strict_transformation(rng, monkeypatch):
     config = Config.make(2, 2, "sym")
     phi = random_element(rng, config, 3, n=3, m=2)
-    nu, mu = (isometry_element(config, [random_labeled_isometry(rng, config, 3) for _ in range(3)], 3)
+    nu, mu = (isometry_element(config, [random_labeled_isometry(rng, config) for _ in range(3)], 3)
               for _ in range(2))
     # the reduced pairs compose returns: a strict product, and a conjugate as in conjugates_into
     strict, conj = compose(nu, mu), compose(phi, compose(nu, inverse(phi)))
