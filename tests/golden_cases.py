@@ -1,8 +1,9 @@
-"""Byte-for-byte goldens of `sphero group`, `trade`, `build-cn` and `verify-nu`.
+"""Byte-for-byte goldens of `sphero group`, `trade`, `build-cn`, `verify-nu` and `desclink`.
 
 The inputs under tests/golden/inputs are seeded elements for q in {2, 3},
 D in {sym, triv}, r in {1, 2}, a vertex-type pair from 3 summands onto 1,
-and one filtration schedule; `build-cn` and `verify-nu` read no input file.
+and one filtration schedule; `build-cn`, `verify-nu` and `desclink` read no
+input file.
 tests/golden/outputs holds what each command in CASES wrote, one file per
 output flag of the case (`build-cn` also writes its boundary matrices).
 `python tests/golden_cases.py` rewrites both; run it only when an output is
@@ -84,6 +85,10 @@ def _cases() -> list[tuple[str, list[str], Outputs]]:
         argv = ["verify-nu", "--q", str(q), "--subgroup", "sym", "--nmax", str(nmax),
                 "--pi1-budget", "5000"]
         cases.append((name, argv, (("--out", name + ".csv"),)))
+    for q, d, n in ((2, "sym", 4), (2, "triv", 4), (3, "sym", 5), (2, "sym", 5)):
+        name = f"desclink-q{q}-{d}-n{n}"
+        argv = ["desclink", "--q", str(q), "--subgroup", d, "--n", str(n), "--full", "--star"]
+        cases.append((name, argv, _json_out(name) + (("--homology-csv", name + ".csv"),)))
     return cases
 
 
