@@ -4,7 +4,9 @@ The flag complex on q-subsets of {1..n} decorated by cosets of D in Sym(q)
 models the space of very elementary splittings; its connectivity grows
 linearly in n.  The full poset of splitting classes, the cut posets that
 contract onto depth-one cuts, and the orbit counts of the level-filtered
-vertex category are enumerated here at desk scale.
+vertex category are enumerated here at desk scale.  The orbit counts use no
+tree-pair arithmetic: a chain is a tuple of ball tuples, twisted at its last
+object only (see ``count_cell_orbits``).
 """
 
 from __future__ import annotations
@@ -12,17 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .groups import (
-    Address,
-    Config,
-    LabeledIsometry,
-    LeafPartition,
-    TreePair,
-    Word,
-    compose,
-    inverse,
-    isometry_element,
-)
+from .groups import Address, Config, LabeledIsometry, LeafPartition, TreePair, Word
 from .homology import ChainComplex, flag_complex
 from .perms import Perm, compose_perms, identity_perm, perm_to_word
 from .posets import GenPoset
@@ -571,109 +563,69 @@ def act_on_tiling_object(gamma_portraits: list[LabeledIsometry], oid_tiling: tup
 # orbit counting of chains
 
 
-def _strip_strict_factor(arrow: TreePair) -> tuple[TreePair, TreePair]:
-    """Write a canonical merge/transformation as (decoration-free map, strict factor)."""
-    if any(w != () for _, w in arrow.domain.leaves):
-        raise ValueError("arrow is not merge- or transformation-shaped")
-    comb = TreePair(
-        arrow.config, arrow.domain, arrow.codomain, arrow.leaf_map,
-        tuple(LabeledIsometry.identity(arrow.config.q) for _ in arrow.decorations),
-    )
-    nu = isometry_element(arrow.config, list(arrow.decorations), arrow.domain.n)
-    return comb, nu
+def _twist(chain: tuple, portraits: list[LabeledIsometry]) -> tuple:
+    """The chain after the strict transformation with these portraits of its last object.
+
+    A decoration-free arrow out of m roots is the tuple of the m balls that
+    the roots map onto, and a chain is the tuple of its arrows.  Each arrow's
+    balls move by the portraits, and the portraits restricted below those
+    balls are a strict transformation of the arrow's domain, handed on to the
+    arrow before; what reaches the first object is dropped.
+    """
+    out = []
+    for arrow in reversed(chain):
+        out.append(act_on_tiling_object(portraits, arrow))
+        portraits = [portraits[s - 1].restrict(w) for s, w in arrow]
+    return tuple(reversed(out))
 
 
-def _arrow_key(arrow: TreePair) -> tuple:
-    return tuple(arrow.image_leaf(i) for i in range(len(arrow.domain.leaves)))
+def _chain_orbit(config: Config, chain: tuple) -> set[tuple]:
+    """The orbit of a chain under single-label twists of its last object.
 
-
-def _chain_key(chain: list[TreePair]) -> tuple:
-    return tuple(_arrow_key(a) for a in chain)
-
-
-def _normalize_chain(chain: list[TreePair]) -> list[TreePair]:
-    out = list(chain)
-    for i in range(len(out) - 1, -1, -1):
-        comb, nu = _strip_strict_factor(out[i])
-        out[i] = comb
-        if i >= 1:
-            out[i - 1] = compose(nu, out[i - 1])
-    return out
-
-
-def _chain_orbit_canonical(config: Config, chain: list[TreePair]) -> tuple:
-    """Minimal key of the orbit of a chain under simultaneous strict twists."""
-    gens = [p for p in config.sorted_group() if p != identity_perm(config.q)]
-    start = _chain_key(chain)
-    if not gens:
-        return start
-    levels = [chain[0].domain.n] + [a.codomain.n for a in chain]
-    max_depth = max((len(w) for a in chain for _, w in a.codomain.leaves), default=0)
-    words = [w for d in range(max_depth + 1) for w in product(range(config.q), repeat=d)]
-    seen = {start: chain}
-    frontier = [chain]
+    Labels sit at every vertex down to the deepest ball of the chain; ball
+    depths do not change under a twist, so every chain of the orbit has the
+    same moves.
+    """
+    q = config.q
+    gens = [p for p in config.sorted_group() if p != identity_perm(q)]
+    m = max(s for s, _ in chain[-1])  # the last arrow's balls tile all m summands
+    depth = max(len(w) for arrow in chain for _, w in arrow)
+    words = [w for d in range(depth + 1) for w in product(range(q), repeat=d)]
+    ident = LabeledIsometry.identity(q)
+    moves = [[LabeledIsometry.make(q, {v: p}) if t == s else ident for t in range(m)]
+             for s in range(m) for v in words for p in gens]
+    seen, frontier = {chain}, [chain]
     while frontier:
         cur = frontier.pop()
-        for level_pos in range(len(levels)):
-            m = levels[level_pos]
-            for s in range(1, m + 1):
-                for v in words:
-                    for p in gens:
-                        portraits = [LabeledIsometry.identity(config.q) for _ in range(m)]
-                        portraits[s - 1] = LabeledIsometry.make(config.q, {v: p})
-                        chi = isometry_element(config, portraits, m)
-                        new = list(cur)
-                        if level_pos >= 1:
-                            new[level_pos - 1] = compose(chi, new[level_pos - 1])
-                        if level_pos <= len(new) - 1:
-                            new[level_pos] = compose(new[level_pos], inverse(chi))
-                        new = _normalize_chain(new)
-                        key = _chain_key(new)
-                        if key not in seen:
-                            seen[key] = new
-                            frontier.append(new)
-    return min(seen)
-
-
-def _merge_arrows(config: Config, lvl_from: int, lvl_to: int) -> list[TreePair]:
-    """Decoration-free merges from lvl_from summands onto lvl_to summands."""
-    out = []
-    for tiling in _forest_tilings(config, lvl_to, lvl_from):
-        for order in permutations(range(lvl_from)):
-            cod = sorted(tiling)
-            index = {a: i for i, a in enumerate(cod)}
-            leaf_map = tuple(index[tiling[order[i]]] for i in range(lvl_from))
-            decs = tuple(LabeledIsometry.identity(config.q) for _ in range(lvl_from))
-            out.append(TreePair(config, LeafPartition.roots(lvl_from),
-                                LeafPartition(lvl_to, tuple(cod)), leaf_map, decs))
-    return _dedupe_arrows(out)
-
-
-def _transformation_arrows(config: Config, lvl: int) -> list[TreePair]:
-    out = []
-    for sigma in permutations(range(lvl)):
-        if sigma == tuple(range(lvl)):
-            continue
-        part = LeafPartition.roots(lvl)
-        decs = tuple(LabeledIsometry.identity(config.q) for _ in range(lvl))
-        out.append(TreePair(config, part, part, sigma, decs))
-    return out
-
-
-def _dedupe_arrows(arrows: list[TreePair]) -> list[TreePair]:
-    seen = {}
-    for a in arrows:
-        seen.setdefault(_arrow_key(a), a)
-    return [seen[k] for k in sorted(seen)]
+        for portraits in moves:
+            new = _twist(cur, portraits)
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    return seen
 
 
 def count_cell_orbits(config: Config, k: int, d: int, max_level: int = 3) -> int:
     """Orbits of nondegenerate d-chains in the nerve of the level-k truncation.
 
-    Chains are enumerated in decoration-free form and identified up to the
-    simultaneous strict twists that survive the quotient.  Only the levels
-    m = r + j(q-1), j >= 0, are populated: these are the leaf counts of the
-    complete prefix codes of a forest of r rooted q-ary trees.
+    Only the levels m = r + j(q-1), j >= 0, are populated: these are the leaf
+    counts of the complete prefix codes of a forest of r rooted q-ary trees.
+    A chain runs down a weakly decreasing sequence of levels; each arrow is a
+    merge (every order of every tiling of the lower level's forest) or, between
+    equal levels, a non-identity permutation of the roots.
+
+    Chains are identified up to simultaneous strict twists of their objects,
+    and it is enough to twist the last object:
+    - The pool arrows are reduced and decoration-free, so every chain is
+      already in normal form, where each arrow's decorations are stripped
+      into a strict factor composed onto the arrow before.
+    - Twisting an inner object by chi turns the arrow into it into chi∘a and
+      the arrow out of it into b∘chi⁻¹.  Normalizing the second pushes chi⁻¹
+      back onto the first, so the chain returns unchanged.
+    - A twist of the first object is stripped off and dropped.
+    - A twist of the last object, composed and normalized, is exactly the
+      restriction cascade of ``_twist``.
+    Orbits partition the chains, so each chain not yet seen starts a new one.
     """
     if k < 1 or d < 0:
         raise ValueError("need k >= 1 and d >= 0")
@@ -684,14 +636,15 @@ def count_cell_orbits(config: Config, k: int, d: int, max_level: int = 3) -> int
         return len(populated)
     total = 0
     for seq in combinations_with_replacement(populated[::-1], d + 1):
-        arrow_pools = []
-        for i in range(d):
-            a, b = seq[i], seq[i + 1]
-            pool = _transformation_arrows(config, a) if a == b else _merge_arrows(config, a, b)
-            arrow_pools.append(pool)
-        canonicals = set()
-        for combo in product(*arrow_pools):
-            chain = _normalize_chain(list(combo))
-            canonicals.add(_chain_orbit_canonical(config, chain))
-        total += len(canonicals)
+        pools = []
+        for a, b in zip(seq, seq[1:]):
+            if a == b:  # every order of the roots but the first, the identity
+                pools.append(list(permutations((s, ()) for s in range(1, a + 1)))[1:])
+            else:
+                pools.append([o for t in _forest_tilings(config, b, a) for o in permutations(t)])
+        seen: set[tuple] = set()
+        for chain in product(*pools):
+            if chain not in seen:
+                seen |= _chain_orbit(config, chain)
+                total += 1
     return total

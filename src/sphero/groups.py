@@ -340,10 +340,6 @@ class TreePair:
                 raise ValueError("decoration arity mismatch")
             dec.check_labels_in(self.config.group)
 
-    @property
-    def level(self) -> int:
-        return self.domain.n
-
     def image_leaf(self, i: int) -> Address:
         return self.codomain.leaves[self.leaf_map[i]]
 

@@ -28,6 +28,7 @@ the invariant factors.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -172,20 +173,21 @@ def flag_complex(vertices: list, edges: list[tuple], max_dim: int) -> ChainCompl
 
 
 def _divisibility_chain(diag: list[int]) -> list[int]:
-    """Invariant factors of a diagonal matrix via pairwise gcd/lcm fixups."""
-    import math as _math
+    """Invariant factors of a diagonal matrix via pairwise gcd/lcm fixups.
 
+    One sweep over the pairs i < j is enough.  Once (d_i, d_j) is replaced by
+    its gcd and lcm, d_i divides d_j.  Later steps only shrink d_i to a
+    divisor of itself, and replace later entries by the gcd and lcm of
+    multiples of d_i.  So the sweep leaves a divisibility chain, which is
+    sorted.
+    """
     d = [abs(x) for x in diag]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = _math.gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] // g * d[j]
-                    changed = True
-    return sorted(d)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = math.gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def _sparse_snf_full(columns: list[Column]) -> tuple[list[int], int]:

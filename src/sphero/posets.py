@@ -95,10 +95,6 @@ class GenPoset:
     def to_json(self) -> dict:
         return {"objects": list(self.objects), "arrows": sorted(list(a) for a in self.arrows)}
 
-    @staticmethod
-    def from_json(data: dict) -> "GenPoset":
-        return GenPoset.make(data["objects"], [tuple(a) for a in data["arrows"]])
-
 
 def transitive_closure(objects, arrows) -> GenPoset:
     """Convenience constructor closing the relation under composition."""
@@ -170,7 +166,7 @@ def coone(c: GenPoset, d: GenPoset, tip: ObjId = "tip") -> GenPoset:
     return GenPoset.make(base.objects + (tip,), arrows).require_valid()
 
 
-def chains(p: GenPoset, max_len: int | None = None) -> list[list[tuple[ObjId, ...]]]:
+def chains(p: GenPoset) -> list[list[tuple[ObjId, ...]]]:
     """Chains x0 -> x1 -> ... of distinct comparable objects, by length.
 
     Only defined on honest posets; result[d] lists the d-simplices of the
@@ -184,20 +180,14 @@ def chains(p: GenPoset, max_len: int | None = None) -> list[list[tuple[ObjId, ..
     for ys in succ.values():
         ys.sort()
     out: list[list[tuple[ObjId, ...]]] = [[(o,) for o in p.objects]]
-    d = 0
-    while out[d] and (max_len is None or d < max_len):
-        nxt = []
-        for chain in out[d]:
-            for y in succ[chain[-1]]:
-                nxt.append(chain + (y,))
+    while True:
+        nxt = [chain + (y,) for chain in out[-1] for y in succ[chain[-1]]]
         if not nxt:
-            break
+            return out
         out.append(nxt)
-        d += 1
-    return out
 
 
-def order_complex(p: GenPoset, max_dim: int | None = None):
+def order_complex(p: GenPoset):
     """Simplicial chain complex of the chains of an honest poset.
 
     Generalized posets must pass through underlying_poset first; an
@@ -205,10 +195,7 @@ def order_complex(p: GenPoset, max_dim: int | None = None):
     """
     from .homology import complex_from_simplices
 
-    levels = [lvl for lvl in chains(p, max_dim) if lvl]
-    if not levels:
-        levels = [[]]
-    return complex_from_simplices([[tuple(c) for c in lvl] for lvl in levels])
+    return complex_from_simplices(chains(p))
 
 
 def descending_link(c: GenPoset, x: ObjId, lower) -> tuple[GenPoset, GenPoset]:

@@ -195,10 +195,6 @@ class TradeLog:
     def to_json(self) -> list:
         return [list(e) for e in self.events]
 
-    @staticmethod
-    def from_json(data) -> "TradeLog":
-        return TradeLog(tuple((int(a), int(b), str(c)) for a, b, c in data))
-
 
 def run_staircase(s: FiltrationSchedule, prefix_len: int) -> tuple[CellInventory, TradeLog]:
     """Trade low-dimensional cells up the filtration and take the diagonal.

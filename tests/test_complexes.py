@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 from block_orbit import orbit_canonical_block
+from orbit_oracle import count_cell_orbits_oracle
 
 from sphero.complexes import (
     _compositions,
@@ -31,7 +32,7 @@ from sphero.complexes import (
     act_on_tiling_object,
     vertex_descending_link,
 )
-from sphero.groups import Config, LabeledIsometry, isometry_element, stabilizer_test
+from sphero.groups import Config, LabeledIsometry, TreePair, isometry_element, stabilizer_test
 from sphero.homology import reduced_homology
 from sphero.posets import fixed_subcategory, order_complex, underlying_poset
 
@@ -396,6 +397,54 @@ def test_orbit_counts_chains(sym2, triv2):
 def test_orbit_counts_cap(sym2):
     with pytest.raises(EnumerationCap):
         count_cell_orbits(sym2, 4, 1, max_level=3)
+
+
+ORBIT_CONFIGS = [(2, 1, "sym"), (2, 1, "triv"), (2, 2, "sym"), (2, 3, "sym"), (3, 1, "sym"),
+                 (3, 1, "triv"), (3, 2, "sym"), (3, 1, "231"), (3, 1, "213")]
+# (q, r, D, k, d) where the oracle takes seconds; test_orbit_counts_pinned covers them
+ORBIT_ORACLE_SLOW = {(2, 1, "sym", 3, 2), (2, 2, "sym", 3, 2), (3, 1, "sym", 3, 1),
+                     (3, 1, "sym", 3, 2), (3, 1, "231", 3, 2), (3, 1, "213", 3, 2)}
+
+
+def _orbit_config(q, r, name):
+    """D is "sym", "triv" or the subgroup generated by one permutation word."""
+    return Config.make(q, r, name if name in ("sym", "triv") else [name])
+
+
+@pytest.mark.parametrize("q,r,name", ORBIT_CONFIGS,
+                         ids=[f"{q}-{r}-{n}" for q, r, n in ORBIT_CONFIGS])
+def test_orbit_counts_match_oracle(q, r, name):
+    config = _orbit_config(q, r, name)
+    for k in (1, 2, 3):
+        for d in (0, 1, 2):
+            if (q, r, name, k, d) not in ORBIT_ORACLE_SLOW:
+                assert count_cell_orbits(config, k, d) == count_cell_orbits_oracle(config, k, d)
+
+
+def test_orbit_counts_pinned():
+    # computed by the TreePair oracle of tests/orbit_oracle.py
+    pins = {
+        (2, 1, "sym", 2): 84, (2, 1, "triv", 2): 184, (2, 2, "sym", 2): 62,
+        (3, 1, "sym", 2): 30, (3, 1, "231", 2): 35, (3, 1, "213", 2): 40,
+        (2, 1, "sym", 3): 424, (2, 1, "triv", 3): 944, (2, 2, "sym", 3): 312,
+        (3, 1, "sym", 3): 150, (3, 1, "231", 3): 175, (2, 3, "sym", 3): 125,
+        (3, 1, "triv", 3): 275,
+    }
+    for (q, r, name, d), want in pins.items():
+        assert count_cell_orbits(_orbit_config(q, r, name), 3, d) == want
+
+
+def test_orbit_counts_build_no_tree_pair(monkeypatch):
+    built = []
+    init = TreePair.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(TreePair, "__post_init__", counted)
+    assert count_cell_orbits(Config.make(2, 1, "sym"), 3, 2) == 84
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

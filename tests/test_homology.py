@@ -50,6 +50,14 @@ def test_snf_divisibility_chain():
         assert b % a == 0
 
 
+def test_divisibility_chain_matches_dense_snf():
+    rng = Random(20261018)
+    for _ in range(300):
+        diag = [rng.randrange(1, 61) for _ in range(rng.randrange(0, 9))]
+        mat = [[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]
+        assert _divisibility_chain(diag) == smith_normal_form(mat, with_transforms=False)[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_snf_random_certified_and_matches_sparse(seed):
