@@ -84,13 +84,10 @@ def build_complex(config: Config, n: int) -> DecoratedComplex:
         for sup in combinations(range(1, n + 1), config.q)
         for dec in decs
     )
-    edges = []
-    for i, v in enumerate(vertices):
-        si = set(v.support)
-        for j in range(i + 1, len(vertices)):
-            if not (si & set(vertices[j].support)):
-                edges.append((i, j))
-    return DecoratedComplex(n, config, vertices, tuple(edges))
+    masks = [sum(1 << x for x in v.support) for v in vertices]
+    edges = tuple((i, j) for i, m in enumerate(masks)
+                  for j in range(i + 1, len(masks)) if not m & masks[j])
+    return DecoratedComplex(n, config, vertices, edges)
 
 
 def connectivity_bound(config: Config, n: int) -> int:

@@ -449,8 +449,7 @@ def pi1_report(cx: ChainComplex, budget: int = 5000) -> dict:
     parent_edge: dict[int, int] = {}
     seen = {0}
     queue = [0]
-    while queue:
-        x = queue.pop(0)
+    for x in queue:  # the queue grows while it is walked
         for y, ei in adj[x]:
             if y not in seen:
                 seen.add(y)
@@ -462,6 +461,9 @@ def pi1_report(cx: ChainComplex, budget: int = 5000) -> dict:
     gen_of_edge = {ei: g for g, ei in enumerate(sorted(e for e in range(len(edges)) if e not in tree))}
     if not gen_of_edge:
         return {"status": "trivial", "generators": 0, "relators": 0}
+    h1 = reduced_homology(cx, 1)
+    if h1.betti[1] > 0 or h1.torsion[1]:
+        return {"status": "nontrivial", "h1_betti": h1.betti[1], "h1_torsion": list(h1.torsion[1])}
 
     def edge_word(a, b) -> tuple[int, ...]:
         ei = eindex[(a, b) if a < b else (b, a)]
@@ -476,9 +478,6 @@ def pi1_report(cx: ChainComplex, budget: int = 5000) -> dict:
         for (a, b, c) in cx.basis[2]:
             w = edge_word(a, b) + edge_word(b, c) + tuple(-x for x in reversed(edge_word(a, c)))
             relators.append(_free_reduce(w))
-    h1 = reduced_homology(cx, 1)
-    if h1.betti[1] > 0 or h1.torsion[1]:
-        return {"status": "nontrivial", "h1_betti": h1.betti[1], "h1_torsion": list(h1.torsion[1])}
     status = _tietze_trivializes(len(gen_of_edge), relators, budget)
     return {"status": "trivial" if status else "unknown",
             "generators": len(gen_of_edge), "relators": len(relators)}
@@ -506,51 +505,100 @@ def _cyc_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
 def _tietze_trivializes(ngens: int, relators: list[tuple[int, ...]], budget: int) -> bool:
     """Budgeted generator elimination; True only if all generators die.
 
-    The budget counts work units (relator letters rewritten), so large
-    presentations degrade to "unknown" rather than stalling.
+    Each step takes the shortest relator in which some generator occurs
+    exactly once (ties to the earliest relator, then its first such letter),
+    solves it for that generator and substitutes the solution into the other
+    relators.  The budget counts work units (relator letters rewritten), so
+    large presentations degrade to "unknown" rather than stalling.
+
+    The search is incremental.  Relators are kept in a dict keyed by their
+    input position, with a running total of their lengths and an index from
+    each generator to the relators that may hold it (a superset: letters that
+    reduction cancels are not taken out).  A step rewrites and free-reduces
+    only the relators in the eliminated generator's index entry, and the next
+    step cyclically reduces only those.  A heap holds (length, position) for
+    the relators with a once-occurring generator; entries are checked when
+    popped, and dropped if their relator is gone or has changed since.
+
+    The decisions are those of re-reducing, re-sorting and rewriting every
+    relator on every step (``tietze_trivializes_oracle`` in the tests):
+    - relators are only ever dropped, so their relative order never changes,
+      and the stable sort by length scanned for the first relator with a
+      once-occurring generator finds the minimum (length, position): the top
+      of the heap;
+    - a relator without the eliminated generator is left as it was, already
+      free and cyclically reduced, so it needs no work;
+    - every letter left in a relator is still a generator, since the
+      eliminated one is substituted away everywhere;
+    - the budget is counted as before: the first step counts the lengths of
+      the cyclically reduced inputs, and every later step adds
+      max(1, total // 64), where total counts the relators as the previous
+      rewrite left them, free-reduced but not yet cyclically reduced.
     """
     gens = set(range(1, ngens + 1))
-    rels = [_cyc_reduce(r) for r in relators]
+    rels = {p: _cyc_reduce(r) for p, r in enumerate(relators)}
+    total = sum(map(len, rels.values()))
+    occ: dict[int, set[int]] = {}
+    for p, r in rels.items():
+        for x in r:
+            occ.setdefault(abs(x), set()).add(p)
+    once: dict[int, int] = {}  # position -> its first generator occurring once
+    heap: list[tuple[int, int]] = []
+    touched = list(rels)  # relators not yet cyclically reduced and checked
     steps = 0
     while gens and steps < budget:
-        steps += max(1, sum(map(len, rels)) // 64)
-        rels = [r for r in (_cyc_reduce(r) for r in rels) if r]
-        # a generator occurring exactly once in some relator can be eliminated
-        pick = None
-        for r in sorted(rels, key=len):
+        steps += max(1, total // 64)
+        for p in touched:
+            r = rels[p]
+            if len(r) >= 2 and r[0] == -r[-1]:
+                c = _cyc_reduce(r)
+                total -= len(r) - len(c)
+                rels[p] = r = c
+            once.pop(p, None)
+            if not r:
+                del rels[p]
+                continue
             counts: dict[int, int] = {}
             for x in r:
                 counts[abs(x)] = counts.get(abs(x), 0) + 1
-            for x in r:
-                if counts[abs(x)] == 1 and abs(x) in gens:
-                    pick = (r, abs(x))
-                    break
-            if pick:
-                break
-        if pick is None:
+            g = next((abs(x) for x in r if counts[abs(x)] == 1 and abs(x) in gens), None)
+            if g is not None:
+                once[p] = g
+                heappush(heap, (len(r), p))
+        while heap and (heap[0][1] not in once or len(rels[heap[0][1]]) != heap[0][0]):
+            heappop(heap)
+        if not heap:
             return False
-        rel, g = pick
+        _, pk = heappop(heap)
+        g = once.pop(pk)
+        rel = rels.pop(pk)
+        total -= len(rel)
         i = next(k for k, x in enumerate(rel) if abs(x) == g)
         rest = rel[i + 1:] + rel[:i]  # rel ~ g * rest or g^-1 * rest cyclically
         if rel[i] > 0:
             sub = tuple(-x for x in reversed(rest))  # g = rest^-1
         else:
             sub = rest  # g^-1 = rest^-1, so g = rest
-        new_rels = []
-        for r in rels:
-            if r is rel:
+        inv = tuple(-x for x in reversed(sub))
+        touched = []
+        for p in occ.pop(g):
+            r = rels.get(p)
+            if r is None or (g not in r and -g not in r):
                 continue
             w: list[int] = []
             for x in r:
                 if x == g:
                     w.extend(sub)
                 elif x == -g:
-                    w.extend(-y for y in reversed(sub))
+                    w.extend(inv)
                 else:
                     w.append(x)
-            new_rels.append(_free_reduce(tuple(w)))
+            rels[p] = new = _free_reduce(tuple(w))
+            total += len(new) - len(r)
+            touched.append(p)
+        for a in {abs(x) for x in rest}:
+            occ[a].update(touched)
         gens.remove(g)
-        rels = new_rels
     return not gens
 
 

@@ -5,9 +5,12 @@ when they stored their boundary matrices.  ``reduced_homology_oracle`` is the
 homology-direction loop: it hands every boundary matrix, in its own column
 order and without clearing, to ``sparse_invariant_factors``: no spanning forest
 for the first boundary, no transpose and no cleared columns.
+``tietze_trivializes_oracle`` is the generator elimination that re-reduces,
+re-sorts and rewrites every relator on every step.
 """
 
-from sphero.homology import ChainComplex, Column, HomologyResult, sparse_invariant_factors
+from sphero.homology import (ChainComplex, Column, HomologyResult, _cyc_reduce, _free_reduce,
+                             sparse_invariant_factors)
 
 
 def boundary_columns_oracle(cx: ChainComplex, d: int) -> list[Column]:
@@ -36,3 +39,54 @@ def reduced_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyResul
     betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
     torsion = tuple(tuple(x for x in factors[d + 1] if x > 1) for d in range(through_dim + 1))
     return HomologyResult(betti, torsion)
+
+
+def tietze_trivializes_oracle(ngens: int, relators: list[tuple[int, ...]], budget: int) -> bool:
+    """Budgeted generator elimination; True only if all generators die.
+
+    The budget counts work units (relator letters rewritten), so large
+    presentations degrade to "unknown" rather than stalling.
+    """
+    gens = set(range(1, ngens + 1))
+    rels = [_cyc_reduce(r) for r in relators]
+    steps = 0
+    while gens and steps < budget:
+        steps += max(1, sum(map(len, rels)) // 64)
+        rels = [r for r in (_cyc_reduce(r) for r in rels) if r]
+        # a generator occurring exactly once in some relator can be eliminated
+        pick = None
+        for r in sorted(rels, key=len):
+            counts: dict[int, int] = {}
+            for x in r:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            for x in r:
+                if counts[abs(x)] == 1 and abs(x) in gens:
+                    pick = (r, abs(x))
+                    break
+            if pick:
+                break
+        if pick is None:
+            return False
+        rel, g = pick
+        i = next(k for k, x in enumerate(rel) if abs(x) == g)
+        rest = rel[i + 1:] + rel[:i]  # rel ~ g * rest or g^-1 * rest cyclically
+        if rel[i] > 0:
+            sub = tuple(-x for x in reversed(rest))  # g = rest^-1
+        else:
+            sub = rest  # g^-1 = rest^-1, so g = rest
+        new_rels = []
+        for r in rels:
+            if r is rel:
+                continue
+            w: list[int] = []
+            for x in r:
+                if x == g:
+                    w.extend(sub)
+                elif x == -g:
+                    w.extend(-y for y in reversed(sub))
+                else:
+                    w.append(x)
+            new_rels.append(_free_reduce(tuple(w)))
+        gens.remove(g)
+        rels = new_rels
+    return not gens

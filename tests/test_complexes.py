@@ -60,6 +60,17 @@ def test_build_empty_below_q(sym3):
     assert len(cx.vertices) == 0
 
 
+def test_build_complex_edges_match_set_loop():
+    # the pairwise set-intersection loop that build_complex used before support masks
+    for q, d in product((2, 3), ("sym", "triv")):
+        for n in range(1, 10):
+            cx = build_complex(Config.make(q, 1, d), n)
+            vs = cx.vertices
+            edges = tuple((i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
+                          if not set(vs[i].support) & set(vs[j].support))
+            assert cx.edges == edges, (q, d, n)
+
+
 def test_vertex_count_formula(sym3, triv2):
     # C(n, q) * q! / |D|
     assert len(build_complex(sym3, 5).vertices) == 10

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 from dense_snf import smith_normal_form
-from homology_oracle import boundary_columns_oracle, reduced_homology_oracle
+from homology_oracle import (boundary_columns_oracle, reduced_homology_oracle,
+                             tietze_trivializes_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -433,6 +434,18 @@ def test_pi1_never_false_trivial_on_torsion():
     assert rep["h1_torsion"] == [2]
 
 
+def _spy_presentations(cx, budgets):
+    """pi1_report statuses at each budget, and the presentation it hands to the search."""
+    seen = []
+    search = homology._tietze_trivializes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_tietze_trivializes",
+                   lambda ngens, rels, budget: seen.append((ngens, rels)) or search(ngens, rels, budget))
+        statuses = [pi1_report(cx, b)["status"] for b in budgets]
+    assert all(p == seen[0] for p in seen)
+    return statuses, seen[0]
+
+
 def test_pi1_unknown_with_tiny_budget():
     simps = [
         [(i,) for i in range(4)],
@@ -440,4 +453,72 @@ def test_pi1_unknown_with_tiny_budget():
         list(combinations(range(4), 3)),
     ]
     cx = complex_from_simplices(simps)
-    assert pi1_report(cx, budget=0)["status"] in ("trivial", "unknown")
+    # budget 0 never enters the search; 3 is the oracle's smallest budget that
+    # eliminates all three generators, one unit each
+    statuses, (ngens, rels) = _spy_presentations(cx, [0, 2, 3])
+    assert statuses == ["unknown", "unknown", "trivial"]
+    assert [tietze_trivializes_oracle(ngens, rels, b) for b in (2, 3)] == [False, True]
+
+
+def _random_presentation(rng):
+    """5-40 generators and relators of length 1-6, more than 64 letters in all."""
+    ngens = rng.randint(5, 40)
+    m = rng.randint(ngens // 2, 2 * ngens)
+    rels = []
+    while len(rels) < m or sum(map(len, rels)) <= 64:
+        rels.append(tuple(rng.choice((1, -1)) * rng.randint(1, ngens)
+                          for _ in range(rng.randint(1, 6))))
+    return ngens, rels
+
+
+def test_tietze_matches_oracle_on_random_presentations():
+    rng = Random(20261018)
+    outcomes = {False: 0, True: 0}
+    for _ in range(25):
+        ngens, rels = _random_presentation(rng)
+        for budget in [*range(1, 121), 10**6]:
+            got = homology._tietze_trivializes(ngens, rels, budget)
+            assert got == tietze_trivializes_oracle(ngens, rels, budget), (ngens, rels, budget)
+            outcomes[got] += 1
+    assert min(outcomes.values()) > 0.3 * sum(outcomes.values()), outcomes
+
+
+def test_tietze_budget_counts_relators_before_cyclic_reduction():
+    # Step 1 (134 letters, cost 2) sets 1 = 2^-1, which turns (1, 1, 2) into
+    # (2^-1) and each (1, p, 2) into the conjugate (2^-1, p, 2): 130 letters
+    # before cyclic reduction, 44 after.  Step 2 costs 130 // 64 = 2, not 1, and
+    # the 43 later steps 1 each, so all 45 generators die from budget 47 on.
+    ngens = 45
+    rels = [(1, 2), (1, 1, 2)] + [(1, p, 2) for p in range(3, ngens + 1)]
+    for budget in range(1, 121):
+        assert (homology._tietze_trivializes(ngens, rels, budget)
+                == tietze_trivializes_oracle(ngens, rels, budget)), budget
+    assert next(b for b in range(1, 121) if tietze_trivializes_oracle(ngens, rels, b)) == 47
+
+
+@pytest.fixture(scope="module")
+def grid_presentations():
+    """What pi1_report searches at q=2 sym n=8 and 9 and triv n=8, budget 5000."""
+    out = {}
+    for d, n in (("sym", 8), ("sym", 9), ("triv", 8)):
+        cx = build_complex(Config.make(2, 1, d), n).chain_complex(2)
+        (status,), (ngens, rels) = _spy_presentations(cx, [5000])
+        out[d, n] = ngens, rels, status
+    return out
+
+
+def test_tietze_matches_oracle_on_grid_presentations(grid_presentations):
+    shapes = {k: (ngens, len(rels), status) for k, (ngens, rels, status) in grid_presentations.items()}
+    assert shapes == {("sym", 8): (183, 420, "trivial"), ("sym", 9): (343, 1260, "unknown"),
+                      ("triv", 8): (785, 3360, "unknown")}
+    for ngens, rels, _ in grid_presentations.values():
+        for budget in (1, 64, 500, 5000):
+            assert (homology._tietze_trivializes(ngens, rels, budget)
+                    == tietze_trivializes_oracle(ngens, rels, budget)), (ngens, budget)
+
+
+def test_tietze_smallest_proving_budget_on_grid(grid_presentations):
+    ngens, rels, _ = grid_presentations["sym", 8]
+    smallest = 1500  # the oracle's smallest budget that proves q=2 sym n=8 trivial
+    assert [tietze_trivializes_oracle(ngens, rels, b) for b in (smallest - 1, smallest)] == [False, True]
+    assert [homology._tietze_trivializes(ngens, rels, b) for b in (smallest - 1, smallest)] == [False, True]
