@@ -517,8 +517,9 @@ def _tietze_trivializes(ngens: int, relators: list[tuple[int, ...]], budget: int
     reduction cancels are not taken out).  A step rewrites and free-reduces
     only the relators in the eliminated generator's index entry, and the next
     step cyclically reduces only those.  A heap holds (length, position) for
-    the relators with a once-occurring generator; entries are checked when
-    popped, and dropped if their relator is gone or has changed since.
+    the relators with a once-occurring generator; an entry is checked when it
+    reaches the top, and dropped if its relator is gone, has another length
+    now, or has no once-occurring generator left.
 
     The decisions are those of re-reducing, re-sorting and rewriting every
     relator on every step (``tietze_trivializes_oracle`` in the tests):
@@ -550,7 +551,7 @@ def _tietze_trivializes(ngens: int, relators: list[tuple[int, ...]], budget: int
         steps += max(1, total // 64)
         for p in touched:
             r = rels[p]
-            if len(r) >= 2 and r[0] == -r[-1]:
+            if len(r) >= 2 and r[0] == -r[-1]:  # free-reduced: only the ends can cancel
                 c = _cyc_reduce(r)
                 total -= len(r) - len(c)
                 rels[p] = r = c
