@@ -32,7 +32,6 @@ from .homology import (  # noqa: F401
     ChainComplex,
     HomologyResult,
     flag_complex,
-    is_k_acyclic,
     pi1_report,
     reduced_homology,
 )

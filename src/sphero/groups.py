@@ -679,7 +679,7 @@ def element_from_json(data: dict) -> TreePair:
 
 
 # ---------------------------------------------------------------------------
-# random elements (seeded; used by property tests and the CLI self-checks)
+# random elements (seeded; used by the property tests and tests/golden_cases.py)
 
 
 def random_partition(rng: Random, config: Config, n: int, max_depth: int) -> LeafPartition:

@@ -413,28 +413,21 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     return HomologyResult(betti, torsion)
 
 
-def is_k_acyclic(cx: ChainComplex, k: int) -> tuple[bool, HomologyResult]:
-    """Whether reduced homology vanishes in degrees 0..k, with the certificate.
-
-    For k < 0 the condition degenerates to nonemptiness.
-    """
-    res = reduced_homology(cx, max(k, 0))
-    if k < 0:
-        return cx.n_cells(0) > 0, res
-    return res.is_trivial_through(k), res
-
-
 # ---------------------------------------------------------------------------
 # bounded fundamental group search
 
 
-def pi1_report(cx: ChainComplex, budget: int = 5000) -> dict:
+def pi1_report(cx: ChainComplex, h1: HomologyResult, budget: int = 5000) -> dict:
     """Three-valued simple-connectivity report from the edge-path group.
 
+    ``h1`` is the reduced homology of ``cx`` through degree 1 or more, as the
+    caller already computed it; its degree-1 group is the abelianization.
     "trivial" is only answered when the presentation simplifies to nothing
     within budget; "nontrivial" only with an abelianization witness, so a
     "trivial" answer is always sound.
     """
+    if len(h1.betti) < 2:
+        raise HomologyError("pi1 report needs the reduced homology through degree 1")
     n0 = cx.n_cells(0)
     if n0 == 0:
         raise HomologyError("empty complex")
@@ -461,7 +454,6 @@ def pi1_report(cx: ChainComplex, budget: int = 5000) -> dict:
     gen_of_edge = {ei: g for g, ei in enumerate(sorted(e for e in range(len(edges)) if e not in tree))}
     if not gen_of_edge:
         return {"status": "trivial", "generators": 0, "relators": 0}
-    h1 = reduced_homology(cx, 1)
     if h1.betti[1] > 0 or h1.torsion[1]:
         return {"status": "nontrivial", "h1_betti": h1.betti[1], "h1_torsion": list(h1.torsion[1])}
 
@@ -601,20 +593,3 @@ def _tietze_trivializes(ngens: int, relators: list[tuple[int, ...]], budget: int
             occ[a].update(touched)
         gens.remove(g)
     return not gens
-
-
-def simplicial_join(a: ChainComplex, b: ChainComplex) -> ChainComplex:
-    """Join of two simplicial complexes (independent oracle for category joins).
-
-    Vertices of the two inputs are tagged to stay disjoint; simplices are all
-    unions of a simplex from each side (or from one side alone).
-    """
-    sa = [[tuple(("a", v) for v in s) for s in cells] for cells in a.basis]
-    sb = [[tuple(("b", v) for v in s) for s in cells] for cells in b.basis]
-    by_dim: list[set] = [set() for _ in range(a.dim + b.dim + 2)]
-    for d, cells in [*enumerate(sa), *enumerate(sb)]:
-        by_dim[d].update(cells)
-    for da, cells_a in enumerate(sa):
-        for db, cells_b in enumerate(sb):
-            by_dim[da + db + 1].update(tuple(sorted(s + t)) for s in cells_a for t in cells_b)
-    return complex_from_simplices([sorted(cells) for cells in by_dim if cells])

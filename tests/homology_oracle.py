@@ -6,11 +6,12 @@ homology-direction loop: it hands every boundary matrix, in its own column
 order and without clearing, to ``sparse_invariant_factors``: no spanning forest
 for the first boundary, no transpose and no cleared columns.
 ``tietze_trivializes_oracle`` is the generator elimination that re-reduces,
-re-sorts and rewrites every relator on every step.
+re-sorts and rewrites every relator on every step.  ``simplicial_join`` is
+the join of two simplicial complexes, the oracle for ``sphero.posets.join``.
 """
 
 from sphero.homology import (ChainComplex, Column, HomologyResult, _cyc_reduce, _free_reduce,
-                             sparse_invariant_factors)
+                             complex_from_simplices, sparse_invariant_factors)
 
 
 def boundary_columns_oracle(cx: ChainComplex, d: int) -> list[Column]:
@@ -90,3 +91,20 @@ def tietze_trivializes_oracle(ngens: int, relators: list[tuple[int, ...]], budge
         gens.remove(g)
         rels = new_rels
     return not gens
+
+
+def simplicial_join(a: ChainComplex, b: ChainComplex) -> ChainComplex:
+    """Join of two simplicial complexes (independent oracle for category joins).
+
+    Vertices of the two inputs are tagged to stay disjoint; simplices are all
+    unions of a simplex from each side (or from one side alone).
+    """
+    sa = [[tuple(("a", v) for v in s) for s in cells] for cells in a.basis]
+    sb = [[tuple(("b", v) for v in s) for s in cells] for cells in b.basis]
+    by_dim: list[set] = [set() for _ in range(a.dim + b.dim + 2)]
+    for d, cells in [*enumerate(sa), *enumerate(sb)]:
+        by_dim[d].update(cells)
+    for da, cells_a in enumerate(sa):
+        for db, cells_b in enumerate(sb):
+            by_dim[da + db + 1].update(tuple(sorted(s + t)) for s in cells_a for t in cells_b)
+    return complex_from_simplices([sorted(cells) for cells in by_dim if cells])

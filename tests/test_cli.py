@@ -1,4 +1,5 @@
 import json
+import sys
 
 from sphero.cli import main
 from sphero.groups import Config, element_to_json, identity_element, inverse
@@ -119,6 +120,48 @@ def test_desclink_full_and_star_enumerates_once(tmp_path, monkeypatch):
     assert run(["desclink", "--q", "2", "--subgroup", "sym", "--n", "4", "--full", "--star",
                 "--out", str(tmp_path / "dl.json")]) == 0
     assert calls == {"split_records": 1, "split_class_poset": 1}
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call to module.name, in each sphero module that binds it."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "sphero" or mod_name.startswith("sphero.")) and vars(mod).get(name) is fn:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_verify_nu_reduces_each_row_once(tmp_path, monkeypatch):
+    # the CSV and the pi1 report share one reduction through max(nu + 1, 1)
+    from sphero import homology
+
+    for d, nmax in (("sym", "9"), ("triv", "8")):
+        calls = _spy(monkeypatch, homology, "reduced_homology")
+        out = tmp_path / f"nu-{d}.csv"
+        assert run(["verify-nu", "--q", "2", "--subgroup", d, "--nmax", nmax,
+                    "--pi1-budget", "5000", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        nonempty = [r for r in rows if r[2]]
+        assert len(nonempty) == int(nmax) - 1
+        assert [through for _cx, through in calls] == [max(int(r[1]) + 1, 1) for r in nonempty]
+        monkeypatch.undo()
+
+
+def test_desclink_takes_no_isomorphism_quotient(tmp_path, monkeypatch):
+    # split posets are honest, so their order complexes are taken as they are
+    from sphero import posets
+
+    calls = _spy(monkeypatch, posets, "underlying_poset")
+    assert run(["desclink", "--q", "2", "--subgroup", "sym", "--n", "4", "--full", "--star",
+                "--out", str(tmp_path / "dl.json"),
+                "--homology-csv", str(tmp_path / "dl.csv")]) == 0
+    assert calls == []
 
 
 def test_desclink_n1_empty(tmp_path):

@@ -275,6 +275,18 @@ def test_lk_star_homology_matches_complex(sym2, triv2):
             assert res_star.torsion == res_cx.torsion
 
 
+@pytest.mark.parametrize("q,d,n", [(2, "sym", 4), (2, "triv", 4), (3, "sym", 5), (2, "sym", 5)])
+def test_split_posets_are_honest(q, d, n):
+    # every arrow adds blocks, so desclink takes order complexes with no quotient
+    config = Config.make(q, 1, d)
+    records = split_records(config, n)
+    full = split_class_poset(config, n, records=records)
+    star, _ = elementary_split_poset(config, n, records=records, full=full)
+    for poset in (full, star):
+        assert poset.objects and not poset.iso_pairs()
+        assert underlying_poset(poset)[0] == poset
+
+
 def test_block_canonicalization(sym2, triv2):
     block_a = (((0,), 1), ((1,), 2))
     block_b = (((0,), 2), ((1,), 1))

@@ -17,7 +17,6 @@ from sphero.homology import (
     _sparse_snf_full,
     complex_from_simplices,
     flag_complex,
-    is_k_acyclic,
     pi1_report,
     reduced_homology,
     sparse_invariant_factors,
@@ -206,8 +205,8 @@ def test_flag_petersen():
     assert cx.n_cells(1) == 15 and cx.n_cells(2) == 0
     res = reduced_homology(cx, 1)
     assert res.betti == (0, 6)
-    ok0, _ = is_k_acyclic(cx, 0)
-    ok1, _ = is_k_acyclic(cx, 1)
+    ok0 = reduced_homology(cx, 0).is_trivial_through(0)
+    ok1 = reduced_homology(cx, 1).is_trivial_through(1)
     assert ok0 and not ok1
 
 
@@ -215,15 +214,15 @@ def test_flag_disjoint_edges():
     cx = flag_complex([1, 2, 3, 4, 5, 6], [(1, 2), (3, 4), (5, 6)], 2)
     res = reduced_homology(cx, 1)
     assert res.betti[0] == 2
-    assert not is_k_acyclic(cx, 0)[0]
+    assert not reduced_homology(cx, 0).is_trivial_through(0)
 
 
 def test_reduced_homology_point():
     cx = complex_from_simplices([[("p",)]])
     res = reduced_homology(cx, 2)
     assert res.betti == (0, 0, 0)
-    assert is_k_acyclic(cx, 2)[0]
-    assert is_k_acyclic(cx, -1)[0]
+    assert res.is_trivial_through(2)
+    assert cx.n_cells(0) > 0  # (-1)-acyclic: nonempty
 
 
 def test_reduced_homology_sphere_boundary():
@@ -407,20 +406,27 @@ def test_pi1_two_sphere_trivial():
         list(combinations(range(4), 3)),
     ]
     cx = complex_from_simplices(simps)
-    assert pi1_report(cx)["status"] == "trivial"
+    assert pi1_report(cx, reduced_homology(cx, 1))["status"] == "trivial"
 
 
 def test_pi1_circle_nontrivial():
     cx = complex_from_simplices([[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)]])
-    rep = pi1_report(cx)
+    rep = pi1_report(cx, reduced_homology(cx, 1))
     assert rep["status"] == "nontrivial"
     assert rep["h1_betti"] == 1
 
 
 def test_pi1_requires_connected():
     cx = complex_from_simplices([[(1,), (2,)]])
+    h1 = reduced_homology(cx, 1)
     with pytest.raises(HomologyError):
-        pi1_report(cx)
+        pi1_report(cx, h1)
+
+
+def test_pi1_requires_homology_through_degree_one():
+    cx = complex_from_simplices([[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)]])
+    with pytest.raises(HomologyError):
+        pi1_report(cx, reduced_homology(cx, 0))
 
 
 def test_pi1_never_false_trivial_on_torsion():
@@ -429,7 +435,7 @@ def test_pi1_never_false_trivial_on_torsion():
             (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
     edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
     cx = complex_from_simplices([[(i,) for i in range(6)], edges, sorted(tris)])
-    rep = pi1_report(cx)
+    rep = pi1_report(cx, reduced_homology(cx, 1))
     assert rep["status"] == "nontrivial"
     assert rep["h1_torsion"] == [2]
 
@@ -438,10 +444,11 @@ def _spy_presentations(cx, budgets):
     """pi1_report statuses at each budget, and the presentation it hands to the search."""
     seen = []
     search = homology._tietze_trivializes
+    h1 = reduced_homology(cx, 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "_tietze_trivializes",
                    lambda ngens, rels, budget: seen.append((ngens, rels)) or search(ngens, rels, budget))
-        statuses = [pi1_report(cx, b)["status"] for b in budgets]
+        statuses = [pi1_report(cx, h1, b)["status"] for b in budgets]
     assert all(p == seen[0] for p in seen)
     return statuses, seen[0]
 

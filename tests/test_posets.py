@@ -1,10 +1,11 @@
 from random import Random
 
 import pytest
+from homology_oracle import simplicial_join
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphero.homology import reduced_homology, simplicial_join
+from sphero.homology import reduced_homology
 from sphero.posets import (
     GenPoset,
     PosetError,
