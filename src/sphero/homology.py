@@ -1,11 +1,13 @@
 """Exact integral simplicial homology via Smith normal form.
 
-A chain complex is its simplex bases.  Boundary matrices are not stored:
-one face enumeration derives them, as sparse integer columns, from the
-bases, so boundary squared vanishes by construction.  They are reduced by
-one elimination: a unit-pivot column pass, then a Euclidean sparse Smith
-normal form on the leftover core of columns with non-unit lows, cleared on
-the pivot rows (empty on torsion-free instances).  Entries are Python
+A chain complex is its vertex labels and its simplices, each an int bitmask
+(bit i is vertices[i], as Ripser's simplices are integers) oriented by the
+vertex order.  Boundary matrices are not stored: one face enumeration derives
+them as sparse integer columns, face i of s being s less its i-th lowest bit
+with sign (-1)^i, so boundary squared vanishes by construction.  They are
+reduced by one elimination: a unit-pivot column pass, then a Euclidean sparse
+Smith normal form on the leftover core of columns with non-unit lows, cleared
+on the pivot rows (empty on torsion-free instances).  Entries are Python
 integers, so no overflow is possible.
 
 ``reduced_homology`` needs only the rank and invariant factors of each
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 Column = dict[int, int]
@@ -46,49 +49,44 @@ class HomologyError(ValueError):
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """A simplicial complex as ordered simplex bases, one per dimension.
+    """A simplicial complex as vertex labels and ordered cells, one tuple per dimension.
 
-    basis[d] lists the d-simplices as sorted vertex tuples.  Boundaries are
-    not stored: ``faces`` derives them from the bases, so every boundary
-    squares to zero by construction.
+    cells[d] lists the d-simplices as int bitmasks, bit i standing for
+    vertices[i], so cells[0] is (1, 2, 4, ...); each simplex is oriented by the
+    vertex order.  ``faces`` derives the boundaries from the cells.
     """
 
-    basis: tuple[tuple[tuple, ...], ...]
+    vertices: tuple
+    cells: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def basis(self) -> tuple[tuple[tuple, ...], ...]:
+        """basis[d] lists the d-simplices as vertex tuples in vertex order, derived on first use."""
+        verts = self.vertices  # the binary digits of s, lowest first, pick its vertices
+        return tuple(tuple(tuple(v for v, b in zip(verts, f"{s:b}"[::-1]) if b == "1") for s in cells)
+                     for cells in self.cells)
 
     @property
     def dim(self) -> int:
-        return len(self.basis) - 1
+        return len(self.cells) - 1
 
     def n_cells(self, d: int) -> int:
-        if 0 <= d < len(self.basis):
-            return len(self.basis[d])
-        return 0
+        return len(self.cells[d]) if 0 <= d < len(self.cells) else 0
 
     def faces(self, d: int) -> Iterator[tuple[int, int, int]]:
         """(cell index, face index, sign) for every face of every d-cell, 1 <= d <= dim.
 
-        Face i of a simplex drops its vertex i and carries the sign (-1)^i.
-        A face missing from basis[d-1] raises HomologyError.
+        Face i of a simplex drops its i-th lowest bit and carries the sign
+        (-1)^i.
         """
-        index = {s: i for i, s in enumerate(self.basis[d - 1])}
-        for j, s in enumerate(self.basis[d]):
-            sign = 1
-            for i in range(len(s)):
-                try:
-                    r = index[s[:i] + s[i + 1:]]
-                except KeyError:
-                    raise HomologyError(f"a face of {s} is not a {d - 1}-cell") from None
-                yield j, r, sign
+        index = {s: i for i, s in enumerate(self.cells[d - 1])}
+        for j, s in enumerate(self.cells[d]):
+            m, sign = s, 1
+            while m:
+                low = m & -m
+                m ^= low
+                yield j, index[s ^ low], sign
                 sign = -sign
-
-    def boundary_columns(self, d: int) -> list[Column]:
-        """Columns of the boundary map from dimension d, empty beyond range."""
-        if not 1 <= d <= self.dim:
-            return []
-        cols: list[Column] = [{} for _ in self.basis[d]]
-        for j, r, v in self.faces(d):
-            cols[j][r] = v
-        return cols
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.n_cells(d) for d in range(self.dim + 1))
@@ -111,61 +109,88 @@ class ChainComplex:
         It holds by construction, so only tests call this, as an oracle.
         """
         for d in range(2, self.dim + 1):
-            lower = self.boundary_columns(d - 1)
-            for j, col in enumerate(self.boundary_columns(d)):
-                acc: Column = {}
-                for r, v in col.items():
-                    for rr, vv in lower[r].items():
-                        nv = acc.get(rr, 0) + v * vv
-                        if nv:
-                            acc[rr] = nv
-                        else:
-                            acc.pop(rr, None)
-                if acc:
+            lower: list[Column] = [{} for _ in range(self.n_cells(d - 1))]
+            for j, r, v in self.faces(d - 1):
+                lower[j][r] = v
+            acc: list[Column] = [{} for _ in range(self.n_cells(d))]
+            for j, r, v in self.faces(d):
+                for rr, vv in lower[r].items():
+                    acc[j][rr] = acc[j].get(rr, 0) + v * vv
+            for j, col in enumerate(acc):
+                if any(col.values()):
                     raise HomologyError(f"boundary squared nonzero at dim {d}, column {j}")
 
 
 def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
-    """The complex with these sorted simplex lists (vertex tuples sorted) as its bases."""
-    return ChainComplex(tuple(tuple(s) for s in simplices_by_dim))
+    """The complex with these simplex lists, in their order, as its cells.
+
+    The 0-cells fix the vertex order and so the orientation of every simplex,
+    whatever the order of its tuple.  Raises HomologyError on a simplex of the
+    wrong length for its dimension, a repeated vertex, a vertex that is not a
+    0-cell, a face that is not a cell, or a simplex listed twice.
+    """
+    bit: dict = {}
+    cells: list[tuple[int, ...]] = []
+    for d, simplices in enumerate(simplices_by_dim):
+        lower = set(cells[-1]) if cells else set()
+        masks = []
+        for s in simplices:
+            if len(s) != d + 1:
+                raise HomologyError(f"{s!r} has {len(s)} vertices, not {d + 1}")
+            if d == 0:
+                bit.setdefault(s[0], 1 << len(bit))  # a repeated 0-cell keeps its first bit
+            try:
+                bits = [bit[v] for v in s]
+            except KeyError:
+                raise HomologyError(f"a vertex of {s!r} is not a 0-cell") from None
+            m = sum(bits)  # a repeated vertex carries, leaving fewer than d + 1 bits
+            if m.bit_count() != d + 1:
+                raise HomologyError(f"{s!r} repeats a vertex")
+            if d and not lower.issuperset(map(m.__xor__, bits)):  # the faces m ^ b
+                raise HomologyError(f"a face of {s!r} is not a {d - 1}-cell")
+            masks.append(m)
+        if len(set(masks)) != len(masks):
+            raise HomologyError(f"a {d}-simplex is listed twice")
+        cells.append(tuple(masks))
+    return ChainComplex(tuple(bit), tuple(cells))
 
 
 def flag_complex(vertices: list, edges: list[tuple], max_dim: int) -> ChainComplex:
-    """Clique complex of a simple graph, truncated above max_dim.
+    """Clique complex of a simple graph on its sorted vertices, truncated above max_dim.
 
-    Cliques are extended by larger vertices only, in increasing order, from a
-    lexicographically ordered frontier, so each dimension comes out sorted.
+    Each clique is extended by its common neighbours above its highest bit, in
+    increasing order, from cliques in lexicographic order, so each dimension
+    comes out sorted.
     """
     verts = sorted(set(vertices))
-    vindex = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj = [0] * n
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    if stray := {v for e in edges for v in e} - bit.keys():
+        raise HomologyError(f"edge endpoints that are not vertices: {stray!r}")
+    adj = dict.fromkeys(bit.values(), 0)
     for a, b in edges:
-        i, j = vindex[a], vindex[b]
-        if i == j:
+        x, y = bit[a], bit[b]
+        if x == y:
             raise HomologyError("loops are not allowed")
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    by_dim: list[list[tuple]] = [[(v,) for v in verts]]
-    frontier = [((i,), adj[i] & ~((1 << (i + 1)) - 1)) for i in range(n)]
-    d = 0
-    while d < max_dim:
-        nxt = []
-        cells = []
-        for clique, allowed in frontier:
-            m = allowed
+        adj[x] |= y
+        adj[y] |= x
+    cells = [tuple(adj)]
+    # the last cells, each with its common neighbours above its highest bit
+    cliques, above = list(adj), [adj[x] & -(x << 1) for x in adj]
+    while len(cells) <= max_dim:
+        top = len(cells) == max_dim  # cells of the top dimension are not extended
+        nxt, nxt_above = [], []
+        for clique, m in zip(cliques, above):
             while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                bigger = clique + (j,)
-                cells.append(tuple(verts[k] for k in bigger))
-                nxt.append((bigger, allowed & adj[j] & ~((1 << (j + 1)) - 1)))
-        if not cells:
+                low = m & -m
+                m ^= low  # m keeps the common neighbours above low
+                nxt.append(clique | low)
+                if not top:
+                    nxt_above.append(m & adj[low])
+        if not nxt:
             break
-        by_dim.append(cells)
-        frontier = nxt
-        d += 1
-    return complex_from_simplices(by_dim)
+        cells.append(tuple(nxt))
+        cliques, above = nxt, nxt_above
+    return ChainComplex(tuple(verts), tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +375,8 @@ class HomologyResult:
         return all(self.betti[d] == 0 and not self.torsion[d] for d in range(k + 1))
 
 
-def _spanning_forest(n0: int, edges: list[Column]) -> set[int]:
-    """Indices of the edges that Kruskal's union-find keeps, in column order."""
+def _spanning_forest(n0: int, edges: tuple[int, ...]) -> set[int]:
+    """Indices of the edges (vertex bitmasks) that Kruskal's union-find keeps, in order."""
     parent = list(range(n0))
 
     def find(x: int) -> int:
@@ -360,8 +385,8 @@ def _spanning_forest(n0: int, edges: list[Column]) -> set[int]:
         return x
 
     forest = set()
-    for j, col in enumerate(edges):
-        a, b = map(find, col)
+    for j, e in enumerate(edges):
+        a, b = find((e & -e).bit_length() - 1), find(e.bit_length() - 1)
         if a != b:
             parent[a] = b
             forest.add(j)
@@ -401,7 +426,7 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
             f, r = [], 0
         elif d == 1:
             # an incidence matrix: totally unimodular, rank from a spanning forest
-            cleared = _spanning_forest(n0, cx.boundary_columns(1))
+            cleared = _spanning_forest(n0, cx.cells[1])
             f, r = [1] * len(cleared), len(cleared)
         else:
             pivots: set[int] = set()
@@ -431,48 +456,39 @@ def pi1_report(cx: ChainComplex, h1: HomologyResult, budget: int = 5000) -> dict
     n0 = cx.n_cells(0)
     if n0 == 0:
         raise HomologyError("empty complex")
-    verts = list(cx.basis[0])
-    vid = {v: i for i, v in enumerate(verts)}
-    edges = list(cx.basis[1]) if cx.dim >= 1 else []
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n0)}
-    for ei, (a, b) in enumerate(edges):
-        adj[vid[(a,)]].append((vid[(b,)], ei))
-        adj[vid[(b,)]].append((vid[(a,)], ei))
+    edges = cx.cells[1] if cx.dim >= 1 else ()
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n0)]
+    for ei, e in enumerate(edges):
+        a, b = (e & -e).bit_length() - 1, e.bit_length() - 1
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
     # spanning tree by BFS
-    parent_edge: dict[int, int] = {}
+    tree: set[int] = set()
     seen = {0}
     queue = [0]
     for x in queue:  # the queue grows while it is walked
         for y, ei in adj[x]:
             if y not in seen:
                 seen.add(y)
-                parent_edge[y] = ei
+                tree.add(ei)
                 queue.append(y)
     if len(seen) != n0:
         raise HomologyError("pi1 report requires a connected complex")
-    tree = set(parent_edge.values())
-    gen_of_edge = {ei: g for g, ei in enumerate(sorted(e for e in range(len(edges)) if e not in tree))}
-    if not gen_of_edge:
+    # edges run from their lower bit to their higher one; tree edges get no letter
+    letter = {e: g + 1 for g, e in enumerate(e for ei, e in enumerate(edges) if ei not in tree)}
+    if not letter:
         return {"status": "trivial", "generators": 0, "relators": 0}
     if h1.betti[1] > 0 or h1.torsion[1]:
         return {"status": "nontrivial", "h1_betti": h1.betti[1], "h1_torsion": list(h1.torsion[1])}
-
-    def edge_word(a, b) -> tuple[int, ...]:
-        ei = eindex[(a, b) if a < b else (b, a)]
-        if ei in tree:
-            return ()
-        g = gen_of_edge[ei]
-        return (g + 1,) if a < b else (-(g + 1),)
-
-    eindex = {e: i for i, e in enumerate(edges)}
     relators = []
-    if cx.dim >= 2:
-        for (a, b, c) in cx.basis[2]:
-            w = edge_word(a, b) + edge_word(b, c) + tuple(-x for x in reversed(edge_word(a, c)))
-            relators.append(_free_reduce(w))
-    status = _tietze_trivializes(len(gen_of_edge), relators, budget)
+    for t in cx.cells[2] if cx.dim >= 2 else ():
+        # the triangle a < b < c reads ab, bc, then ac backwards; 0 is the empty word
+        low, high = t & -t, 1 << (t.bit_length() - 1)
+        relators.append(_free_reduce((letter.get(t ^ high, 0), letter.get(t ^ low, 0),
+                                      -letter.get(low | high, 0))))
+    status = _tietze_trivializes(len(letter), relators, budget)
     return {"status": "trivial" if status else "unknown",
-            "generators": len(gen_of_edge), "relators": len(relators)}
+            "generators": len(letter), "relators": len(relators)}
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:

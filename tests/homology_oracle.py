@@ -1,10 +1,13 @@
 """Oracles for ``sphero.homology``, kept from the code they replaced.
 
+``flag_complex_oracle`` is the clique search that built every simplex as a
+vertex tuple, before chain complexes held vertex bitmasks.
 ``boundary_columns_oracle`` is the column builder that chain complexes used
-when they stored their boundary matrices.  ``reduced_homology_oracle`` is the
-homology-direction loop: it hands every boundary matrix, in its own column
-order and without clearing, to ``sparse_invariant_factors``: no spanning forest
-for the first boundary, no transpose and no cleared columns.
+when they stored their boundary matrices; it slices the tuple ``basis``.
+``reduced_homology_oracle`` is the homology-direction loop: it hands every
+boundary matrix, in its own column order and without clearing, to
+``sparse_invariant_factors``: no spanning forest for the first boundary, no
+transpose and no cleared columns.
 ``tietze_trivializes_oracle`` is the generator elimination that re-reduces,
 re-sorts and rewrites every relator on every step.  ``simplicial_join`` is
 the join of two simplicial complexes, the oracle for ``sphero.posets.join``.
@@ -12,6 +15,42 @@ the join of two simplicial complexes, the oracle for ``sphero.posets.join``.
 
 from sphero.homology import (ChainComplex, Column, HomologyResult, _cyc_reduce, _free_reduce,
                              complex_from_simplices, sparse_invariant_factors)
+
+
+def flag_complex_oracle(vertices: list, edges: list[tuple], max_dim: int) -> list[list[tuple]]:
+    """Simplex tuples per dimension of the clique complex, truncated above max_dim.
+
+    Cliques are extended by larger vertices only, in increasing order, from a
+    lexicographically ordered frontier, so each dimension comes out sorted.
+    """
+    verts = sorted(set(vertices))
+    vindex = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    adj = [0] * n
+    for a, b in edges:
+        i, j = vindex[a], vindex[b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    by_dim: list[list[tuple]] = [[(v,) for v in verts]]
+    frontier = [((i,), adj[i] & ~((1 << (i + 1)) - 1)) for i in range(n)]
+    d = 0
+    while d < max_dim:
+        nxt = []
+        cells = []
+        for clique, allowed in frontier:
+            m = allowed
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                bigger = clique + (j,)
+                cells.append(tuple(verts[k] for k in bigger))
+                nxt.append((bigger, allowed & adj[j] & ~((1 << (j + 1)) - 1)))
+        if not cells:
+            break
+        by_dim.append(cells)
+        frontier = nxt
+        d += 1
+    return by_dim
 
 
 def boundary_columns_oracle(cx: ChainComplex, d: int) -> list[Column]:

@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 from dense_snf import smith_normal_form
-from homology_oracle import (boundary_columns_oracle, reduced_homology_oracle,
-                             tietze_trivializes_oracle)
+from homology_oracle import (boundary_columns_oracle, flag_complex_oracle,
+                             reduced_homology_oracle, tietze_trivializes_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +70,16 @@ def test_snf_random_certified_and_matches_sparse(seed):
     sfactors, srank = sparse_invariant_factors([c for c in cols if c])
     assert srank == rank
     assert sorted(x for x in sfactors if x > 1) == sorted(x for x in factors if x > 1)
+
+
+def _face_columns(cx, d):
+    """Boundary columns from dimension d, read off ``faces``; empty beyond range."""
+    if not 1 <= d <= cx.dim:
+        return []
+    cols = [{} for _ in range(cx.n_cells(d))]
+    for j, r, v in cx.faces(d):
+        cols[j][r] = v
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ def test_schur_core_has_no_entry_on_a_pivot_row(cores):
 
 def test_schur_core_on_matching_complex_boundary(cores):
     # d_3 of the q=2 sym complex at n=9 carries 8 x Z/3
-    cols = build_complex(Config.make(2, 1, "sym"), 9).chain_complex(3).boundary_columns(3)
+    cols = _face_columns(build_complex(Config.make(2, 1, "sym"), 9).chain_complex(3), 3)
     factors, rank = sparse_invariant_factors(cols)
     want_factors, want_rank = _sparse_snf_full(cols)
     assert (sorted(factors), rank) == (sorted(want_factors), want_rank)
@@ -240,6 +250,35 @@ def test_basis_not_closed_under_faces_raises():
             reduced_homology(complex_from_simplices(simplices), 2)
 
 
+def test_repeated_vertex_raises():
+    with pytest.raises(HomologyError, match="repeats a vertex"):
+        complex_from_simplices([[(1,), (2,)], [(1, 1)]])
+
+
+def test_vertex_that_is_not_a_zero_cell_raises():
+    with pytest.raises(HomologyError, match="not a 0-cell"):
+        complex_from_simplices([[(1,), (2,)], [(1, 3)]])
+
+
+def test_simplex_of_the_wrong_length_raises():
+    for simplices in ([[(1, 2)]], [[(1,), (2,), (3,)], [(1, 2, 3)]], [[()]]):
+        with pytest.raises(HomologyError, match="vertices, not"):
+            complex_from_simplices(simplices)
+
+
+def test_repeated_simplex_raises():
+    # two copies of one triangle would otherwise give a 2-cycle
+    edges = list(combinations((1, 2, 3), 2))
+    for simplices in ([[(1,), (1,)]], [[(1,), (2,), (3,)], edges, [(1, 2, 3), (1, 2, 3)]]):
+        with pytest.raises(HomologyError, match="listed twice"):
+            complex_from_simplices(simplices)
+
+
+def test_flag_edge_endpoint_that_is_not_a_vertex_raises():
+    with pytest.raises(HomologyError, match="not vertices"):
+        flag_complex([1, 2], [(1, 2), (2, 3)], 2)
+
+
 RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
                  (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
 
@@ -268,6 +307,27 @@ def test_flag_complex_bases_come_out_sorted():
             want = [c for c in combinations(sorted(labels), d + 1)
                     if all(frozenset(p) in adjacent for p in combinations(c, 2))]
             assert list(cells) == want
+
+
+def test_flag_complex_matches_tuple_oracle():
+    # masks against the tuple clique search they replaced: the same bases, the
+    # same boundary columns and the same homology, on int and string labels
+    rng = Random(20261019)
+    for trial in range(120):
+        n = rng.randrange(1, 11)
+        labels = rng.sample(range(-20, 40), n) if trial % 2 else [f"w{rng.random():.6f}" for _ in range(n)]
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        edges = [e for e in combinations(labels, 2) if rng.random() < p]
+        max_dim = rng.randrange(0, 5)
+        cx = flag_complex(labels, edges, max_dim)
+        bases = flag_complex_oracle(labels, edges, max_dim)
+        assert cx.basis == tuple(map(tuple, bases)), trial
+        oracle = complex_from_simplices(bases)
+        assert oracle == cx, trial
+        for d in range(1, cx.dim + 1):
+            assert _face_columns(cx, d) == boundary_columns_oracle(oracle, d), (trial, d)
+        through = max(cx.dim - 1, 0)
+        assert reduced_homology(cx, through) == reduced_homology_oracle(oracle, through), trial
 
 
 def test_euler_characteristic_matches_betti_sum():
@@ -300,7 +360,7 @@ def _closure(facets):
 def _assert_boundaries_match_oracle(cx):
     """Derived boundaries equal the stored columns they replaced, and square to zero."""
     for d in range(cx.dim + 2):
-        assert cx.boundary_columns(d) == boundary_columns_oracle(cx, d), d
+        assert _face_columns(cx, d) == boundary_columns_oracle(cx, d), d
     cx.check_boundary_squared()
 
 
@@ -382,7 +442,7 @@ def test_ranks_mod_p_certify_grid_homology():
         for d in range(through + 1):
             rank.append(cc.n_cells(d) - rank[d] - res.betti[d])
         for d in range(1, through + 2):
-            cols = cc.boundary_columns(d)
+            cols = _face_columns(cc, d)
             for p in (2, 3, 10007):
                 prime_to_p = rank[d] - sum(t % p == 0 for t in res.torsion[d - 1])
                 assert _rank_mod_p(cols, p) == prime_to_p, (n, d, p)
@@ -451,6 +511,17 @@ def _spy_presentations(cx, budgets):
         statuses = [pi1_report(cx, h1, b)["status"] for b in budgets]
     assert all(p == seen[0] for p in seen)
     return statuses, seen[0]
+
+
+def test_pi1_orients_edges_by_vertex_order():
+    # the 2-sphere relabelled v -> 3 - v, so every tuple runs down the labels
+    # as an order complex lists its chains: the same bitmasks, so the same
+    # presentation as the ascending one
+    up = [list(combinations(range(4), k)) for k in (1, 2, 3)]
+    down = [[tuple(3 - v for v in s) for s in cells] for cells in up]
+    cx_up, cx_down = complex_from_simplices(up), complex_from_simplices(down)
+    assert cx_down.vertices == (3, 2, 1, 0) and cx_down.cells == cx_up.cells
+    assert _spy_presentations(cx_down, [5000]) == _spy_presentations(cx_up, [5000])
 
 
 def test_pi1_unknown_with_tiny_budget():
