@@ -3,7 +3,7 @@
 Every output file starts with a manifest (command, parameters, seed, tool
 version); identical manifests produce byte-identical outputs since all
 enumerations are canonically ordered.  Exit codes: 0 pass, 1 check failure,
-2 usage or schema error, 3 resource guard, 4 schedule error.
+2 usage, schema or I/O error, 3 resource guard, 4 schedule error.
 """
 
 from __future__ import annotations
@@ -134,11 +134,11 @@ def cmd_build_cn(args) -> int:
 
 
 def cmd_verify_nu(args) -> int:
-    config = _config_from_args(args)
     guard = args.guard if args.guard is not None else GUARD_DEFAULTS.get(args.q, 8)
     if args.nmax > guard:
         print(f"nmax={args.nmax} exceeds the resource guard {guard}", file=sys.stderr)
         return EXIT_RESOURCE
+    config = _config_from_args(args)
     rows = []
     all_pass = True
     for n in range(2, args.nmax + 1):
@@ -360,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError is an unusable path, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

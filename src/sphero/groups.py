@@ -124,20 +124,6 @@ def visual_distance(x: Address, y: Address) -> float:
     return math.exp(-common_prefix_length(x, y))
 
 
-def _check_complete_prefix_code(words: list[Word], q: int) -> bool:
-    """True iff words form a complete prefix code of the rooted q-ary tree."""
-    if len(words) == 1:
-        return words[0] == ()
-    if not words:
-        return False
-    groups: list[list[Word]] = [[] for _ in range(q)]
-    for w in words:
-        if not w:  # root together with other words: overlap
-            return False
-        groups[w[0]].append(w[1:])
-    return all(_check_complete_prefix_code(g, q) for g in groups)
-
-
 @dataclass(frozen=True)
 class LeafPartition:
     """Partition of an n-summand forest boundary into balls.
@@ -156,15 +142,26 @@ class LeafPartition:
             raise ValueError("leaves must be canonically sorted")
 
     def validate(self, q: int) -> None:
-        by_summand: dict[int, list[Word]] = {s: [] for s in range(1, self.n + 1)}
-        for s, w in self.leaves:
-            if s not in by_summand:
+        """Raise ValueError unless each summand's leaves are a complete prefix code.
+
+        One scan of the sorted leaves: a prefix sorts right before its
+        extensions, so a code is prefix-free iff no leaf is a prefix of its
+        successor, and a prefix-free code is complete iff its Kraft sum, of
+        q^(D - |w|) over its leaves w with D the deepest leaf's depth, is q^D.
+        """
+        depth = self.max_depth()
+        kraft = [0] * (self.n + 1)
+        bad = set()
+        for (s, w), (t, x) in zip(self.leaves, self.leaves[1:] + ((0, ()),)):
+            if not 1 <= s <= self.n:
                 raise ValueError(f"summand {s} out of range 1..{self.n}")
             if any(d < 0 or d >= q for d in w):
                 raise ValueError(f"digit out of range in {w}")
-            by_summand[s].append(w)
-        for s, words in by_summand.items():
-            if not _check_complete_prefix_code(words, q):
+            kraft[s] += q ** (depth - len(w))
+            if t == s and x[:len(w)] == w:  # (t, x) is the next leaf
+                bad.add(s)
+        for s in range(1, self.n + 1):
+            if s in bad or kraft[s] != q ** depth:
                 raise ValueError(f"summand {s}: leaves are not a complete prefix code")
 
     @staticmethod
@@ -219,6 +216,7 @@ class LabeledIsometry:
 
     @staticmethod
     def make(q: int, labels: dict[Word, Perm]) -> "LabeledIsometry":
+        """Normalise and check labels from outside; restrict, inverse and compose build normal ones."""
         ident = identity_perm(q)
         items = tuple(sorted((w, p) for w, p in labels.items() if p != ident))
         for w, p in items:
@@ -263,8 +261,9 @@ class LabeledIsometry:
         """The induced automorphism of the subtree below u, rebased to a root."""
         if not self.labels:
             return self
-        sub = {w[len(u):]: p for w, p in self.labels if w[: len(u)] == u}
-        return LabeledIsometry.make(self.q, sub)
+        # stripping a common prefix keeps the labels sorted
+        return LabeledIsometry(self.q, tuple((w[len(u):], p) for w, p in self.labels
+                                             if w[: len(u)] == u))
 
     def compose(self, other: "LabeledIsometry") -> "LabeledIsometry":
         """self after other."""
@@ -285,13 +284,13 @@ class LabeledIsometry:
             p = compose_perms(mine.get(other.apply_word(v), ident), theirs.get(v, ident))
             if p != ident:
                 out[v] = p
-        return LabeledIsometry.make(self.q, out)
+        return LabeledIsometry(self.q, tuple(sorted(out.items())))
 
     def inverse(self) -> "LabeledIsometry":
         if not self.labels:
             return self
-        out = {self.apply_word(w): invert_perm(p) for w, p in self.labels}
-        return LabeledIsometry.make(self.q, out)
+        out = ((self.apply_word(w), invert_perm(p)) for w, p in self.labels)
+        return LabeledIsometry(self.q, tuple(sorted(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,24 +44,27 @@ def word_to_perm(word: str) -> Perm:
 
 
 def close_under_group_ops(gens: list[Perm] | tuple[Perm, ...], q: int) -> frozenset[Perm]:
-    """Subgroup of Sym(q) generated by gens, by naive closure."""
+    """Subgroup of Sym(q) generated by gens, by breadth-first search over right products.
+
+    A generator already in the group is skipped, so each kept one at least
+    doubles it and at most log2(q!) are kept.  Products give the inverses, as
+    the group is finite.
+    """
     for g in gens:
         if len(g) != q or not is_perm(g):
             raise ValueError(f"generator {g} is not a permutation of {q} letters")
-    elems = {identity_perm(q)}
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for g in frontier:
-            for h in list(elems) + list(frontier):
-                for p in (compose_perms(g, h), compose_perms(h, g)):
-                    if p not in elems and p not in frontier and p not in new:
-                        new.add(p)
-            inv = invert_perm(g)
-            if inv not in elems and inv not in frontier and inv not in new:
-                new.add(inv)
-        elems |= frontier
-        frontier = new
+    elems, kept = {identity_perm(q)}, []
+    for g in gens:
+        if g in elems:
+            continue
+        kept.append(g)
+        queue = list(elems)
+        for x in queue:  # the queue grows while it is read
+            for k in kept:
+                y = compose_perms(x, k)
+                if y not in elems:
+                    elems.add(y)
+                    queue.append(y)
     return frozenset(elems)
 
 

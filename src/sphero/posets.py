@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .homology import flag_complex
+
 ObjId = str
 Arrow = tuple[ObjId, ObjId]
 
@@ -166,36 +168,18 @@ def coone(c: GenPoset, d: GenPoset, tip: ObjId = "tip") -> GenPoset:
     return GenPoset.make(base.objects + (tip,), arrows).require_valid()
 
 
-def chains(p: GenPoset) -> list[list[tuple[ObjId, ...]]]:
-    """Chains x0 -> x1 -> ... of distinct comparable objects, by length.
-
-    Only defined on honest posets; result[d] lists the d-simplices of the
-    order complex in deterministic order.
-    """
-    if not p.is_honest:
-        raise PosetError("order complex requires an honest poset; collapse isomorphisms first")
-    succ: dict[ObjId, list[ObjId]] = {o: [] for o in p.objects}
-    for a, b in p.arrows:
-        succ[a].append(b)
-    for ys in succ.values():
-        ys.sort()
-    out: list[list[tuple[ObjId, ...]]] = [[(o,) for o in p.objects]]
-    while True:
-        nxt = [chain + (y,) for chain in out[-1] for y in succ[chain[-1]]]
-        if not nxt:
-            return out
-        out.append(nxt)
-
-
 def order_complex(p: GenPoset):
     """Simplicial chain complex of the chains of an honest poset.
 
+    The chains of an honest composition-closed relation are exactly the
+    cliques of its comparability graph, so the complex is a flag complex.
     Generalized posets must pass through underlying_poset first; an
-    isomorphism pair raises PosetError saying so.
+    isomorphism pair raises PosetError saying so, as does a missing composite.
     """
-    from .homology import complex_from_simplices
-
-    return complex_from_simplices(chains(p))
+    if not p.is_honest:
+        raise PosetError("order complex requires an honest poset; collapse isomorphisms first")
+    p.require_valid()
+    return flag_complex(list(p.objects), list(p.arrows), len(p.objects) - 1)
 
 
 def descending_link(c: GenPoset, x: ObjId, lower) -> tuple[GenPoset, GenPoset]:

@@ -102,6 +102,8 @@ class FiltrationSchedule:
     connectivity: tuple[int | None, ...]
 
     def __post_init__(self):
+        if not self.stages:
+            raise ValueError("a schedule needs at least one stage")
         if len(self.connectivity) != len(self.stages):
             raise ValueError("need one connectivity slot per stage")
 

@@ -7,6 +7,9 @@ common_refinement scans the other side for the leaves below each nested leaf,
 and forest_portraits walks the leaves of each summand down from the root.
 The only edits are that apply_word is a function of the isometry, and the
 functions here call it and each other instead of the library's.
+validate_partition is LeafPartition.validate with the recursive complete
+prefix code check, and close_under_group_ops is the naive subgroup closure
+that multiplies every new element by every known one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from sphero.groups import (
     TreePair,
     Word,
 )
-from sphero.perms import Perm, identity_perm, is_perm
+from sphero.perms import Perm, compose_perms, identity_perm, invert_perm, is_perm
 
 
 def common_refinement(p1: LeafPartition, p2: LeafPartition) -> LeafPartition:
@@ -239,3 +242,52 @@ def forest_portraits(g: TreePair) -> list[LabeledIsometry] | None:
             return None
         portraits.append(LabeledIsometry.make(q, labels))
     return portraits
+
+
+def _check_complete_prefix_code(words: list[Word], q: int) -> bool:
+    """True iff words form a complete prefix code of the rooted q-ary tree."""
+    if len(words) == 1:
+        return words[0] == ()
+    if not words:
+        return False
+    groups: list[list[Word]] = [[] for _ in range(q)]
+    for w in words:
+        if not w:  # root together with other words: overlap
+            return False
+        groups[w[0]].append(w[1:])
+    return all(_check_complete_prefix_code(g, q) for g in groups)
+
+
+def validate_partition(part: LeafPartition, q: int) -> None:
+    by_summand: dict[int, list[Word]] = {s: [] for s in range(1, part.n + 1)}
+    for s, w in part.leaves:
+        if s not in by_summand:
+            raise ValueError(f"summand {s} out of range 1..{part.n}")
+        if any(d < 0 or d >= q for d in w):
+            raise ValueError(f"digit out of range in {w}")
+        by_summand[s].append(w)
+    for s, words in by_summand.items():
+        if not _check_complete_prefix_code(words, q):
+            raise ValueError(f"summand {s}: leaves are not a complete prefix code")
+
+
+def close_under_group_ops(gens: list[Perm] | tuple[Perm, ...], q: int) -> frozenset[Perm]:
+    """Subgroup of Sym(q) generated by gens, by naive closure."""
+    for g in gens:
+        if len(g) != q or not is_perm(g):
+            raise ValueError(f"generator {g} is not a permutation of {q} letters")
+    elems = {identity_perm(q)}
+    frontier = set(gens)
+    while frontier:
+        new = set()
+        for g in frontier:
+            for h in list(elems) + list(frontier):
+                for p in (compose_perms(g, h), compose_perms(h, g)):
+                    if p not in elems and p not in frontier and p not in new:
+                        new.add(p)
+            inv = invert_perm(g)
+            if inv not in elems and inv not in frontier and inv not in new:
+                new.add(inv)
+        elems |= frontier
+        frontier = new
+    return frozenset(elems)

@@ -11,10 +11,13 @@ transpose and no cleared columns.
 ``tietze_trivializes_oracle`` is the generator elimination that re-reduces,
 re-sorts and rewrites every relator on every step.  ``simplicial_join`` is
 the join of two simplicial complexes, the oracle for ``sphero.posets.join``.
+``chains_oracle`` lists the chains of an honest poset as tuples, as
+``sphero.posets.order_complex`` did before it took the clique search.
 """
 
 from sphero.homology import (ChainComplex, Column, HomologyResult, _cyc_reduce, _free_reduce,
                              complex_from_simplices, sparse_invariant_factors)
+from sphero.posets import GenPoset, ObjId, PosetError
 
 
 def flag_complex_oracle(vertices: list, edges: list[tuple], max_dim: int) -> list[list[tuple]]:
@@ -147,3 +150,24 @@ def simplicial_join(a: ChainComplex, b: ChainComplex) -> ChainComplex:
         for db, cells_b in enumerate(sb):
             by_dim[da + db + 1].update(tuple(sorted(s + t)) for s in cells_a for t in cells_b)
     return complex_from_simplices([sorted(cells) for cells in by_dim if cells])
+
+
+def chains_oracle(p: GenPoset) -> list[list[tuple[ObjId, ...]]]:
+    """Chains x0 -> x1 -> ... of distinct comparable objects, by length.
+
+    Only defined on honest posets; result[d] lists the d-simplices of the
+    order complex in deterministic order.
+    """
+    if not p.is_honest:
+        raise PosetError("order complex requires an honest poset; collapse isomorphisms first")
+    succ: dict[ObjId, list[ObjId]] = {o: [] for o in p.objects}
+    for a, b in p.arrows:
+        succ[a].append(b)
+    for ys in succ.values():
+        ys.sort()
+    out: list[list[tuple[ObjId, ...]]] = [[(o,) for o in p.objects]]
+    while True:
+        nxt = [chain + (y,) for chain in out[-1] for y in succ[chain[-1]]]
+        if not nxt:
+            return out
+        out.append(nxt)

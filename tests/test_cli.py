@@ -1,6 +1,7 @@
 import json
 import sys
 
+from sphero import cli
 from sphero.cli import main
 from sphero.groups import Config, element_to_json, identity_element, inverse
 
@@ -72,6 +73,23 @@ def test_verify_nu_resource_guard():
     assert run(["verify-nu", "--q", "2", "--nmax", "50"]) == 3
     assert run(["verify-nu", "--q", "3", "--nmax", "10"]) == 3
     assert run(["verify-nu", "--q", "3", "--nmax", "10", "--guard", "10"]) in (0, 1)
+
+
+def test_verify_nu_guard_builds_no_config(monkeypatch):
+    # Sym(9) has 362,880 elements; the guard must answer before any is built
+    built = []
+    monkeypatch.setattr(cli, "_config_from_args", lambda args: built.append(args) or Config.make(2, 1))
+    assert run(["verify-nu", "--q", "9", "--nmax", "50"]) == 3
+    assert built == []
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert run(["build-cn", "--q", "2", "--n", "3", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no .sphero-* temp file left
 
 
 def test_verify_nu_q3(tmp_path):
@@ -294,6 +312,8 @@ def test_trade_rejects_malformed_schedules(tmp_path):
                    [{"cells": cells, "connectivity": True}, {"cells": cells}],
                    [{"cells": cells, "connectivity": 1.5}, {"cells": cells}]):
         assert run(["trade", "--schedule", _schedule(tmp_path, stages), "--prefix", "2"]) == 2
+    for prefix in ("1", "2"):  # a schedule with no stages has no stage to name
+        assert run(["trade", "--schedule", _schedule(tmp_path, []), "--prefix", prefix]) == 2
     ok = [{"cells": cells, "connectivity": 0}, {"cells": cells, "connectivity": None}]
     assert run(["trade", "--schedule", _schedule(tmp_path, ok), "--prefix", "2",
                 "--out", str(tmp_path / "t.json")]) == 0

@@ -37,7 +37,7 @@ from sphero.groups import (
     thompson_membership,
     visual_distance,
 )
-from sphero.perms import word_to_perm
+from sphero.perms import close_under_group_ops, word_to_perm
 
 from conftest import make_x0
 
@@ -82,6 +82,51 @@ def test_partition_validation_rejects_incomplete_codes():
         LeafPartition(1, ((1, (0,)),)).validate(2)
     with pytest.raises(ValueError):
         LeafPartition(1, ((1, ()), (1, (0,)))).validate(2)
+
+
+def _verdict(check, part, q):
+    try:
+        check(part, q)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(rng, part, q):
+    """The partition, then corrupted copies.
+
+    A leaf is dropped, duplicated or put in place of a same-depth twin, a
+    parent is kept beside its children, a digit or a summand is out of range.
+    """
+    leaves = list(part.leaves)
+    s, w = leaves[rng.randrange(len(leaves))]
+    deep = [a for a in leaves if a[1]]
+    yield leaves
+    yield [a for a in leaves if a != (s, w)]
+    yield leaves + [(s, w)]
+    # a duplicate in place of a leaf of the same depth keeps the Kraft sum
+    twins = [a for a in leaves if a[0] == s and len(a[1]) == len(w) and a[1] != w]
+    if twins:
+        yield [a for a in leaves if a != twins[0]] + [(s, w)]
+    if deep:
+        t, x = deep[rng.randrange(len(deep))]
+        yield leaves + [(t, x[:-1])]
+        yield [a for a in leaves if a != (t, x)] + [(t, x[:-1] + (rng.choice((-1, q)),))]
+    yield [a for a in leaves if a != (s, w)] + [(rng.choice((0, part.n + 1)), w)]
+
+
+def test_partition_validation_matches_prefix_code_oracle(rng):
+    verdicts = set()
+    for q in (2, 3):
+        config = Config.make(q, 1, "triv")
+        for _ in range(150):
+            part = random_partition(rng, config, rng.randint(1, 3), 3)
+            for leaves in _corruptions(rng, part, q):
+                p = LeafPartition(part.n, tuple(sorted(leaves)))
+                got = _verdict(LeafPartition.validate, p, q)
+                assert got == _verdict(oracle.validate_partition, p, q), leaves
+                verdicts.add(got and ("code" if "prefix code" in got else got.split()[0]))
+    assert verdicts == {None, "code", "summand", "digit"}  # every outcome was reached
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +237,25 @@ def test_apply_word_matches_oracle(rng):
             for _ in range(10):
                 word = tuple(rng.randrange(q) for _ in range(rng.randrange(6)))
                 assert iso.apply_word(word) == oracle.apply_word(iso, word)
+
+
+def test_isometry_ops_return_normal_labels(rng):
+    # restrict, inverse and compose build their labels without make; they must
+    # equal make of the same labels and act as the composite maps
+    for q, d, r in ORACLE_CONFIGS:
+        config = Config.make(q, r, d)
+        for _ in range(40):
+            a = random_labeled_isometry(rng, config, 3).compose(random_labeled_isometry(rng, config, 3))
+            b = random_labeled_isometry(rng, config, 3)
+            u = tuple(rng.randrange(q) for _ in range(rng.randrange(3)))
+            ab, inv, sub = a.compose(b), a.inverse(), a.restrict(u)
+            for iso in (ab, inv, sub):
+                assert iso == LabeledIsometry.make(q, iso.label_dict())
+            for _ in range(10):
+                word = tuple(rng.randrange(q) for _ in range(rng.randrange(6)))
+                assert ab.apply_word(word) == a.apply_word(b.apply_word(word))
+                assert inv.apply_word(a.apply_word(word)) == word
+                assert a.apply_word(u + word) == a.apply_word(u) + sub.apply_word(word)
 
 
 def test_group_ops_match_oracle(rng):
@@ -526,3 +590,12 @@ def test_config_validation():
     d = Config.make(3, 1, ["213"])
     assert d.group_order == 2
     assert word_to_perm("213") in d.group
+
+
+def test_subgroup_closure_matches_naive_oracle():
+    rng = Random(20261018)
+    for _ in range(800):
+        q = rng.randint(2, 5)
+        gens = [tuple(rng.sample(range(q), q)) for _ in range(rng.randint(0, 3))]
+        assert close_under_group_ops(gens, q) == oracle.close_under_group_ops(gens, q), gens
+    assert Config.make(7, 1, "sym").group_order == 5040

@@ -1,16 +1,15 @@
 from random import Random
 
 import pytest
-from homology_oracle import simplicial_join
+from homology_oracle import chains_oracle, simplicial_join
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphero.homology import reduced_homology
+from sphero.homology import complex_from_simplices, reduced_homology
 from sphero.posets import (
     GenPoset,
     PosetError,
     check_morse,
-    chains,
     coone,
     descending_link,
     fixed_subcategory,
@@ -156,6 +155,24 @@ def test_order_complex_refuses_generalized_posets():
     p = GenPoset.make(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(PosetError):
         order_complex(p)
+
+
+def test_order_complex_matches_chains_oracle():
+    # honest posets: closures of random DAGs whose arrows ignore the id order
+    rng = Random(20261018)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        ids = [f"x{rng.randrange(100)}_{i}" for i in range(n)]
+        rng.shuffle(ids)
+        arrows = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        p = transitive_closure(ids, arrows)
+        cx, oracle = order_complex(p), complex_from_simplices(chains_oracle(p))
+        assert [{frozenset(s) for s in cells} for cells in cx.basis] == \
+            [{frozenset(s) for s in cells} for cells in oracle.basis]
+        assert reduced_homology(cx, cx.dim) == reduced_homology(oracle, oracle.dim)
+    # the cliques are the chains only for a relation closed under composition
+    with pytest.raises(PosetError, match="missing composite"):
+        order_complex(GenPoset.make(["a", "b", "c"], [("a", "b"), ("b", "c")]))
 
 
 def test_descending_link_parts():
