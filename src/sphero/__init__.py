@@ -32,6 +32,7 @@ from .homology import (  # noqa: F401
     ChainComplex,
     HomologyResult,
     flag_complex,
+    neighbour_masks,
     pi1_report,
     reduced_homology,
 )

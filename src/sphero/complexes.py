@@ -12,7 +12,8 @@ object only (see ``count_cell_orbits``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations, product
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 
 from .groups import Address, Config, LabeledIsometry, LeafPartition, TreePair, Word
 from .homology import ChainComplex, flag_complex
@@ -47,12 +48,47 @@ class DecoratedVertex:
 
 @dataclass(frozen=True)
 class DecoratedComplex:
-    """Flag complex with decorated q-subset vertices, edges on disjoint supports."""
+    """Flag complex with decorated q-subset vertices, edges on disjoint supports.
+
+    The graph is not stored: ``neighbours`` derives it per support class, and
+    ``edges`` lists it as index pairs for the JSON and CSV writers.
+    """
 
     n: int
     config: Config
     vertices: tuple[DecoratedVertex, ...]
-    edges: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def neighbours(self) -> tuple[int, ...]:
+        """Bit j of neighbours[i] is set when vertices i and j have disjoint supports.
+
+        Vertices come in runs that share a support, and every vertex of a run
+        has the same neighbours: the union of the runs whose supports miss its
+        own.  So the masks take a test per pair of runs, not per pair of
+        vertices.
+        """
+        runs = []  # (support bitmask, bitmask of the run's vertices, run length)
+        start = 0
+        for support, run in groupby(self.vertices, key=lambda v: v.support):
+            k = len(list(run))
+            runs.append((sum(1 << x for x in support), ((1 << k) - 1) << start, k))
+            start += k
+        out: list[int] = []
+        for s, _, k in runs:
+            out += [sum(block for t, block, _ in runs if not s & t)] * k
+        return tuple(out)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The pairs i < j of vertices with disjoint supports, in lexicographic order."""
+        out = []
+        for i, m in enumerate(self.neighbours):
+            m &= -(2 << i)  # the neighbours above i
+            while m:
+                low = m & -m
+                m ^= low
+                out.append((i, low.bit_length() - 1))
+        return tuple(out)
 
     def vertex_index(self) -> dict[DecoratedVertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
@@ -70,12 +106,11 @@ class DecoratedComplex:
         }
 
     def chain_complex(self, max_dim: int) -> ChainComplex:
-        ids = list(range(len(self.vertices)))
-        return flag_complex(ids, list(self.edges), max_dim)
+        return flag_complex(range(len(self.vertices)), self.neighbours, max_dim)
 
 
 def build_complex(config: Config, n: int) -> DecoratedComplex:
-    """All decorated q-subsets of {1..n} with edges between disjoint supports."""
+    """All decorated q-subsets of {1..n}, grouped by support; edges join disjoint supports."""
     if n < 1:
         raise ValueError("n must be at least 1")
     decs = decorations_for(config)
@@ -84,10 +119,7 @@ def build_complex(config: Config, n: int) -> DecoratedComplex:
         for sup in combinations(range(1, n + 1), config.q)
         for dec in decs
     )
-    masks = [sum(1 << x for x in v.support) for v in vertices]
-    edges = tuple((i, j) for i, m in enumerate(masks)
-                  for j in range(i + 1, len(masks)) if not m & masks[j])
-    return DecoratedComplex(n, config, vertices, edges)
+    return DecoratedComplex(n, config, vertices)
 
 
 def connectivity_bound(config: Config, n: int) -> int:

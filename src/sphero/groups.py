@@ -216,7 +216,7 @@ class LabeledIsometry:
 
     @staticmethod
     def make(q: int, labels: dict[Word, Perm]) -> "LabeledIsometry":
-        """Normalise and check labels from outside; restrict, inverse and compose build normal ones."""
+        """Normalise and check labels from outside; restrict, inverse, compose and _reduce build normal ones."""
         ident = identity_perm(q)
         items = tuple(sorted((w, p) for w, p in labels.items() if p != ident))
         for w, p in items:
@@ -409,6 +409,7 @@ def _reduce(config: Config, entries: Entries) -> Entries:
     merge queues the parent it may have completed.
     """
     q, D = config.q, config.group
+    ident = identity_perm(q)
     work: dict[int, set[Address]] = {}
     for s, w in entries:
         if w:
@@ -425,10 +426,11 @@ def _reduce(config: Config, entries: Entries) -> Entries:
             tau = tuple(mw[-1] for _, mw in imgs)
             if tau not in D:
                 continue
-            labels: dict[Word, Perm] = {} if tau == identity_perm(q) else {(): tau}
+            # the root sorts first, then each child's sorted labels under its digit
+            labels = [] if tau == ident else [((), tau)]
             for d, c in enumerate(children):
-                labels.update(((d,) + w, p) for w, p in entries.pop(c)[1].labels)
-            entries[(s, pw)] = ((t, stem), LabeledIsometry.make(q, labels))
+                labels.extend(((d,) + w, p) for w, p in entries.pop(c)[1].labels)
+            entries[(s, pw)] = ((t, stem), LabeledIsometry(q, tuple(labels)))
             if pw:
                 work.setdefault(depth - 1, set()).add((s, pw[:-1]))
     return entries

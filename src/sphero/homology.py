@@ -2,9 +2,11 @@
 
 A chain complex is its vertex labels and its simplices, each an int bitmask
 (bit i is vertices[i], as Ripser's simplices are integers) oriented by the
-vertex order.  Boundary matrices are not stored: one face enumeration derives
-them as sparse integer columns, face i of s being s less its i-th lowest bit
-with sign (-1)^i, so boundary squared vanishes by construction.  They are
+vertex order; flag complexes are built from neighbour masks, not edge lists.
+Boundary matrices are not stored but derived from the cells, face i of s
+being s less its i-th lowest bit with sign (-1)^i, so boundary squared
+vanishes by construction: ``faces`` enumerates them, and the coboundaries
+below are filled in one pass over the cells, keyed by face mask.  They are
 reduced by one elimination: a unit-pivot column pass, then a Euclidean sparse
 Smith normal form on the leftover core of columns with non-unit lows, cleared
 on the pivot rows (empty on torsion-free instances).  Entries are Python
@@ -13,19 +15,19 @@ integers, so no overflow is possible.
 ``reduced_homology`` needs only the rank and invariant factors of each
 boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
 2021).  The first boundary is the incidence matrix of a graph: it is totally
-unimodular, so its rank comes from a spanning forest and every factor is 1.
-Each higher boundary is reduced as its transpose, the coboundary, built
-straight from the two bases in anti-transposed order (faces from last to
-first, cofaces on reversed rows), so the pass pivots on the smallest coface.
-Rows that carry a unit pivot in one coboundary name columns of the next that
-reduce to zero, and those columns are left out.  This is exact over the
-integers.  For the forest, d1 d2 = 0 and peeling the forest from its leaves
-write each forest-edge row of d2 as an integer combination of the other rows.
-Above it, a unit pivot column c is an integer combination of coboundary
-columns, so the next coboundary kills it.  Its pivot is +-1 and its other
-entries lie on later cofaces, so the cleared columns form a unit triangular
-set, and leaving them out is a unimodular column operation.  Transposing keeps
-the invariant factors.
+unimodular, so its rank comes from a spanning forest, whose scan stops once
+it spans, and every factor is 1.  Each higher boundary is reduced as its
+transpose, the coboundary, built straight from the two bases in
+anti-transposed order (faces from last to first, cofaces on reversed rows),
+so the pass pivots on the smallest coface.  Rows that carry a unit pivot in
+one coboundary name columns of the next that reduce to zero, and those
+columns are left out.  This is exact over the integers.  For the forest,
+d1 d2 = 0 and peeling the forest from its leaves write each forest-edge row
+of d2 as an integer combination of the other rows.  Above it, a unit pivot
+column c is an integer combination of coboundary columns, so the next
+coboundary kills it.  Its pivot is +-1 and its other entries lie on later
+cofaces, so the cleared columns form a unit triangular set, and leaving them
+out is a unimodular column operation.  Transposing keeps the invariant factors.
 """
 
 from __future__ import annotations
@@ -155,27 +157,39 @@ def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
     return ChainComplex(tuple(bit), tuple(cells))
 
 
-def flag_complex(vertices: list, edges: list[tuple], max_dim: int) -> ChainComplex:
-    """Clique complex of a simple graph on its sorted vertices, truncated above max_dim.
+def neighbour_masks(vertices: list, edges: list[tuple]) -> tuple[tuple, list[int]]:
+    """The sorted distinct vertices and their neighbour masks, from an edge list.
 
-    Each clique is extended by its common neighbours above its highest bit, in
-    increasing order, from cliques in lexicographic order, so each dimension
-    comes out sorted.
+    Bit j of the i-th mask is set when the i-th and j-th vertices are joined.
+    Raises HomologyError on an edge endpoint that is not a vertex, or a loop.
     """
     verts = sorted(set(vertices))
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    if stray := {v for e in edges for v in e} - bit.keys():
+    index = {v: i for i, v in enumerate(verts)}
+    if stray := {v for e in edges for v in e} - index.keys():
         raise HomologyError(f"edge endpoints that are not vertices: {stray!r}")
-    adj = dict.fromkeys(bit.values(), 0)
+    adj = [0] * len(verts)
     for a, b in edges:
-        x, y = bit[a], bit[b]
-        if x == y:
+        i, j = index[a], index[b]
+        if i == j:
             raise HomologyError("loops are not allowed")
-        adj[x] |= y
-        adj[y] |= x
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(verts), adj
+
+
+def flag_complex(vertices, neighbours, max_dim: int) -> ChainComplex:
+    """Clique complex of a simple graph given by neighbour masks, truncated above max_dim.
+
+    Bit j of neighbours[i] is set when vertices[i] and vertices[j] are
+    adjacent; the masks must be symmetric and loop-free, as ``neighbour_masks``
+    makes them from an edge list.  Each clique is extended by its common
+    neighbours above its highest bit, in increasing order, from cliques in
+    lexicographic order, so each dimension comes out sorted by bit position.
+    """
+    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
     cells = [tuple(adj)]
     # the last cells, each with its common neighbours above its highest bit
-    cliques, above = list(adj), [adj[x] & -(x << 1) for x in adj]
+    cliques, above = list(adj), [m & -(x << 1) for x, m in adj.items()]
     while len(cells) <= max_dim:
         top = len(cells) == max_dim  # cells of the top dimension are not extended
         nxt, nxt_above = [], []
@@ -190,7 +204,7 @@ def flag_complex(vertices: list, edges: list[tuple], max_dim: int) -> ChainCompl
             break
         cells.append(tuple(nxt))
         cliques, above = nxt, nxt_above
-    return ChainComplex(tuple(verts), tuple(cells))
+    return ChainComplex(tuple(vertices), tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +390,11 @@ class HomologyResult:
 
 
 def _spanning_forest(n0: int, edges: tuple[int, ...]) -> set[int]:
-    """Indices of the edges (vertex bitmasks) that Kruskal's union-find keeps, in order."""
+    """Indices of the edges (vertex bitmasks) that Kruskal's union-find keeps, in order.
+
+    A forest on n0 vertices has at most n0 - 1 edges, and once it has them it
+    spans, so no later edge joins two trees: the scan stops there.
+    """
     parent = list(range(n0))
 
     def find(x: int) -> int:
@@ -384,12 +402,15 @@ def _spanning_forest(n0: int, edges: tuple[int, ...]) -> set[int]:
             parent[x] = x = parent[parent[x]]
         return x
 
-    forest = set()
+    forest: set[int] = set()
+    need = n0 - 1
     for j, e in enumerate(edges):
         a, b = find((e & -e).bit_length() - 1), find(e.bit_length() - 1)
         if a != b:
             parent[a] = b
             forest.add(j)
+            if len(forest) == need:
+                break
     return forest
 
 
@@ -398,17 +419,25 @@ def _coboundary(cx: ChainComplex, d: int, cleared: set[int]) -> list[Column]:
 
     Columns are the (d-1)-cells from the last to the first, and d-cell j sits
     on row n_cells(d) - 1 - j, so the max-low pass pivots on the smallest
-    coface.  Cleared faces and faces without cofaces give no column.
+    coface.  One pass over the d-cells fills the columns, keyed by face mask:
+    face i of s is s less its i-th lowest bit, with sign (-1)^i.  Cleared faces
+    get no column, and faces without cofaces give an empty one, left out.
     """
-    top = cx.n_cells(d) - 1
-    cob: list[Column | None] = [{} for _ in range(cx.n_cells(d - 1))]
-    for r in cleared:
-        cob[r] = None
-    for j, r, v in cx.faces(d):
-        col = cob[r]
-        if col is not None:
-            col[top - j] = v
-    return [col for col in reversed(cob) if col]
+    lower = cx.cells[d - 1]
+    cols: dict[int, Column] = {lower[i]: {} for i in range(len(lower) - 1, -1, -1)
+                               if i not in cleared}
+    row = cx.n_cells(d)
+    for s in cx.cells[d]:
+        row -= 1
+        m, sign = s, 1
+        while m:
+            low = m & -m
+            m ^= low
+            col = cols.get(s ^ low)
+            if col is not None:
+                col[row] = sign
+            sign = -sign
+    return [col for col in cols.values() if col]
 
 
 def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:

@@ -9,8 +9,9 @@ underlying honest poset, which is where order complexes are taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .homology import flag_complex
+from .homology import flag_complex, neighbour_masks
 
 ObjId = str
 Arrow = tuple[ObjId, ObjId]
@@ -37,6 +38,11 @@ class GenPoset:
 
     def validate(self) -> tuple[ObjId, ObjId, ObjId] | None:
         """None if composition-closed, else the first witness triple (a,b,c)."""
+        return self._witness
+
+    @cached_property
+    def _witness(self) -> tuple[ObjId, ObjId, ObjId] | None:
+        """The answer of ``validate``, scanned once per poset: the poset is frozen."""
         out = {}
         for a, b in sorted(self.arrows):
             out.setdefault(a, []).append(b)
@@ -179,7 +185,7 @@ def order_complex(p: GenPoset):
     if not p.is_honest:
         raise PosetError("order complex requires an honest poset; collapse isomorphisms first")
     p.require_valid()
-    return flag_complex(list(p.objects), list(p.arrows), len(p.objects) - 1)
+    return flag_complex(*neighbour_masks(p.objects, p.arrows), len(p.objects) - 1)
 
 
 def descending_link(c: GenPoset, x: ObjId, lower) -> tuple[GenPoset, GenPoset]:

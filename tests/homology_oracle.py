@@ -13,6 +13,10 @@ re-sorts and rewrites every relator on every step.  ``simplicial_join`` is
 the join of two simplicial complexes, the oracle for ``sphero.posets.join``.
 ``chains_oracle`` lists the chains of an honest poset as tuples, as
 ``sphero.posets.order_complex`` did before it took the clique search.
+``coboundary_oracle`` builds a cleared coboundary from ``ChainComplex.faces``,
+as ``reduced_homology`` did before its one-pass coboundary, and
+``spanning_forest_oracle`` is Kruskal's scan over every edge, before the
+forest stopped once it spanned.
 """
 
 from sphero.homology import (ChainComplex, Column, HomologyResult, _cyc_reduce, _free_reduce,
@@ -171,3 +175,39 @@ def chains_oracle(p: GenPoset) -> list[list[tuple[ObjId, ...]]]:
         if not nxt:
             return out
         out.append(nxt)
+
+
+def coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -> list[Column]:
+    """The coboundary of dimension d in anti-transposed order, cleared faces left out.
+
+    Columns are the (d-1)-cells from the last to the first, and d-cell j sits
+    on row n_cells(d) - 1 - j.  Cleared faces and faces without cofaces give
+    no column.
+    """
+    top = cx.n_cells(d) - 1
+    cob: list[Column | None] = [{} for _ in range(cx.n_cells(d - 1))]
+    for r in cleared:
+        cob[r] = None
+    for j, r, v in cx.faces(d):
+        col = cob[r]
+        if col is not None:
+            col[top - j] = v
+    return [col for col in reversed(cob) if col]
+
+
+def spanning_forest_oracle(n0: int, edges: tuple[int, ...]) -> set[int]:
+    """Indices of the edges (vertex bitmasks) that Kruskal's union-find keeps, scanning all."""
+    parent = list(range(n0))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    forest = set()
+    for j, e in enumerate(edges):
+        a, b = find((e & -e).bit_length() - 1), find(e.bit_length() - 1)
+        if a != b:
+            parent[a] = b
+            forest.add(j)
+    return forest

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 from block_orbit import orbit_canonical_block
+from homology_oracle import flag_complex_oracle
 from orbit_oracle import count_cell_orbits_oracle
 
 from sphero.complexes import (
@@ -33,7 +34,7 @@ from sphero.complexes import (
     vertex_descending_link,
 )
 from sphero.groups import Config, LabeledIsometry, TreePair, isometry_element, stabilizer_test
-from sphero.homology import reduced_homology
+from sphero.homology import complex_from_simplices, reduced_homology
 from sphero.posets import fixed_subcategory, order_complex, underlying_poset
 
 
@@ -69,6 +70,33 @@ def test_build_complex_edges_match_set_loop():
             edges = tuple((i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
                           if not set(vs[i].support) & set(vs[j].support))
             assert cx.edges == edges, (q, d, n)
+
+
+def test_neighbour_masks_match_pairwise_scan():
+    # the masks per support class against a support test per pair of vertices
+    for q, d in product((2, 3), ("sym", "triv")):
+        for n in range(1, 10):
+            cx = build_complex(Config.make(q, 1, d), n)
+            vs, nb = cx.vertices, cx.neighbours
+            assert len(nb) == len(vs)
+            for i, v in enumerate(vs):
+                assert nb[i] == sum(1 << j for j, w in enumerate(vs)
+                                    if not set(v.support) & set(w.support)), (q, d, n, i)
+                assert not nb[i] >> i & 1, (q, d, n, i)  # loop-free
+                assert all(nb[j] >> i & 1 == nb[i] >> j & 1 for j in range(len(vs))), (q, d, n, i)
+
+
+def test_chain_complex_matches_tuple_clique_oracle():
+    # the masks handed straight to the clique search give the cliques of the edge list
+    for q, d in product((2, 3), ("sym", "triv")):
+        for n in range(q, 9):
+            cx = build_complex(Config.make(q, 1, d), n)
+            ids = list(range(len(cx.vertices)))
+            for max_dim in range(3):
+                bases = flag_complex_oracle(ids, list(cx.edges), max_dim)
+                cc = cx.chain_complex(max_dim)
+                assert cc.basis == tuple(map(tuple, bases)), (q, d, n, max_dim)
+                assert cc == complex_from_simplices(bases), (q, d, n, max_dim)
 
 
 def test_vertex_count_formula(sym3, triv2):

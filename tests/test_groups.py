@@ -15,6 +15,8 @@ from sphero.groups import (
     LabeledIsometry,
     LeafPartition,
     TreePair,
+    _entries,
+    _reduce,
     canonical_form,
     classify_arrow,
     common_prefix_length,
@@ -256,6 +258,24 @@ def test_isometry_ops_return_normal_labels(rng):
                 assert ab.apply_word(word) == a.apply_word(b.apply_word(word))
                 assert inv.apply_word(a.apply_word(word)) == word
                 assert a.apply_word(u + word) == a.apply_word(u) + sub.apply_word(word)
+
+
+def test_reduce_builds_normal_labels(rng):
+    # _reduce builds each merged cherry's labels without make: the root label,
+    # then each child's labels under its digit; they must equal make of the
+    # same labels, and the merges must undo the expansions
+    merged = 0
+    for q, d, r in ORACLE_CONFIGS:
+        config = Config.make(q, r, d)
+        for _ in range(20):
+            g = random_element(rng, config, 3)
+            h = _expanded(rng, g, 4)
+            entries = _reduce(config, _entries(h))
+            for _img, dec in entries.values():
+                assert dec == LabeledIsometry.make(q, dec.label_dict())
+            assert entries == _entries(g)
+            merged += len(h.leaf_map) - len(entries)
+    assert merged >= 4 * 20 * len(ORACLE_CONFIGS)
 
 
 def test_group_ops_match_oracle(rng):

@@ -3,8 +3,9 @@ from random import Random
 
 import pytest
 from dense_snf import smith_normal_form
-from homology_oracle import (boundary_columns_oracle, flag_complex_oracle,
-                             reduced_homology_oracle, tietze_trivializes_oracle)
+from homology_oracle import (boundary_columns_oracle, coboundary_oracle, flag_complex_oracle,
+                             reduced_homology_oracle, spanning_forest_oracle,
+                             tietze_trivializes_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from sphero.homology import (
     _sparse_snf_full,
     complex_from_simplices,
     flag_complex,
+    neighbour_masks,
     pi1_report,
     reduced_homology,
     sparse_invariant_factors,
@@ -203,7 +205,7 @@ def test_matching_complex_m7_has_z3_in_degree_one():
 
 
 def test_flag_triangle():
-    cx = flag_complex([1, 2, 3], [(1, 2), (1, 3), (2, 3)], 2)
+    cx = flag_complex(*neighbour_masks([1, 2, 3], [(1, 2), (1, 3), (2, 3)]), 2)
     assert cx.n_cells(2) == 1
     assert reduced_homology(cx, 2).betti == (0, 0, 0)
 
@@ -211,7 +213,7 @@ def test_flag_triangle():
 def test_flag_petersen():
     vs = list(combinations(range(1, 6), 2))
     edges = [(a, b) for a, b in combinations(vs, 2) if not set(a) & set(b)]
-    cx = flag_complex(vs, edges, 2)
+    cx = flag_complex(*neighbour_masks(vs, edges), 2)
     assert cx.n_cells(1) == 15 and cx.n_cells(2) == 0
     res = reduced_homology(cx, 1)
     assert res.betti == (0, 6)
@@ -221,7 +223,7 @@ def test_flag_petersen():
 
 
 def test_flag_disjoint_edges():
-    cx = flag_complex([1, 2, 3, 4, 5, 6], [(1, 2), (3, 4), (5, 6)], 2)
+    cx = flag_complex(*neighbour_masks([1, 2, 3, 4, 5, 6], [(1, 2), (3, 4), (5, 6)]), 2)
     res = reduced_homology(cx, 1)
     assert res.betti[0] == 2
     assert not reduced_homology(cx, 0).is_trivial_through(0)
@@ -276,7 +278,12 @@ def test_repeated_simplex_raises():
 
 def test_flag_edge_endpoint_that_is_not_a_vertex_raises():
     with pytest.raises(HomologyError, match="not vertices"):
-        flag_complex([1, 2], [(1, 2), (2, 3)], 2)
+        neighbour_masks([1, 2], [(1, 2), (2, 3)])
+
+
+def test_flag_loop_raises():
+    with pytest.raises(HomologyError, match="loops are not allowed"):
+        neighbour_masks([1, 2], [(1, 2), (2, 2)])
 
 
 RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -300,7 +307,7 @@ def test_flag_complex_bases_come_out_sorted():
         labels = list(range(0, 3 * n, 3)) if trial % 2 else [f"v{i:02d}" for i in range(n)]
         rng.shuffle(labels)
         edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < 0.6]
-        cx = flag_complex(labels, edges, n)
+        cx = flag_complex(*neighbour_masks(labels, edges), n)
         adjacent = {frozenset(e) for e in edges}
         for d, cells in enumerate(cx.basis):
             assert list(cells) == sorted(cells)
@@ -319,7 +326,7 @@ def test_flag_complex_matches_tuple_oracle():
         p = rng.choice((0.2, 0.4, 0.6, 0.8))
         edges = [e for e in combinations(labels, 2) if rng.random() < p]
         max_dim = rng.randrange(0, 5)
-        cx = flag_complex(labels, edges, max_dim)
+        cx = flag_complex(*neighbour_masks(labels, edges), max_dim)
         bases = flag_complex_oracle(labels, edges, max_dim)
         assert cx.basis == tuple(map(tuple, bases)), trial
         oracle = complex_from_simplices(bases)
@@ -336,7 +343,7 @@ def test_euler_characteristic_matches_betti_sum():
         n = rng.randrange(4, 8)
         verts = list(range(n))
         edges = [(i, j) for i, j in combinations(verts, 2) if rng.random() < 0.5]
-        cx = flag_complex(verts, edges, n)
+        cx = flag_complex(*neighbour_masks(verts, edges), n)
         res = reduced_homology(cx, cx.dim)
         assert all(not t for t in res.torsion)  # flag complexes here stay torsion-free
         chi_cells = cx.euler_characteristic()
@@ -374,7 +381,7 @@ def test_clearing_matches_oracle_on_random_complexes():
             # flag complex of a seeded graph, often disconnected
             p = rng.choice((0.15, 0.3, 0.5, 0.7))
             edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-            cx = flag_complex(list(range(n)), edges, through + 1)
+            cx = flag_complex(*neighbour_masks(range(n), edges), through + 1)
         else:
             # seeded triangles and tetrahedra, half of the time on top of a
             # relabeled six-vertex projective plane (Z/2 in degree one)
@@ -405,6 +412,64 @@ def test_clearing_matches_oracle_on_grid_points(sub, n, torsion):
     res = reduced_homology(cc, through)
     assert res == reduced_homology_oracle(cc, through)
     assert res.torsion == torsion
+
+
+# ---------------------------------------------------------------------------
+# one-pass coboundary and early-stopping forest, against the builders they replaced
+
+
+def _items(columns):
+    """Columns as lists of (row, value) in their own order, so the order is compared too."""
+    return [list(col.items()) for col in columns]
+
+
+def test_coboundary_matches_face_oracle_on_random_flag_complexes():
+    rng = Random(20261019)
+    checked = 0
+    for trial in range(200):
+        n = rng.randrange(1, 12)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        cx = flag_complex(*neighbour_masks(range(n), edges), rng.randrange(1, 5))
+        for d in range(1, cx.dim + 1):
+            k = cx.n_cells(d - 1)
+            cleared = set(rng.sample(range(k), rng.randrange(k + 1)))
+            got = homology._coboundary(cx, d, cleared)
+            assert _items(got) == _items(coboundary_oracle(cx, d, cleared)), (trial, d)
+            checked += bool(got)
+    assert checked >= 100, checked
+
+
+@pytest.mark.parametrize("q,sub", [(2, "sym"), (2, "triv"), (3, "sym"), (3, "triv")])
+def test_coboundary_matches_face_oracle_on_grid_points(q, sub):
+    # with the cleared sets that reduced_homology hands on: the forest, then each pass
+    config = Config.make(q, 1, sub)
+    for n in range(q, 10):
+        cc = build_complex(config, n).chain_complex(max(connectivity_bound(config, n), 0) + 2)
+        cleared = homology._spanning_forest(cc.n_cells(0), cc.cells[1]) if cc.dim else set()
+        for d in range(2, cc.dim + 1):
+            cols = homology._coboundary(cc, d, cleared)
+            assert _items(cols) == _items(coboundary_oracle(cc, d, cleared)), (n, d)
+            pivots: set[int] = set()
+            sparse_invariant_factors(cols, pivots)
+            cleared = {cc.n_cells(d) - 1 - p for p in pivots}
+
+
+def test_spanning_forest_stops_where_full_kruskal_would():
+    rng = Random(20261019)
+    split = 0
+    for trial in range(300):
+        n0 = trial % 12  # 0 and 1 included
+        p = rng.choice((0.05, 0.15, 0.3, 0.6, 0.9))
+        edges = [e for e in combinations(range(n0), 2) if rng.random() < p]
+        cx = flag_complex(*neighbour_masks(range(n0), edges), 1)
+        cells = cx.cells[1] if cx.dim else ()
+        if trial % 2:
+            cells = tuple(rng.sample(cells, len(cells)))  # Kruskal on any edge order
+        forest = homology._spanning_forest(n0, cells)
+        assert forest == spanning_forest_oracle(n0, cells), trial
+        split += n0 - len(forest) > 1
+    assert split >= 50, split
 
 
 def _rank_mod_p(columns, p):

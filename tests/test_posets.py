@@ -1,3 +1,4 @@
+from functools import cached_property
 from random import Random
 
 import pytest
@@ -33,6 +34,24 @@ def test_validate_reports_missing_composite():
     assert p.validate() == ("0", "1", "2")
     with pytest.raises(PosetError):
         p.require_valid()
+
+
+def test_validate_scans_each_poset_once(monkeypatch):
+    # the poset is frozen, so its witness is kept: order_complex after
+    # require_valid does not scan again, and a bad poset raises every time
+    scanned = []
+    scan = GenPoset._witness.func
+    counted = cached_property(lambda self: scanned.append(self) or scan(self))
+    counted.__set_name__(GenPoset, "_witness")
+    monkeypatch.setattr(GenPoset, "_witness", counted)
+    good = transitive_closure("abcd", [("a", "b"), ("b", "c"), ("c", "d")]).require_valid()
+    order_complex(good)
+    assert good.validate() is None and scanned == [good]
+    bad = GenPoset.make(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    for _ in range(2):
+        with pytest.raises(PosetError, match="missing composite for 0 -> 1 -> 2"):
+            bad.require_valid()
+    assert scanned == [good, bad]
 
 
 def test_iso_pair_is_valid():
