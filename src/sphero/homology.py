@@ -33,7 +33,7 @@ out is a unimodular column operation.  Transposing keeps the invariant factors.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -157,7 +157,7 @@ def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
     return ChainComplex(tuple(bit), tuple(cells))
 
 
-def neighbour_masks(vertices: list, edges: list[tuple]) -> tuple[tuple, list[int]]:
+def neighbour_masks(vertices: Iterable, edges: Collection[tuple]) -> tuple[tuple, list[int]]:
     """The sorted distinct vertices and their neighbour masks, from an edge list.
 
     Bit j of the i-th mask is set when the i-th and j-th vertices are joined.
@@ -177,7 +177,7 @@ def neighbour_masks(vertices: list, edges: list[tuple]) -> tuple[tuple, list[int
     return tuple(verts), adj
 
 
-def flag_complex(vertices, neighbours, max_dim: int) -> ChainComplex:
+def flag_complex(vertices: Iterable, neighbours: Sequence[int], max_dim: int) -> ChainComplex:
     """Clique complex of a simple graph given by neighbour masks, truncated above max_dim.
 
     Bit j of neighbours[i] is set when vertices[i] and vertices[j] are

@@ -62,7 +62,8 @@ def test_build_empty_below_q(sym3):
 
 
 def test_build_complex_edges_match_set_loop():
-    # the pairwise set-intersection loop that build_complex used before support masks
+    # the pairwise set-intersection loop that build_complex used before the
+    # masks per support class, against the masks and the edges read off them
     for q, d in product((2, 3), ("sym", "triv")):
         for n in range(1, 10):
             cx = build_complex(Config.make(q, 1, d), n)
@@ -70,20 +71,11 @@ def test_build_complex_edges_match_set_loop():
             edges = tuple((i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
                           if not set(vs[i].support) & set(vs[j].support))
             assert cx.edges == edges, (q, d, n)
-
-
-def test_neighbour_masks_match_pairwise_scan():
-    # the masks per support class against a support test per pair of vertices
-    for q, d in product((2, 3), ("sym", "triv")):
-        for n in range(1, 10):
-            cx = build_complex(Config.make(q, 1, d), n)
-            vs, nb = cx.vertices, cx.neighbours
-            assert len(nb) == len(vs)
-            for i, v in enumerate(vs):
-                assert nb[i] == sum(1 << j for j, w in enumerate(vs)
-                                    if not set(v.support) & set(w.support)), (q, d, n, i)
-                assert not nb[i] >> i & 1, (q, d, n, i)  # loop-free
-                assert all(nb[j] >> i & 1 == nb[i] >> j & 1 for j in range(len(vs))), (q, d, n, i)
+            masks = [0] * len(vs)  # symmetric and loop-free
+            for i, j in edges:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+            assert list(cx.neighbours) == masks, (q, d, n)
 
 
 def test_chain_complex_matches_tuple_clique_oracle():
