@@ -124,7 +124,7 @@ def visual_distance(x: Address, y: Address) -> float:
     return math.exp(-common_prefix_length(x, y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeafPartition:
     """Partition of an n-summand forest boundary into balls.
 
@@ -170,40 +170,57 @@ class LeafPartition:
 
     def leaf_index_of(self, a: Address) -> int:
         """Index of the unique leaf that is a prefix of address a."""
-        i = _ball_index(self, a)
-        if i is None:
-            raise KeyError(f"no leaf above {format_address(a)}")
-        return i
+        # a prefix sorts immediately before all of its extensions
+        i = bisect_right(self.leaves, a) - 1
+        if i >= 0:
+            s, w = self.leaves[i]
+            if s == a[0] and a[1][: len(w)] == w:
+                return i
+        raise KeyError(f"no leaf above {format_address(a)}")
 
     def max_depth(self) -> int:
         return max((len(w) for _, w in self.leaves), default=0)
 
 
-def _ball_index(p: LeafPartition, a: Address) -> int | None:
-    """Index of the leaf of p that is a prefix of address a, or None."""
-    # a prefix sorts immediately before all of its extensions
-    i = bisect_right(p.leaves, a) - 1
-    if i >= 0:
-        s, w = p.leaves[i]
-        if s == a[0] and a[1][: len(w)] == w:
-            return i
-    return None
+def _refinement_walk(p1: LeafPartition, p2: LeafPartition):
+    """Yield (b, i, j) for each leaf b of the common refinement, in sorted order,
+    with i and j the indices of the leaves of p1 and p2 that are prefixes of b.
+
+    p1 and p2 must be complete prefix codes on the same summands.  Their
+    current leaves are then always nested, so the deeper one is the next leaf
+    of the refinement; a side moves on once its leaf has no further leaf of
+    the other side below it.
+    """
+    l1, l2 = p1.leaves, p2.leaves
+    n1, n2 = len(l1), len(l2)
+    i = j = 0
+    while i < n1 and j < n2:
+        a, b = l1[i], l2[j]
+        if len(a[1]) <= len(b[1]):  # b lies in the ball a
+            yield b, i, j
+            j += 1
+            if j == n2 or l2[j][0] != a[0] or l2[j][1][:len(a[1])] != a[1]:
+                i += 1
+        else:  # a lies in the ball b
+            yield a, i, j
+            i += 1
+            if i == n1 or l1[i][0] != b[0] or l1[i][1][:len(b[1])] != b[1]:
+                j += 1
 
 
 def common_refinement(p1: LeafPartition, p2: LeafPartition) -> LeafPartition:
-    """Coarsest partition refining both: the leaves of each that lie in a ball of the other."""
+    """Coarsest partition refining two complete prefix codes: the leaves of each
+    that lie in a ball of the other."""
     if p1.n != p2.n:
         raise ValueError("partitions live on different summand counts")
-    leaves = {a for a in p1.leaves if _ball_index(p2, a) is not None}
-    leaves.update(b for b in p2.leaves if _ball_index(p1, b) is not None)
-    return LeafPartition(p1.n, tuple(sorted(leaves)))
+    return LeafPartition(p1.n, tuple(b for b, _, _ in _refinement_walk(p1, p2)))
 
 
 # ---------------------------------------------------------------------------
 # labeled isometries (finitely supported portraits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledIsometry:
     """D-admissible automorphism of one rooted q-ary tree with finite support.
 
@@ -309,7 +326,7 @@ def is_merge_kind(kind: ArrowKind) -> bool:
     return kind in (ArrowKind.MERGE, ArrowKind.VERY_ELEMENTARY_MERGE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreePair:
     """A D-admissible local similarity from an n-summand to an m-summand forest.
 
@@ -445,21 +462,27 @@ def compose(g: TreePair, h: TreePair) -> TreePair:
     """The element g∘h (h applied first), in canonical form.
 
     Each leaf b of the common refinement of h's codomain and g's domain lies
-    below an image leaf of h and below a domain leaf of g.  Its preimage
+    below an image leaf j of h and below a domain leaf k of g.  Its preimage
     under h, its image under g and the composite decoration on it make one
-    leaf of the result.
+    leaf of the result.  The refinement walk yields the leaves below one
+    image leaf of h in a row, so each decoration of h is inverted once.
     """
     if g.config != h.config:
         raise ValueError("config mismatch")
     if g.domain.n != h.codomain.n:
         raise ValueError("summand counts do not compose")
-    pre = {img: (a, dec) for a, (img, dec) in _entries(h).items()}
+    pre = [0] * len(h.leaf_map)  # image leaf of h -> its domain leaf
+    for i, j in enumerate(h.leaf_map):
+        pre[j] = i
     entries: Entries = {}
-    for b in common_refinement(h.codomain, g.domain).leaves:
-        hi = h.codomain.leaves[h.codomain.leaf_index_of(b)]
-        (s, w), hd = pre[hi]
-        u = hd.inverse().apply_word(b[1][len(hi[1]):])
-        k = g.domain.leaf_index_of(b)
+    last = -1
+    for b, j, k in _refinement_walk(h.codomain, g.domain):
+        if j != last:
+            last = j
+            i = pre[j]
+            (s, w), hd = h.domain.leaves[i], h.decorations[i]
+            hd_inv, cut = hd.inverse(), len(h.codomain.leaves[j][1])
+        u = hd_inv.apply_word(b[1][cut:])
         v = b[1][len(g.domain.leaves[k][1]):]
         gd = g.decorations[k]
         ms, mw = g.image_leaf(k)
@@ -519,7 +542,11 @@ def depth_triviality(g: TreePair) -> int | float | None:
 
 def classify_arrow(alpha: TreePair) -> ArrowKind:
     """Most specific kind of a local similarity as a poset arrow."""
-    a = canonical_form(alpha)
+    return _classify_reduced(canonical_form(alpha))
+
+
+def _classify_reduced(a: TreePair) -> ArrowKind:
+    """classify_arrow of a pair already in canonical form."""
     n, m = a.domain.n, a.codomain.n
     if n == m:
         if all(w == () for _, w in a.domain.leaves) and all(w == () for _, w in a.codomain.leaves):
@@ -551,8 +578,8 @@ def stabilizer_test(gamma: TreePair, phi: TreePair) -> bool:
         raise ValueError("config mismatch")
     if phi.codomain.n != phi.config.r or gamma.domain.n != phi.config.r:
         raise ValueError("gamma must act on the codomain forest of phi")
-    conj = compose(inverse(phi), compose(gamma, phi))
-    return classify_arrow(conj) == ArrowKind.STRICT_TRANSFORMATION
+    conj = compose(inverse(phi), compose(gamma, phi))  # compose reduces it
+    return _classify_reduced(conj) == ArrowKind.STRICT_TRANSFORMATION
 
 
 def _internal_vertices(part: LeafPartition) -> list[Address]:
@@ -585,14 +612,18 @@ def conjugates_into(phi: TreePair, kprime: int, k: int) -> bool:
         # lands at depth dm + t in the codomain
         if dm + max(0, kprime - len(w)) < k:
             return False
-    gens = [p for p in phi.config.sorted_group() if p != identity_perm(phi.config.q)]
-    for v in _internal_vertices(phi.domain):
-        if len(v[1]) < kprime:
-            continue
-        for p in gens:
+    return all(_labels_conjugate_into(phi, phi_inv, v, k)
+               for v in _internal_vertices(phi.domain) if len(v[1]) >= kprime)
+
+
+def _labels_conjugate_into(phi: TreePair, phi_inv: TreePair, v: Address, k: int) -> bool:
+    """Whether phi carries each single non-identity label at the internal
+    domain vertex v into a depth-k-trivial strict transformation."""
+    ident = identity_perm(phi.config.q)
+    for p in phi.config.sorted_group():
+        if p != ident:
             nu = _single_label_isometry(phi.config, phi.domain.n, v, p)
-            conj = compose(phi, compose(nu, phi_inv))
-            dt = depth_triviality(conj)
+            dt = depth_triviality(compose(phi, compose(nu, phi_inv)))
             if dt is None or dt < k:
                 return False
     return True
@@ -600,21 +631,41 @@ def conjugates_into(phi: TreePair, kprime: int, k: int) -> bool:
 
 def subnormal_depth(phi: TreePair, k: int) -> int:
     """Minimal k' such that conjugation by phi maps depth-k'-trivial strict
-    transformations into depth-k-trivial ones.
+    transformations into depth-k-trivial ones, that is, the least k' with
+    conjugates_into(phi, k', k).
 
-    Searches upward from 0; the leaf depth offsets of phi give a guaranteed
-    sufficient upper bound, so the search terminates.
+    conjugates_into is the conjunction of two conditions, each monotone in k':
+
+    - the leaf condition holds iff k' >= kA, where kA is 0 or the largest
+      |w| + k - dm over the domain leaves w whose image has depth dm < k;
+    - the vertex condition checks the internal vertices of depth >= k', so it
+      holds iff k' exceeds the depth of every internal vertex at which some
+      label conjugates to a label shallower than k; call that threshold kB.
+
+    The answer is max(kA, kB), found by scanning the internal vertices of depth
+    >= kA deepest first: the first failure at depth d gives d + 1 > kA, and
+    no failure gives kA.  phi^-1 is computed once, and only if a conjugation
+    is tried.  The answer never exceeds bound = max over the leaves of
+    max(|w|, |w| + k - dm), at which an upward search over k' = 0, 1, ...
+    always stops: kA <= bound, and every internal vertex lies strictly above
+    a leaf, so kB <= the depth of the deepest leaf <= bound.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    bound = 0
+    ka = 0
     for i, (s, w) in enumerate(phi.domain.leaves):
         dm = len(phi.image_leaf(i)[1])
-        bound = max(bound, len(w), k - dm + len(w))
-    for kprime in range(0, bound + 1):
-        if conjugates_into(phi, kprime, k):
-            return kprime
-    return bound  # unreachable: the bound always satisfies the containment
+        if dm < k:
+            ka = max(ka, len(w) + k - dm)
+    scan = sorted((v for v in _internal_vertices(phi.domain) if len(v[1]) >= ka),
+                  key=lambda v: -len(v[1]))
+    if phi.config.group_order == 1 or not scan:
+        return ka
+    phi_inv = inverse(phi)
+    for v in scan:
+        if not _labels_conjugate_into(phi, phi_inv, v, k):
+            return len(v[1]) + 1
+    return ka
 
 
 def thompson_membership(g: TreePair) -> dict[str, bool]:

@@ -9,7 +9,8 @@ The only edits are that apply_word is a function of the isometry, and the
 functions here call it and each other instead of the library's.
 validate_partition is LeafPartition.validate with the recursive complete
 prefix code check, and close_under_group_ops is the naive subgroup closure
-that multiplies every new element by every known one.
+that multiplies every new element by every known one.  subnormal_depth is the
+upward search that calls the library's conjugates_into for k' = 0, 1, ...
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from sphero.groups import (
     LeafPartition,
     TreePair,
     Word,
+    conjugates_into,
 )
 from sphero.perms import Perm, compose_perms, identity_perm, invert_perm, is_perm
 
@@ -291,3 +293,21 @@ def close_under_group_ops(gens: list[Perm] | tuple[Perm, ...], q: int) -> frozen
         elems |= frontier
         frontier = new
     return frozenset(elems)
+
+
+def subnormal_depth(phi: TreePair, k: int) -> int:
+    """Minimal k' with conjugates_into(phi, k', k), searched upward from 0.
+
+    The leaf depth offsets of phi give a guaranteed sufficient upper bound,
+    so the search terminates.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    bound = 0
+    for i, (s, w) in enumerate(phi.domain.leaves):
+        dm = len(phi.image_leaf(i)[1])
+        bound = max(bound, len(w), k - dm + len(w))
+    for kprime in range(0, bound + 1):
+        if conjugates_into(phi, kprime, k):
+            return kprime
+    return bound  # unreachable: the bound always satisfies the containment

@@ -17,6 +17,7 @@ from sphero.groups import (
     TreePair,
     _entries,
     _reduce,
+    _refinement_walk,
     canonical_form,
     classify_arrow,
     common_prefix_length,
@@ -385,6 +386,24 @@ def test_common_refinement_matches_oracle(rng):
                     assert common_refinement(a, b) == oracle.common_refinement(a, b)
 
 
+def test_refinement_walk_indexes_the_leaves_above(rng):
+    # the walk's leaves are the refinement, each with the leaves above it on both sides
+    walked = 0
+    for q in (2, 3):
+        for r in (1, 2):
+            config = Config.make(q, r, "triv")
+            for _ in range(40):
+                p1, p2 = (random_partition(rng, config, r, 3) for _ in range(2))
+                finer = _refined(rng, p1, q, rng.randint(1, 4))
+                for a, b in ((p1, p2), (p2, p1), (p1, p1), (p1, finer), (finer, p1)):
+                    want = [(c, a.leaf_index_of(c), b.leaf_index_of(c))
+                            for c in oracle.common_refinement(a, b).leaves]
+                    assert list(_refinement_walk(a, b)) == want
+                    assert common_refinement(a, b).leaves == tuple(c for c, _, _ in want)
+                    walked += len(want)
+    assert walked > 2000
+
+
 def test_compose_and_inverse_build_one_pair(rng, monkeypatch):
     config = Config.make(3, 2, "sym")
     a, b = (_expanded(rng, random_element(rng, config, 3), 2) for _ in range(2))
@@ -573,6 +592,21 @@ def test_subnormal_deep_leaf_to_root(sym2):
     decs = (LabeledIsometry.identity(2),) * 3
     phi = TreePair(sym2, dom, cod, (0, 1, 2), decs)
     assert subnormal_depth(phi, 1) == 3
+
+
+def test_subnormal_depth_matches_upward_search(rng):
+    # vertices of r + j(q-1) domain summands over r, against the k' = 0, 1, ... search
+    answers = set()
+    for q, d, r in [(q, d, r) for q in (2, 3) for d in ("sym", "triv") for r in (1, 2)]:
+        config = Config.make(q, r, d)
+        for j in range(3):
+            for depth in range(2, 6):
+                phi = random_element(rng, config, depth, n=r + j * (q - 1), m=r)
+                for k in range(5):
+                    got = subnormal_depth(phi, k)
+                    assert got == oracle.subnormal_depth(phi, k), (q, d, r, j, depth, k)
+                    answers.add(got - k)
+    assert len(answers) > 3  # k' above, at and below k
 
 
 def test_thompson_membership_flags(sym2, triv2, x0):
