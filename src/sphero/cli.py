@@ -9,6 +9,7 @@ enumerations are canonically ordered.  Exit codes: 0 pass, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,10 +105,7 @@ def _csv_text(manifest: dict, header: list[str], rows: list[list]) -> str:
 
 
 def _config_from_args(args) -> Config:
-    sub = args.subgroup
-    if sub not in ("sym", "triv"):
-        sub = [w.strip() for w in sub.split(",") if w.strip()]
-    return Config.make(args.q, getattr(args, "r", 1), sub)
+    return Config.make(args.q, getattr(args, "r", 1), args.subgroup)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dump-matrices", default=None, dest="dump_matrices",
                    help="also write the boundary matrices to this file")
     b.add_argument("--max-dim", type=int, default=2, dest="max_dim")
-    b.set_defaults(fn=cmd_build_cn)
+    b.set_defaults(cmd="cmd_build_cn")
 
     v = sub.add_parser("verify-nu", help="certify the connectivity bound grid")
     v.add_argument("--q", type=int, required=True)
@@ -311,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--pi1-budget", type=int, default=0, dest="pi1_budget")
     v.add_argument("--guard", type=int, default=None, help="override the nmax resource guard")
     v.add_argument("--out", default=None)
-    v.set_defaults(fn=cmd_verify_nu)
+    v.set_defaults(cmd="cmd_verify_nu")
 
     d = sub.add_parser("desclink", help="enumerate splitting-class posets")
     d.add_argument("--q", type=int, required=True)
@@ -323,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--cap", type=int, default=6)
     d.add_argument("--out", default=None)
     d.add_argument("--homology-csv", default=None, dest="homology_csv")
-    d.set_defaults(fn=cmd_desclink)
+    d.set_defaults(cmd="cmd_desclink")
 
     g = sub.add_parser("group", help="tree pair arithmetic on JSON elements")
     gs = g.add_subparsers(dest="op", required=True)
@@ -342,24 +340,30 @@ def build_parser() -> argparse.ArgumentParser:
     gu.add_argument("--k", type=int, required=True)
     for sp in (gc, gi, gn, gt, gu):
         sp.add_argument("--out", default=None)
-        sp.set_defaults(fn=cmd_group)
+        sp.set_defaults(cmd="cmd_group")
 
     t = sub.add_parser("trade", help="sparsify a schedule and run the staircase")
     t.add_argument("--schedule", required=True)
     t.add_argument("--prefix", type=int, required=True)
     t.add_argument("--out", default=None)
-    t.set_defaults(fn=cmd_trade)
+    t.set_defaults(cmd="cmd_trade")
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # commands are looked up by name at call time, so a replaced cmd_* runs
+        return globals()[args.cmd](args)
     except (ValueError, OSError) as exc:  # an OSError is an unusable path, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

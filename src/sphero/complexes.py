@@ -11,9 +11,9 @@ object only (see ``count_cell_orbits``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, groupby, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, groupby, permutations, product
 
 from .groups import Address, Config, LabeledIsometry, LeafPartition, TreePair, Word
 from .homology import ChainComplex, flag_complex
@@ -214,26 +214,42 @@ def _min_tiling(group: frozenset[Perm], q: int, block: Block) -> Block:
     for w, t in block:
         children[w[0]].append((w[1:], t))
     mins = [_min_tiling(group, q, tuple(c)) for c in children]
-    # The label p moves child c to position p[c]; D is closed under inverses,
-    # so putting child p[d] at position d runs over the same arrangements.
-    # Children carry disjoint targets, so two arrangements first differ where
-    # they hold different children, and there the children's first tiles decide.
-    firsts = [m[0] for m in mins]
-    best = min(group, key=lambda p: [firsts[c] for c in p])
+    best = _root_label(group, [m[0] for m in mins])
     return tuple(((d,) + w, t) for d, c in enumerate(best) for w, t in mins[c])
 
 
-@dataclass(frozen=True)
+def _root_label(group: frozenset[Perm], firsts: list[Tile]) -> Perm:
+    """The root label that places minimal children with these first tiles.
+
+    The label p moves child c to position p[c]; D is closed under inverses,
+    so putting child p[d] at position d runs over the same arrangements.
+    Children carry disjoint targets, so two arrangements first differ where
+    they hold different children, and there the children's first tiles decide.
+    """
+    return min(group, key=lambda p: [firsts[c] for c in p])
+
+
+@dataclass(frozen=True, slots=True)
 class SplitRecord:
     """A splitting class: blocks of targets, each with a labeled tiling.
 
     Blocks are canonically sorted; each block's tiling is the minimal orbit
-    representative under D-admissible isometries.
+    representative under D-admissible isometries.  The object id is built
+    once, with the record: sorting the records and naming the poset's
+    objects both read it.
     """
 
     config: Config
     n: int
     blocks: tuple[Block, ...]
+    _id: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        parts = []
+        for block in self.blocks:
+            tiles = ",".join(("".join(map(str, w)) or "e") + ">" + str(t) for w, t in block)
+            parts.append("(" + tiles + ")")
+        object.__setattr__(self, "_id", f"k{self.k}:" + "|".join(parts))
 
     @property
     def k(self) -> int:
@@ -249,11 +265,7 @@ class SplitRecord:
         return True
 
     def object_id(self) -> str:
-        parts = []
-        for block in self.blocks:
-            tiles = ",".join(("".join(map(str, w)) or "e") + ">" + str(t) for w, t in block)
-            parts.append("(" + tiles + ")")
-        return f"k{self.k}:" + "|".join(parts)
+        return self._id
 
 
 def make_record(config: Config, n: int, raw_blocks) -> SplitRecord:
@@ -265,6 +277,7 @@ def make_record(config: Config, n: int, raw_blocks) -> SplitRecord:
 
 
 def _set_partitions(items: list[int]):
+    """Set partitions of the sorted items; every part comes sorted."""
     if not items:
         yield []
         return
@@ -275,28 +288,64 @@ def _set_partitions(items: list[int]):
         yield [[first]] + part
 
 
+def _canonical_blocks(config: Config, n: int) -> list[list[Block]]:
+    """table[t]: every canonical block on the targets 1..t, for t <= n.
+
+    A block is canonical iff its children are canonical and ``_root_label``
+    picks the identity for them, as in ``_min_tiling`` (always, when D is
+    trivial).  Canonical form commutes with order-preserving relabeling,
+    since ``_min_tiling`` only compares tiles, so the children on an ordered
+    split of 1..t into q parts come from the tables of the part sizes,
+    relabeled in order.  Each canonical block is built once, from its own
+    split and children.
+    """
+    q, ident, trivial = config.q, identity_perm(config.q), config.group_order == 1
+    table: list[list[Block]] = [[], [(((), 1),)]]
+    words: dict[Word, Word] = {}  # one tuple per word, shared by the blocks that hold it
+    for t in range(2, n + 1):
+        blocks = []
+        for sizes in _compositions(t, q):
+            for split in _ordered_splits(range(1, t + 1), sizes):
+                options = [_relabeled(table[len(part)], part) for part in split]
+                for children in product(*options):
+                    if trivial or _root_label(config.group, [c[0] for c in children]) == ident:
+                        blocks.append(tuple((words.setdefault(v := (d,) + w, v), x)
+                                            for d, c in enumerate(children) for w, x in c))
+        table.append(blocks)
+    return table
+
+
+def _ordered_splits(items, sizes: tuple[int, ...]):
+    """Ordered tuples of disjoint sorted parts of items with these sizes."""
+    if not sizes:
+        yield ()
+        return
+    for first in combinations(items, sizes[0]):
+        rest = [x for x in items if x not in first]
+        for tail in _ordered_splits(rest, sizes[1:]):
+            yield (first,) + tail
+
+
+def _relabeled(blocks: list[Block], targets) -> list[Block]:
+    """The blocks on 1..t with target i renamed to the i-th of the sorted targets."""
+    return [tuple((w, targets[x - 1]) for w, x in b) for b in blocks]
+
+
 def split_records(config: Config, n: int, cap: int = 6) -> list[SplitRecord]:
-    """All splitting classes with fewer than n blocks, canonicalized and sorted."""
+    """All splitting classes with fewer than n blocks, canonicalized and sorted.
+
+    Each part of a set partition of 1..n takes its blocks from the table of
+    canonical blocks for its size, so no block is canonicalized here.
+    """
     if n > cap:
         raise EnumerationCap(f"n={n} exceeds the enumeration cap {cap}")
-    out = set()
+    table = _canonical_blocks(config, n)
+    out = []
     for part in _set_partitions(list(range(1, n + 1))):
         if len(part) >= n:
             continue  # the all-singletons partition is the identity, not a split
-        block_choices = []
-        for group in part:
-            group = sorted(group)
-            if len(group) == 1:
-                block_choices.append([(((), group[0]),)])
-                continue
-            choices = {
-                canonical_block(config, tuple(sorted(zip(tiling, perm))))
-                for tiling in tilings(config.q, len(group))
-                for perm in permutations(group)
-            }
-            block_choices.append(sorted(choices))
-        for combo in product(*block_choices):
-            out.add(SplitRecord(config, n, tuple(sorted(combo))))
+        choices = [_relabeled(table[len(p)], p) for p in part]
+        out += (SplitRecord(config, n, tuple(sorted(combo))) for combo in product(*choices))
     return sorted(out, key=lambda r: (r.k, r.object_id()))
 
 
@@ -366,22 +415,47 @@ def split_class_poset(config: Config, n: int, cap: int = 6, *,
     block induces a finer set of blocks, which is a record unless it is the
     all-singletons partition.  This is the condition of ``has_arrow``.
     ``records``, if given, is ``split_records(config, n, cap)``.
+
+    Record blocks are canonical, and so is every subtree of one, so a cut
+    induces its blocks without ``canonical_block``: the tiles below a cut word
+    are one run of the sorted block, with the cut word stripped.  The cuts
+    and their runs depend only on the block's words, so they are found once
+    per shape, and each block zips its targets into them.
     """
     if n <= 1:
         return GenPoset.make([], [])
     if records is None:
         records = split_records(config, n, cap)
     ids = {r.blocks: r.object_id() for r in records}
+    shapes: dict[tuple[Word, ...], list[list[tuple[int, tuple[Word, ...]]]]] = {}
     arrows = []
     for r2 in records:
-        per_block = [block_cuts(config, b) for b in r2.blocks]
+        per_block = []
+        for b in r2.blocks:
+            words, targets = zip(*b)
+            if words not in shapes:
+                shapes[words] = [_cut_runs(words, cut) for cut in block_cuts(config, b)]
+            per_block.append([[tuple(zip(run, targets[lo:])) for lo, run in runs]
+                              for runs in shapes[words]])
+        k, target = r2.k, ids[r2.blocks]
         for combo in product(*per_block):
-            blocks = tuple(sorted(
-                ib for b, cut in zip(r2.blocks, combo) for ib in _induced_blocks(config, b, cut)
-            ))
-            if len(blocks) > r2.k and blocks in ids:
-                arrows.append((ids[blocks], ids[r2.blocks]))
+            blocks = tuple(sorted(chain.from_iterable(combo)))
+            if len(blocks) > k and blocks in ids:
+                arrows.append((ids[blocks], target))
     return GenPoset.make(list(ids.values()), arrows).require_valid()
+
+
+def _cut_runs(words: tuple[Word, ...], cut: tuple[Word, ...]) -> list[tuple[int, tuple[Word, ...]]]:
+    """Per cut word, the start of its run in the sorted words and the run's words below it.
+
+    The cut is sorted and prefix-free, so its runs follow one another.
+    """
+    runs, lo = [], 0
+    for c in cut:
+        run = tuple(w[len(c):] for w in words if w[:len(c)] == c)
+        runs.append((lo, run))
+        lo += len(run)
+    return runs
 
 
 def elementary_split_poset(config: Config, n: int, cap: int = 6, *,

@@ -75,14 +75,16 @@ class Config:
     def make(q: int, r: int, subgroup: str | list[str] = "sym") -> "Config":
         """Build a Config from a subgroup spec.
 
-        Accepts "sym", "triv", or a list of 1-based permutation words.
+        Accepts "sym", "triv", comma-separated 1-based permutation words such
+        as "213,132", or a list of such words.
         """
         if subgroup == "sym":
             gens = tuple(sorted(full_symmetric(q)))
         elif subgroup == "triv":
             gens = (identity_perm(q),)
         else:
-            gens = tuple(word_to_perm(w) for w in subgroup)
+            words = subgroup.split(",") if isinstance(subgroup, str) else subgroup
+            gens = tuple(word_to_perm(w.strip()) for w in words if w.strip())
             for g in gens:
                 if len(g) != q:
                     raise ValueError(f"generator {perm_to_word(g)} is not on {q} letters")
@@ -522,7 +524,11 @@ def forest_portraits(g: TreePair) -> list[LabeledIsometry] | None:
     as portraits, and those have labels in D.  Equal leaf counts make the
     summand counts equal.
     """
-    c = canonical_form(g)
+    return _reduced_portraits(canonical_form(g))
+
+
+def _reduced_portraits(c: TreePair) -> list[LabeledIsometry] | None:
+    """forest_portraits of a pair already in canonical form."""
     if any(w or c.image_leaf(i) != (s, ()) for i, (s, w) in enumerate(c.domain.leaves)):
         return None
     return list(c.decorations)
@@ -623,8 +629,9 @@ def _labels_conjugate_into(phi: TreePair, phi_inv: TreePair, v: Address, k: int)
     for p in phi.config.sorted_group():
         if p != ident:
             nu = _single_label_isometry(phi.config, phi.domain.n, v, p)
-            dt = depth_triviality(compose(phi, compose(nu, phi_inv)))
-            if dt is None or dt < k:
+            # compose reduces; depth_triviality < k iff some portrait has a label shallower than k
+            portraits = _reduced_portraits(compose(phi, compose(nu, phi_inv)))
+            if portraits is None or any(iso.min_support_depth() < k for iso in portraits):
                 return False
     return True
 

@@ -1,11 +1,18 @@
-"""Orbit search for the canonical form of a labeled tiling.
+"""Oracles for canonical blocks and the splitting records built from them.
 
-A test oracle for ``sphero.complexes.canonical_block``: it walks the whole
-orbit of a block under single-label moves at internal vertices, applying each
-move through ``LabeledIsometry.apply_word``, and returns the minimum it saw.
-It shares no code with the bottom-up minimum in the library.
+``orbit_canonical_block`` is a test oracle for
+``sphero.complexes.canonical_block``: it walks the whole orbit of a block
+under single-label moves at internal vertices, applying each move through
+``LabeledIsometry.apply_word``, and returns the minimum it saw.  It shares no
+code with the bottom-up minimum in the library.
+
+``split_records_oracle`` is the enumeration that ``split_records`` replaced:
+it canonicalises every labeling of every tiling of every part.
 """
 
+from itertools import permutations, product
+
+from sphero.complexes import SplitRecord, _set_partitions, canonical_block, tilings
 from sphero.groups import Config, LabeledIsometry
 from sphero.perms import identity_perm
 
@@ -41,3 +48,26 @@ def orbit_canonical_block(config: Config, block):
                     seen.add(moved)
                     frontier.append(moved)
     return min(seen)
+
+
+def split_records_oracle(config: Config, n: int) -> list:
+    """All splitting classes with fewer than n blocks, each block canonicalised by ``canonical_block``."""
+    out = set()
+    for part in _set_partitions(list(range(1, n + 1))):
+        if len(part) >= n:
+            continue  # the all-singletons partition is the identity, not a split
+        block_choices = []
+        for group in part:
+            group = sorted(group)
+            if len(group) == 1:
+                block_choices.append([(((), group[0]),)])
+                continue
+            choices = {
+                canonical_block(config, tuple(sorted(zip(tiling, perm))))
+                for tiling in tilings(config.q, len(group))
+                for perm in permutations(group)
+            }
+            block_choices.append(sorted(choices))
+        for combo in product(*block_choices):
+            out.add(SplitRecord(config, n, tuple(sorted(combo))))
+    return sorted(out, key=lambda r: (r.k, r.object_id()))

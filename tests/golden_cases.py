@@ -86,7 +86,9 @@ def _cases() -> list[tuple[str, list[str], Outputs]]:
         argv = ["verify-nu", "--q", str(q), "--subgroup", d, "--nmax", str(nmax),
                 "--pi1-budget", "5000"]
         cases.append((name, argv, (("--out", name + ".csv"),)))
-    for q, d, n in ((2, "sym", 4), (2, "triv", 4), (3, "sym", 5), (2, "sym", 5)):
+    # 213 and 231 generate proper subgroups of Sym(3): the general-D root label
+    for q, d, n in ((2, "sym", 4), (2, "triv", 4), (3, "sym", 5), (2, "sym", 5),
+                    (3, "213", 5), (3, "231", 5)):
         name = f"desclink-q{q}-{d}-n{n}"
         argv = ["desclink", "--q", str(q), "--subgroup", d, "--n", str(n), "--full", "--star"]
         cases.append((name, argv, _json_out(name) + (("--homology-csv", name + ".csv"),)))

@@ -83,6 +83,16 @@ def test_verify_nu_guard_builds_no_config(monkeypatch):
     assert built == []
 
 
+def test_parser_is_built_once_and_commands_dispatch_by_name(tmp_path, monkeypatch):
+    assert run(["desclink", "--q", "2", "--n", "1", "--out", str(tmp_path / "a.json")]) == 0
+    rebuilt = []
+    monkeypatch.setattr(cli, "build_parser", lambda: rebuilt.append(1))
+    # a command replaced after the parser was built still runs
+    monkeypatch.setattr(cli, "cmd_desclink", lambda args: 7)
+    assert run(["desclink", "--q", "2", "--n", "1"]) == 7
+    assert rebuilt == []
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "taken"
     target.mkdir()

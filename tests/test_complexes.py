@@ -2,7 +2,7 @@ from itertools import permutations, product
 from random import Random
 
 import pytest
-from block_orbit import orbit_canonical_block
+from block_orbit import orbit_canonical_block, split_records_oracle
 from homology_oracle import flag_complex_oracle
 from orbit_oracle import count_cell_orbits_oracle
 
@@ -339,6 +339,36 @@ def test_canonical_block_matches_orbit_search():
     assert checked > 8_000
 
 
+# every proper subgroup spec here generates a group other than Sym(q) and 1
+SPLIT_CASES = ([(2, sub, 5) for sub in ("sym", "triv")]
+               + [(3, sub, 5) for sub in ("sym", "triv", "213", "132", "231")]
+               + [(4, sub, 5) for sub in ("sym", "triv", "2143", "2341")]
+               + [(2, "sym", 6), (3, "213", 6)])
+
+
+@pytest.mark.parametrize("q,sub,nmax", SPLIT_CASES)
+def test_split_records_match_labeling_oracle(q, sub, nmax):
+    """The table of canonical blocks gives the records that canonicalising every labeling gives."""
+    config = Config.make(q, 1, sub)
+    for n in range(1, nmax + 1):
+        assert split_records(config, n) == split_records_oracle(config, n), n
+
+
+@pytest.mark.parametrize("q,sub", [(2, "sym"), (3, "sym"), (3, "213"), (3, "231")])
+def test_runs_below_cuts_of_record_blocks_are_canonical(q, sub):
+    """split_class_poset takes the run below a cut word as its induced block, uncanonicalised."""
+    config = Config.make(q, 1, sub)
+    blocks = {b for r in split_records(config, 5) for b in r.blocks}
+    for block in blocks:
+        assert canonical_block(config, block) == block
+        for cut in block_cuts(config, block):
+            for c in cut:
+                below = [i for i, (w, _) in enumerate(block) if w[:len(c)] == c]
+                assert below == list(range(below[0], below[-1] + 1)), (block, c)
+                run = tuple((block[i][0][len(c):], block[i][1]) for i in below)
+                assert canonical_block(config, run) == run == orbit_canonical_block(config, run)
+
+
 def _arrows_by_pairs(config, n):
     records = split_records(config, n)
     return {(r1.object_id(), r2.object_id())
@@ -348,7 +378,7 @@ def _arrows_by_pairs(config, n):
 @pytest.mark.parametrize("q,sub,n", [
     (2, "sym", 2), (2, "sym", 3), (2, "sym", 4),
     (2, "triv", 2), (2, "triv", 3), (2, "triv", 4),
-    (3, "sym", 5), (3, "triv", 5), (3, ["213"], 5),
+    (3, "sym", 5), (3, "triv", 5), (3, ["213"], 5), (2, "sym", 5),
 ])
 def test_split_poset_arrows_match_pairwise_has_arrow(q, sub, n):
     """Arrows generated from cuts are exactly the pairs that has_arrow accepts."""

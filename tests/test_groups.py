@@ -644,6 +644,10 @@ def test_config_validation():
     d = Config.make(3, 1, ["213"])
     assert d.group_order == 2
     assert word_to_perm("213") in d.group
+    # a spec string is comma-separated words, not a sequence of one-letter words
+    assert Config.make(3, 1, "213") == d
+    assert Config.make(3, 1, " 213, 132").generators == (word_to_perm("213"), word_to_perm("132"))
+    assert Config.make(3, 1, "213,132").group_order == 6
 
 
 def test_subgroup_closure_matches_naive_oracle():

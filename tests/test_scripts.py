@@ -11,7 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script,args", [("nu_grid.py", ["--nmax", "6"]),
-                                         ("desclink_census.py", ["--nmax", "3"])])
+                                         ("desclink_census.py", ["--nmax", "3"]),
+                                         ("desclink_census.py", ["--q", "3", "--nmax", "5",
+                                                                 "--subgroups", "sym,triv,213"])])
 def test_script_exits_zero(script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
