@@ -36,7 +36,7 @@ from .groups import (
     subnormal_depth,
 )
 from .homology import pi1_report, reduced_homology
-from .posets import order_complex
+from .posets import chain_count, order_complex
 from .trading import (
     FiltrationSchedule,
     ScheduleError,
@@ -53,6 +53,12 @@ EXIT_RESOURCE = 3
 EXIT_SCHEDULE = 4
 
 GUARD_DEFAULTS = {2: 11, 3: 9}
+
+# desclink refuses an order complex whose chains times objects exceed this:
+# each chain is a mask as wide as its highest object.  (2, sym, 6) has
+# 45,555 chains on 2,430 objects (1.1e8); (2, triv, 6) has 1,159,650 on
+# 49,170 (5.7e10) and ran out of memory at 7.6 GB.
+ORDER_COMPLEX_BITS = 4 * 10**9
 
 
 def _manifest(command: str, params: dict, seed: int | None) -> dict:
@@ -173,6 +179,10 @@ def cmd_verify_nu(args) -> int:
 def _poset_homology_rows(poset):
     if not poset.objects:
         return [], None
+    chains = chain_count(poset)
+    if chains * len(poset.objects) > ORDER_COMPLEX_BITS:
+        raise EnumerationCap(f"the order complex has {chains} chains on {len(poset.objects)} objects, "
+                             f"over the guard of {ORDER_COMPLEX_BITS:,} chain-object bits")
     cc = order_complex(poset)  # split posets are honest: every arrow adds blocks
     res = reduced_homology(cc, max(cc.dim, 0))
     return [[d, res.betti[d], "+".join(map(str, res.torsion[d]))] for d in range(len(res.betti))], res

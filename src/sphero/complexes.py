@@ -327,7 +327,12 @@ def _ordered_splits(items, sizes: tuple[int, ...]):
 
 
 def _relabeled(blocks: list[Block], targets) -> list[Block]:
-    """The blocks on 1..t with target i renamed to the i-th of the sorted targets."""
+    """The blocks on 1..t with target i renamed to the i-th of the sorted targets.
+
+    Targets 1..t rename nothing, so the blocks themselves are returned, not a copy.
+    """
+    if targets[-1] == len(targets):  # sorted distinct positive targets: exactly 1..t
+        return blocks
     return [tuple((w, targets[x - 1]) for w, x in b) for b in blocks]
 
 

@@ -1,40 +1,54 @@
 """Exact integral simplicial homology via Smith normal form.
 
-A chain complex is its vertex labels and its simplices, each an int bitmask
+A chain complex is its vertex labels, its simplices, each an int bitmask
 (bit i is vertices[i], as Ripser's simplices are integers) oriented by the
-vertex order; flag complexes are built from neighbour masks, not edge lists.
+vertex order and listed in lexicographic order, and the neighbour masks of
+its 1-skeleton; flag complexes are built from those masks, not edge lists.
 Boundary matrices are not stored but derived from the cells, face i of s
 being s less its i-th lowest bit with sign (-1)^i, so boundary squared
 vanishes by construction: ``faces`` enumerates them, and the coboundaries
-below are filled in one pass over the cells, keyed by face mask.  They are
-reduced by one elimination: a unit-pivot column pass, then a Euclidean sparse
-Smith normal form on the leftover core of columns with non-unit lows, cleared
-on the pivot rows (empty on torsion-free instances).  Entries are Python
-integers, so no overflow is possible.
+below take each column from the neighbour masks.  They are reduced by one
+elimination: a unit-pivot column pass, then a Euclidean sparse Smith normal
+form on the leftover core of columns with non-unit lows, cleared on the
+pivot rows (empty on torsion-free instances).  Entries are Python integers,
+so no overflow is possible.
 
 ``reduced_homology`` needs only the rank and invariant factors of each
 boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
 2021).  The first boundary is the incidence matrix of a graph: it is totally
-unimodular, so its rank comes from a spanning forest, whose scan stops once
-it spans, and every factor is 1.  Each higher boundary is reduced as its
-transpose, the coboundary, built straight from the two bases in
-anti-transposed order (faces from last to first, cofaces on reversed rows),
-so the pass pivots on the smallest coface.  Rows that carry a unit pivot in
-one coboundary name columns of the next that reduce to zero, and those
-columns are left out.  This is exact over the integers.  For the forest,
-d1 d2 = 0 and peeling the forest from its leaves write each forest-edge row
-of d2 as an integer combination of the other rows.  Above it, a unit pivot
-column c is an integer combination of coboundary columns, so the next
-coboundary kills it.  Its pivot is +-1 and its other entries lie on later
-cofaces, so the cleared columns form a unit triangular set, and leaving them
-out is a unimodular column operation.  Transposing keeps the invariant factors.
+unimodular, so its rank comes from a spanning forest, and every factor is 1.
+The forest is Kruskal's over the edges in lexicographic order, read off the
+neighbour masks: Kruskal meets the edges of vertex i to higher vertices
+together, lowest first, and keeps one iff its other end is outside i's tree,
+so i keeps the edges to the lowest neighbours above it outside its tree,
+taking each one's tree in as it goes; that is O(n0) mask operations, not a
+find per edge.  Each higher boundary is reduced as its transpose, the
+coboundary, in anti-transposed order (faces from last to first, cofaces on
+reversed rows), so the pass pivots on the smallest coface.  The cofaces of a
+face f are the cells f | v for v in the AND of the neighbour masks of f's
+vertices, and since the cells are in lexicographic order the smallest is
+f | v for the lowest such v that gives a cell: that is the column's low,
+found without its other entries.  Most columns are emergent (Ripser's
+emergent pairs): no earlier column holds a pivot on their low.  Such a
+column is not reduced at all, so its unreduced entries, +-1 at the low and
+entries on later cofaces, are its pivot column as they stand; they are
+built only when a later column is reduced against it.  Rows that carry a
+unit pivot in one coboundary name columns of the next that reduce to zero,
+and those columns are left out.  This is exact over the integers.  For the
+forest, d1 d2 = 0 and peeling the forest from its leaves write each
+forest-edge row of d2 as an integer combination of the other rows.  Above
+it, a unit pivot column c is an integer combination of coboundary columns,
+so the next coboundary kills it.  Its pivot is +-1 and its other entries lie
+on later cofaces, so the cleared columns form a unit triangular set, and
+leaving them out is a unimodular column operation.  Transposing keeps the
+invariant factors.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
@@ -55,11 +69,15 @@ class ChainComplex:
 
     cells[d] lists the d-simplices as int bitmasks, bit i standing for
     vertices[i], so cells[0] is (1, 2, 4, ...); each simplex is oriented by the
-    vertex order.  ``faces`` derives the boundaries from the cells.
+    vertex order, and each dimension is sorted lexicographically by the bit
+    positions of its cells.  neighbours[i] is the neighbour mask of vertex i
+    in the 1-skeleton, derived data that equality ignores.  ``faces`` derives
+    the boundaries from the cells.
     """
 
     vertices: tuple
     cells: tuple[tuple[int, ...], ...]
+    neighbours: tuple[int, ...] = field(repr=False, compare=False)
 
     @cached_property
     def basis(self) -> tuple[tuple[tuple, ...], ...]:
@@ -124,18 +142,20 @@ class ChainComplex:
 
 
 def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
-    """The complex with these simplex lists, in their order, as its cells.
+    """The complex with these simplex lists as its cells, each sorted as ``flag_complex`` sorts.
 
     The 0-cells fix the vertex order and so the orientation of every simplex,
-    whatever the order of its tuple.  Raises HomologyError on a simplex of the
-    wrong length for its dimension, a repeated vertex, a vertex that is not a
-    0-cell, a face that is not a cell, or a simplex listed twice.
+    whatever the order of its tuple; each higher dimension is put in
+    lexicographic order of bit positions, whatever the order of its list.
+    Raises HomologyError on a simplex of the wrong length for its dimension, a
+    repeated vertex, a vertex that is not a 0-cell, a face that is not a cell,
+    or a simplex listed twice.
     """
     bit: dict = {}
     cells: list[tuple[int, ...]] = []
     for d, simplices in enumerate(simplices_by_dim):
         lower = set(cells[-1]) if cells else set()
-        masks = []
+        keyed = []  # (bit positions, mask)
         for s in simplices:
             if len(s) != d + 1:
                 raise HomologyError(f"{s!r} has {len(s)} vertices, not {d + 1}")
@@ -150,11 +170,16 @@ def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
                 raise HomologyError(f"{s!r} repeats a vertex")
             if d and not lower.issuperset(map(m.__xor__, bits)):  # the faces m ^ b
                 raise HomologyError(f"a face of {s!r} is not a {d - 1}-cell")
-            masks.append(m)
-        if len(set(masks)) != len(masks):
+            keyed.append((sorted(b.bit_length() for b in bits), m))
+        if len({m for _, m in keyed}) != len(keyed):
             raise HomologyError(f"a {d}-simplex is listed twice")
-        cells.append(tuple(masks))
-    return ChainComplex(tuple(bit), tuple(cells))
+        cells.append(tuple(m for _, m in sorted(keyed)))
+    adj = [0] * len(bit)
+    for e in cells[1] if len(cells) > 1 else ():
+        low = e & -e
+        adj[low.bit_length() - 1] |= e ^ low
+        adj[e.bit_length() - 1] |= low
+    return ChainComplex(tuple(bit), tuple(cells), tuple(adj))
 
 
 def neighbour_masks(vertices: Iterable, edges: Collection[tuple]) -> tuple[tuple, list[int]]:
@@ -204,7 +229,9 @@ def flag_complex(vertices: Iterable, neighbours: Sequence[int], max_dim: int) ->
             break
         cells.append(tuple(nxt))
         cliques, above = nxt, nxt_above
-    return ChainComplex(tuple(vertices), tuple(cells))
+    # the masks of the 1-skeleton: none when it has no edges
+    return ChainComplex(tuple(vertices), tuple(cells),
+                        tuple(neighbours) if len(cells) > 1 else (0,) * len(neighbours))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +344,29 @@ def sparse_invariant_factors(columns: list[Column],
     equivalent to an identity block plus the cleared parked columns, and only
     that core goes to the Euclidean routine.  If ``pivot_rows`` is given, the
     rows of the unit pivots are added to it.
+
+    A column may be an unfilled ``_Cofaces``, whose low is known before its
+    entries.  If no pivot sits on that low yet, it becomes one unfilled, and
+    is filled the first time a column is reduced against it; otherwise it is
+    filled and reduced like any other column.  Filled columns are never
+    edited, so afterwards each holds its entries or, never needed, none.
     """
     pivots: dict[int, Column] = {}
     parked: list[Column] = []
     for col in columns:
+        if type(col) is _Cofaces and not col:
+            if col.low not in pivots:
+                pivots[col.low] = col  # emergent: filled when a column is reduced against it
+                continue
+            col.fill()
         shared = True  # still the caller's column: copied before its first edit
         while col:
             low = max(col)
             p = pivots.get(low)
             if p is None:
                 break
+            if not p:
+                p.fill()
             if shared:
                 col, shared = dict(col), False
             f = col[low] * p[low]  # p[low] is +-1
@@ -353,7 +393,7 @@ def sparse_invariant_factors(columns: list[Column],
             r = -heappop(todo)
             if r not in col:
                 continue  # cancelled by fill-in, or queued twice
-            p = pivots[r]
+            p = pivots[r] or pivots[r].fill()
             f = col[r] * p[r]
             for rr, v in p.items():
                 nv = col.get(rr, 0) - f * v
@@ -389,13 +429,14 @@ class HomologyResult:
         return all(self.betti[d] == 0 and not self.torsion[d] for d in range(k + 1))
 
 
-def _spanning_forest(n0: int, edges: tuple[int, ...]) -> set[int]:
-    """Indices of the edges (vertex bitmasks) that Kruskal's union-find keeps, in order.
+def _spanning_forest(neighbours: Sequence[int]) -> set[int]:
+    """Kruskal's forest over the edges in lexicographic order, as edge masks, from neighbour masks.
 
-    A forest on n0 vertices has at most n0 - 1 edges, and once it has them it
-    spans, so no later edge joins two trees: the scan stops there.
+    Vertex i keeps the edge to the lowest neighbour above it outside its
+    tree, takes that neighbour's tree in, and repeats (module docstring).
     """
-    parent = list(range(n0))
+    parent = list(range(len(neighbours)))
+    tree = [1 << i for i in parent]  # the vertex mask of each root's tree
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -403,41 +444,80 @@ def _spanning_forest(n0: int, edges: tuple[int, ...]) -> set[int]:
         return x
 
     forest: set[int] = set()
-    need = n0 - 1
-    for j, e in enumerate(edges):
-        a, b = find((e & -e).bit_length() - 1), find(e.bit_length() - 1)
-        if a != b:
-            parent[a] = b
-            forest.add(j)
-            if len(forest) == need:
-                break
+    for i, m in enumerate(neighbours):
+        r = find(i)
+        m &= -(2 << i) & ~tree[r]  # neighbours above i outside its tree
+        while m:
+            low = m & -m
+            t = find(low.bit_length() - 1)
+            parent[t] = r
+            tree[r] |= tree[t]
+            m &= ~tree[t]
+            forest.add(1 << i | low)
     return forest
 
 
-def _coboundary(cx: ChainComplex, d: int, cleared: set[int]) -> list[Column]:
-    """The coboundary of dimension d in anti-transposed order, cleared faces left out.
+class _Cofaces(dict):
+    """A coboundary column, row -> sign, whose entries are filled on first use.
+
+    ``face`` is the (d-1)-cell, ``cands`` the vertices v whose f | v may be a
+    d-cell, from the lowest one that is, and ``rows`` maps each d-cell to its
+    row; ``low`` is the row of that lowest coface.
+    """
+
+    __slots__ = ("face", "cands", "rows", "low")
+
+    def fill(self) -> "_Cofaces":
+        """Add the entries: f | v on its row with sign (-1)^(bits of f below v)."""
+        f, m, get = self.face, self.cands, self.rows.get
+        rest, sign = f, 1
+        while m:
+            b = rest & -rest  # the next bit of f; 0 past the last
+            rest ^= b
+            run = m & (b - 1) if b else m  # the candidates below b: one sign
+            m ^= run
+            while run:
+                low = run & -run
+                run ^= low
+                row = get(f | low)
+                if row is not None:
+                    self[row] = sign
+            sign = -sign
+        return self
+
+
+def _coboundary(cx: ChainComplex, d: int, cleared: set[int]) -> list[_Cofaces]:
+    """The coboundary of dimension d in anti-transposed order, cleared faces left out, unfilled.
 
     Columns are the (d-1)-cells from the last to the first, and d-cell j sits
     on row n_cells(d) - 1 - j, so the max-low pass pivots on the smallest
-    coface.  One pass over the d-cells fills the columns, keyed by face mask:
-    face i of s is s less its i-th lowest bit, with sign (-1)^i.  Cleared faces
-    get no column, and faces without cofaces give an empty one, left out.
+    coface.  The cofaces of face f are the cells f | v for v in the AND of
+    the neighbour masks of f's vertices; cells are in lexicographic order,
+    so the lowest such v that gives a cell gives the low.  Cleared faces get
+    no column, and faces without cofaces give none either.
     """
-    lower = cx.cells[d - 1]
-    cols: dict[int, Column] = {lower[i]: {} for i in range(len(lower) - 1, -1, -1)
-                               if i not in cleared}
-    row = cx.n_cells(d)
-    for s in cx.cells[d]:
-        row -= 1
-        m, sign = s, 1
+    top = cx.cells[d]
+    rows = {s: r for r, s in enumerate(reversed(top))}
+    adj = {1 << i: m for i, m in enumerate(cx.neighbours)}  # keyed by the vertex's bit
+    cols = []
+    for f in reversed(cx.cells[d - 1]):
+        if f in cleared:
+            continue
+        m, x = -1, f
+        while x:
+            b = x & -x
+            x ^= b
+            m &= adj[b]
         while m:
             low = m & -m
+            row = rows.get(f | low)
+            if row is not None:
+                col = _Cofaces()
+                col.face, col.cands, col.rows, col.low = f, m, rows, row
+                cols.append(col)
+                break
             m ^= low
-            col = cols.get(s ^ low)
-            if col is not None:
-                col[row] = sign
-            sign = -sign
-    return [col for col in cols.values() if col]
+    return cols
 
 
 def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
@@ -455,12 +535,13 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
             f, r = [], 0
         elif d == 1:
             # an incidence matrix: totally unimodular, rank from a spanning forest
-            cleared = _spanning_forest(n0, cx.cells[1])
+            cleared = _spanning_forest(cx.neighbours)
             f, r = [1] * len(cleared), len(cleared)
         else:
             pivots: set[int] = set()
             f, r = sparse_invariant_factors(_coboundary(cx, d, cleared), pivots)
-            cleared = {cx.n_cells(d) - 1 - p for p in pivots}
+            top = cx.cells[d]
+            cleared = {top[-1 - p] for p in pivots}
         factors[d], rank[d] = f, r
     betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
     torsion = tuple(tuple(x for x in factors[d + 1] if x > 1) for d in range(through_dim + 1))

@@ -197,6 +197,23 @@ def order_complex(p: GenPoset):
     return flag_complex(*neighbour_masks(p.objects, p.arrows), len(p.objects) - 1)
 
 
+def chain_count(p: GenPoset) -> int:
+    """The number of chains of an honest poset, all lengths: the cells of its order complex.
+
+    Each object ends one chain of its own and one more for each chain ending
+    at a predecessor, summed in a topological order.  In a composition-closed
+    honest poset an arrow a -> b gives b every predecessor of a, and a too, so
+    sorting by the number of predecessors is one.
+    """
+    preds: dict[ObjId, list[ObjId]] = {o: [] for o in p.objects}
+    for a, b in p.arrows:
+        preds[b].append(a)
+    ending: dict[ObjId, int] = {}
+    for o in sorted(p.objects, key=lambda o: len(preds[o])):
+        ending[o] = 1 + sum(ending[a] for a in preds[o])
+    return sum(ending.values())
+
+
 def descending_link(c: GenPoset, x: ObjId, lower) -> tuple[GenPoset, GenPoset]:
     """Both halves of the descending link of x relative to a set of objects.
 

@@ -80,8 +80,10 @@ def _cases() -> list[tuple[str, list[str], Outputs]]:
         if max_dim is not None:
             argv += ["--max-dim", str(max_dim)]
         cases.append((name, argv, _json_out(name) + (("--dump-matrices", name + ".matrices.txt"),)))
-    # sym nmax 9 and triv nmax 8 end in rows whose pi1 search runs out of budget
-    for q, d, nmax in ((2, "sym", 8), (3, "sym", 7), (2, "sym", 9), (2, "triv", 8)):
+    # sym nmax 9 and triv nmax 8 end in rows whose pi1 search runs out of budget;
+    # sym nmax 10 and triv nmax 9 reach the torsion rows Z/3 at n=10 and (Z/3)^44 at n=9
+    for q, d, nmax in ((2, "sym", 8), (3, "sym", 7), (2, "sym", 9), (2, "triv", 8),
+                       (2, "sym", 10), (2, "triv", 9)):
         name = f"verify-nu-q{q}-{d}-nmax{nmax}"
         argv = ["verify-nu", "--q", str(q), "--subgroup", d, "--nmax", str(nmax),
                 "--pi1-budget", "5000"]

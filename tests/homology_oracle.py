@@ -16,7 +16,11 @@ the join of two simplicial complexes, the oracle for ``sphero.posets.join``.
 ``coboundary_oracle`` builds a cleared coboundary from ``ChainComplex.faces``,
 as ``reduced_homology`` did before its one-pass coboundary, and
 ``spanning_forest_oracle`` is Kruskal's scan over every edge, before the
-forest stopped once it spanned.
+forest stopped once it spanned.  ``one_pass_coboundary_oracle`` fills every
+column of a cleared coboundary in one pass over the cells, and
+``early_forest_oracle`` is Kruskal's scan stopping once the forest spans:
+``reduced_homology`` used both before it took the coboundary columns and
+the forest from neighbour masks.
 """
 
 from sphero.homology import (ChainComplex, Column, HomologyResult, _cyc_reduce, _free_reduce,
@@ -210,4 +214,56 @@ def spanning_forest_oracle(n0: int, edges: tuple[int, ...]) -> set[int]:
         if a != b:
             parent[a] = b
             forest.add(j)
+    return forest
+
+
+def one_pass_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -> list[Column]:
+    """The coboundary of dimension d in anti-transposed order, cleared faces left out.
+
+    Columns are the (d-1)-cells from the last to the first, and d-cell j sits
+    on row n_cells(d) - 1 - j, so the max-low pass pivots on the smallest
+    coface.  One pass over the d-cells fills the columns, keyed by face mask:
+    face i of s is s less its i-th lowest bit, with sign (-1)^i.  Cleared faces
+    (by index) get no column, and faces without cofaces give an empty one, left
+    out.
+    """
+    lower = cx.cells[d - 1]
+    cols: dict[int, Column] = {lower[i]: {} for i in range(len(lower) - 1, -1, -1)
+                               if i not in cleared}
+    row = cx.n_cells(d)
+    for s in cx.cells[d]:
+        row -= 1
+        m, sign = s, 1
+        while m:
+            low = m & -m
+            m ^= low
+            col = cols.get(s ^ low)
+            if col is not None:
+                col[row] = sign
+            sign = -sign
+    return [col for col in cols.values() if col]
+
+
+def early_forest_oracle(n0: int, edges: tuple[int, ...]) -> set[int]:
+    """Indices of the edges (vertex bitmasks) that Kruskal's union-find keeps, in order.
+
+    A forest on n0 vertices has at most n0 - 1 edges, and once it has them it
+    spans, so no later edge joins two trees: the scan stops there.
+    """
+    parent = list(range(n0))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    forest: set[int] = set()
+    need = n0 - 1
+    for j, e in enumerate(edges):
+        a, b = find((e & -e).bit_length() - 1), find(e.bit_length() - 1)
+        if a != b:
+            parent[a] = b
+            forest.add(j)
+            if len(forest) == need:
+                break
     return forest

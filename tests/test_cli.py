@@ -217,6 +217,21 @@ def test_desclink_cap(tmp_path):
     assert run(["desclink", "--q", "2", "--n", "9", "--cap", "6"]) == 3
 
 
+def test_desclink_order_complex_guard(tmp_path, monkeypatch, capsys):
+    # (2, sym, 4): 105 chains on 36 objects in the full poset, 15 on 9 in the star
+    out, csv = tmp_path / "d.json", tmp_path / "d.csv"
+    argv = ["desclink", "--q", "2", "--subgroup", "sym", "--n", "4", "--star",
+            "--out", str(out), "--homology-csv", str(csv)]
+    for models, bits, chains in ((["--full"], 3779, "105 chains on 36 objects"),
+                                 ([], 134, "15 chains on 9 objects")):
+        monkeypatch.setattr(cli, "ORDER_COMPLEX_BITS", bits)
+        assert run(argv + models) == 3
+        assert chains in capsys.readouterr().err
+        assert not out.exists() and not csv.exists()
+    monkeypatch.setattr(cli, "ORDER_COMPLEX_BITS", 3780)
+    assert run(argv + ["--full"]) == 0 and out.exists() and csv.exists()
+
+
 def test_group_compose_and_inverse(tmp_path, triv2):
     x0 = make_x0(triv2)
     lhs = tmp_path / "x0.json"

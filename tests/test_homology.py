@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 from dense_snf import smith_normal_form
-from homology_oracle import (boundary_columns_oracle, coboundary_oracle, flag_complex_oracle,
+from homology_oracle import (boundary_columns_oracle, coboundary_oracle, early_forest_oracle,
+                             flag_complex_oracle, one_pass_coboundary_oracle,
                              reduced_homology_oracle, spanning_forest_oracle,
                              tietze_trivializes_oracle)
 from hypothesis import given, settings
@@ -434,7 +435,7 @@ def test_coboundary_matches_face_oracle_on_random_flag_complexes():
         for d in range(1, cx.dim + 1):
             k = cx.n_cells(d - 1)
             cleared = set(rng.sample(range(k), rng.randrange(k + 1)))
-            got = homology._coboundary(cx, d, cleared)
+            got = one_pass_coboundary_oracle(cx, d, cleared)
             assert _items(got) == _items(coboundary_oracle(cx, d, cleared)), (trial, d)
             checked += bool(got)
     assert checked >= 100, checked
@@ -446,9 +447,9 @@ def test_coboundary_matches_face_oracle_on_grid_points(q, sub):
     config = Config.make(q, 1, sub)
     for n in range(q, 10):
         cc = build_complex(config, n).chain_complex(max(connectivity_bound(config, n), 0) + 2)
-        cleared = homology._spanning_forest(cc.n_cells(0), cc.cells[1]) if cc.dim else set()
+        cleared = early_forest_oracle(cc.n_cells(0), cc.cells[1]) if cc.dim else set()
         for d in range(2, cc.dim + 1):
-            cols = homology._coboundary(cc, d, cleared)
+            cols = one_pass_coboundary_oracle(cc, d, cleared)
             assert _items(cols) == _items(coboundary_oracle(cc, d, cleared)), (n, d)
             pivots: set[int] = set()
             sparse_invariant_factors(cols, pivots)
@@ -466,10 +467,142 @@ def test_spanning_forest_stops_where_full_kruskal_would():
         cells = cx.cells[1] if cx.dim else ()
         if trial % 2:
             cells = tuple(rng.sample(cells, len(cells)))  # Kruskal on any edge order
-        forest = homology._spanning_forest(n0, cells)
+        forest = early_forest_oracle(n0, cells)
         assert forest == spanning_forest_oracle(n0, cells), trial
         split += n0 - len(forest) > 1
     assert split >= 50, split
+
+
+def test_mask_forest_is_kruskals_early_forest():
+    # the same edges as Kruskal's scan over the lexicographic edge list, as masks
+    rng = Random(20261020)
+    split = isolated = 0
+    for trial in range(300):
+        n0 = trial % 14  # 0 and 1 included
+        p = rng.choice((0.03, 0.1, 0.2, 0.4, 0.8))
+        edges = [e for e in combinations(range(n0), 2) if rng.random() < p]
+        cx = flag_complex(*neighbour_masks(range(n0), edges), 1)
+        cells = cx.cells[1] if cx.dim else ()
+        want = {cells[j] for j in early_forest_oracle(n0, cells)}
+        assert homology._spanning_forest(cx.neighbours) == want, trial
+        # complex_from_simplices derives the same masks from any order of the same edges
+        bases = [[(v,) for v in range(n0)], rng.sample(edges, len(edges))]
+        cy = complex_from_simplices(bases if edges else bases[:1])
+        assert cy.neighbours == cx.neighbours, trial
+        split += n0 - len(want) > 1
+        isolated += any(m == 0 for m in cx.neighbours)
+    assert split >= 100 and isolated >= 100, (split, isolated)
+
+
+def _pivot_passes(cx, through):
+    """(forest, then per coboundary: factors, rank and pivot rows) of reduced_homology."""
+    seen = []
+    forest, snf = homology._spanning_forest, homology.sparse_invariant_factors
+
+    def spy_forest(neighbours):
+        seen.append(forest(neighbours))
+        return seen[-1]
+
+    def spy_snf(columns, pivot_rows=None):
+        out = snf(columns, pivot_rows)
+        seen.append((out, set(pivot_rows)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_spanning_forest", spy_forest)
+        mp.setattr(homology, "sparse_invariant_factors", spy_snf)
+        res = reduced_homology(cx, through)
+    return seen, res
+
+
+def _explicit_passes(cx, through):
+    """The same, from the one-pass coboundaries and Kruskal's early-stopping forest."""
+    if through < 0 or not cx.n_cells(1):
+        return []
+    cleared = early_forest_oracle(cx.n_cells(0), cx.cells[1])
+    seen = [{cx.cells[1][j] for j in cleared}]
+    for d in range(2, through + 2):
+        if not cx.n_cells(d):
+            break
+        pivots: set[int] = set()
+        seen.append((sparse_invariant_factors(one_pass_coboundary_oracle(cx, d, cleared), pivots),
+                     pivots))
+        cleared = {cx.n_cells(d) - 1 - p for p in pivots}
+    return seen
+
+
+def _assert_same_pivots(cx, through):
+    """Check the passes and the homology; return the number of coboundary passes."""
+    got, res = _pivot_passes(cx, through)
+    assert got == _explicit_passes(cx, through)
+    assert res == reduced_homology_oracle(cx, through)
+    return len(got) - 1 if got else 0
+
+
+def test_mask_pivots_match_explicit_pass_on_random_complexes():
+    # flag complexes, and non-flag ones: a flag complex less some of its top cells
+    rng = Random(20261021)
+    passes = nonflag = 0
+    for trial in range(200):
+        n = rng.randrange(1, 13)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        cx = flag_complex(*neighbour_masks(range(n), edges), rng.randrange(2, 5))
+        if trial % 2 and cx.dim >= 2:
+            bases = [list(b) for b in cx.basis]
+            bases[-1] = [s for s in bases[-1] if rng.random() < 0.5]
+            cx = complex_from_simplices(bases if bases[-1] else bases[:-1])
+            nonflag += 1
+        passes += _assert_same_pivots(cx, rng.randrange(max(cx.dim - 1, 0), cx.dim + 1))
+    assert passes >= 150 and nonflag >= 50, (passes, nonflag)
+
+
+@pytest.mark.parametrize("sub,n", [("sym", 7), ("sym", 9), ("triv", 9)])
+def test_mask_pivots_match_explicit_pass_on_torsion_grid_points(sub, n):
+    config = Config.make(2, 1, sub)
+    through = connectivity_bound(config, n) + 1
+    cc = build_complex(config, n).chain_complex(through + 1)
+    assert _assert_same_pivots(cc, through) == through
+
+
+def _sphere_boundary(k):
+    """The proper faces of the k-simplex, listed from the top vertex down."""
+    verts = list(range(k, -1, -1))
+    return [list(combinations(verts, j + 1)) for j in range(k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_mask_homology_matches_oracle_on_sphere_boundaries(k):
+    cx = complex_from_simplices(_sphere_boundary(k))
+    res = reduced_homology(cx, k - 1)
+    assert res == reduced_homology_oracle(cx, k - 1)
+    assert res.betti == (0,) * (k - 1) + (1,)
+
+
+def test_mask_homology_matches_oracle_on_projective_plane():
+    # relabeled and listed in a seeded order: the cells come out sorted all the same
+    rng = Random(20261022)
+    for trial in range(20):
+        label = rng.sample(range(6), 6)
+        tris = [tuple(label[v] for v in t) for t in RP2_TRIANGLES]
+        edges = list({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
+        bases = [[(v,) for v in rng.sample(range(6), 6)], rng.sample(edges, len(edges)),
+                 rng.sample(tris, len(tris))]
+        cx = complex_from_simplices(bases)
+        assert all(list(c) == sorted(c, key=lambda s: [i for i in range(6) if s >> i & 1])
+                   for c in cx.cells), trial
+        res = reduced_homology(cx, 2)
+        assert res == reduced_homology_oracle(cx, 2), trial
+        assert res.betti == (0, 0, 0) and res.torsion == ((), (2,), ()), trial
+
+
+def test_chain_complex_carries_its_one_skeleton_masks():
+    verts, adj = neighbour_masks("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+    assert flag_complex(verts, adj, 0).neighbours == (0, 0, 0, 0)
+    for max_dim in (1, 2):
+        cx = flag_complex(verts, adj, max_dim)
+        assert cx.neighbours == tuple(adj)
+        assert complex_from_simplices([list(b) for b in cx.basis]).neighbours == tuple(adj)
 
 
 def _rank_mod_p(columns, p):

@@ -10,6 +10,7 @@ from sphero.homology import complex_from_simplices, reduced_homology
 from sphero.posets import (
     GenPoset,
     PosetError,
+    chain_count,
     check_morse,
     coone,
     descending_link,
@@ -209,6 +210,7 @@ def test_order_complex_matches_chains_oracle():
         assert [{frozenset(s) for s in cells} for cells in cx.basis] == \
             [{frozenset(s) for s in cells} for cells in oracle.basis]
         assert reduced_homology(cx, cx.dim) == reduced_homology(oracle, oracle.dim)
+        assert chain_count(p) == sum(map(len, cx.cells)) == sum(map(len, chains_oracle(p)))
     # the cliques are the chains only for a relation closed under composition
     with pytest.raises(PosetError, match="missing composite"):
         order_complex(GenPoset.make(["a", "b", "c"], [("a", "b"), ("b", "c")]))
