@@ -42,6 +42,25 @@ so the next coboundary kills it.  Its pivot is +-1 and its other entries lie
 on later cofaces, so the cleared columns form a unit triangular set, and
 leaving them out is a unimodular column operation.  Transposing keeps the
 invariant factors.
+
+The passes run in a spread vertex order.  A structured order works against
+emergent columns: with vertices sorted by support, as ``build_complex`` lists
+them, many faces share the same lowest coface, so their columns collide on
+one low and all but the first are filled and reduced.  ``reduced_homology``
+therefore reduces a copy of cx's cells through through_dim + 1 with vertex i
+moved to i*k mod n0, k the first integer >= floor(5*n0/8) prime to n0 (fixed,
+no randomness).  At q=2 with Sym(2) and n=11, 5,893 of the 5,994 columns of
+the coboundary of d3 are then emergent instead of 4,639, 230 are filled
+instead of 3,683, and 130 column additions are made instead of 4,017; at q=2
+with trivial labels and n=10, 73 columns of d2 are filled instead of 993.
+The copy is the flag complex of the moved 1-skeleton.  Every cell of cx is a
+clique of that 1-skeleton, so its image is a cell of the copy, and the copy
+is used only when its cell counts equal cx's in every dimension through
+through_dim + 1: then that injection is onto, the copy is cx relabelled, and
+its homology is cx's.  A complex that is not clique-closed that far (a flag
+complex less some of its cells, say) is reduced in its own order, as are
+complexes with no coboundary to reduce.  Only the homology leaves the
+function: the cell order, ``basis`` and ``dump_matrices`` stay cx's.
 """
 
 from __future__ import annotations
@@ -520,8 +539,45 @@ def _coboundary(cx: ChainComplex, d: int, cleared: set[int]) -> list[_Cofaces]:
     return cols
 
 
+def _spread(cx: ChainComplex, through_dim: int) -> ChainComplex:
+    """cx's cells through through_dim + 1 with vertex i moved to i*k mod n0, or cx itself.
+
+    k is the first integer >= floor(5*n0/8) prime to n0.  The copy is the
+    flag complex of the moved 1-skeleton, and it is returned only when a
+    coboundary gets reduced and its cell counts equal cx's through
+    through_dim + 1: then its cells are exactly cx's moved cells (module
+    docstring).
+    """
+    if through_dim < 1 or not cx.n_cells(2):
+        return cx
+    n0, top = cx.n_cells(0), min(cx.dim, through_dim + 1)
+    k = 5 * n0 // 8
+    while math.gcd(k, n0) != 1:
+        k += 1
+    bit = [1 << (i * k % n0) for i in range(n0)]
+    moved = [0] * n0
+    for i, m in enumerate(cx.neighbours):
+        x = 0
+        while m:
+            low = m & -m
+            m ^= low
+            x |= bit[low.bit_length() - 1]
+        moved[i * k % n0] = x
+    sp = flag_complex(range(n0), moved, top)
+    return sp if all(sp.n_cells(d) == cx.n_cells(d) for d in range(top + 1)) else cx
+
+
 def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     """Reduced homology in degrees 0..through_dim (degree 0 via augmentation).
+
+    The passes run on the spread copy of cx when it is clique-closed through
+    through_dim + 1, and on cx in its own order otherwise (module docstring).
+    """
+    return _reduced_homology_in_order(_spread(cx, through_dim), through_dim)
+
+
+def _reduced_homology_in_order(cx: ChainComplex, through_dim: int) -> HomologyResult:
+    """Reduced homology from the passes on cx's cells in their own order.
 
     The first boundary goes to a spanning forest, and each higher one is
     reduced as a cleared coboundary (module docstring).

@@ -1,4 +1,5 @@
-from itertools import combinations
+import math
+from itertools import combinations, count
 from random import Random
 
 import pytest
@@ -495,9 +496,11 @@ def test_mask_forest_is_kruskals_early_forest():
 
 
 def _pivot_passes(cx, through):
-    """(forest, then per coboundary: factors, rank and pivot rows) of reduced_homology."""
-    seen = []
+    """What reduced_homology did: the complex its passes ran on, then (forest, then per
+    coboundary: factors, rank and pivot rows), and the result."""
+    seen, ran = [], []
     forest, snf = homology._spanning_forest, homology.sparse_invariant_factors
+    in_order = homology._reduced_homology_in_order
 
     def spy_forest(neighbours):
         seen.append(forest(neighbours))
@@ -508,15 +511,21 @@ def _pivot_passes(cx, through):
         seen.append((out, set(pivot_rows)))
         return out
 
+    def spy_in_order(c, t):
+        ran.append(c)
+        return in_order(c, t)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "_spanning_forest", spy_forest)
         mp.setattr(homology, "sparse_invariant_factors", spy_snf)
+        mp.setattr(homology, "_reduced_homology_in_order", spy_in_order)
         res = reduced_homology(cx, through)
-    return seen, res
+    (ran,) = ran
+    return ran, seen, res
 
 
 def _explicit_passes(cx, through):
-    """The same, from the one-pass coboundaries and Kruskal's early-stopping forest."""
+    """The same passes, from the one-pass coboundaries and Kruskal's early-stopping forest."""
     if through < 0 or not cx.n_cells(1):
         return []
     cleared = early_forest_oracle(cx.n_cells(0), cx.cells[1])
@@ -532,11 +541,25 @@ def _explicit_passes(cx, through):
 
 
 def _assert_same_pivots(cx, through):
-    """Check the passes and the homology; return the number of coboundary passes."""
-    got, res = _pivot_passes(cx, through)
-    assert got == _explicit_passes(cx, through)
-    assert res == reduced_homology_oracle(cx, through)
+    """Check the passes on the complex they ran on, and the homology against the in-order
+    reduction and the oracle on cx; return the number of coboundary passes."""
+    ran, got, res = _pivot_passes(cx, through)
+    assert got == _explicit_passes(ran, through)
+    assert res == homology._reduced_homology_in_order(cx, through) == reduced_homology_oracle(cx, through)
     return len(got) - 1 if got else 0
+
+
+def _random_complex(rng, trial):
+    """A seeded flag complex, and on odd trials one less some of its top cells (non-flag)."""
+    n = rng.randrange(1, 13)
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    cx = flag_complex(*neighbour_masks(range(n), edges), rng.randrange(2, 5))
+    if trial % 2 and cx.dim >= 2:
+        bases = [list(b) for b in cx.basis]
+        bases[-1] = [s for s in bases[-1] if rng.random() < 0.5]
+        cx = complex_from_simplices(bases if bases[-1] else bases[:-1])
+    return cx
 
 
 def test_mask_pivots_match_explicit_pass_on_random_complexes():
@@ -544,25 +567,101 @@ def test_mask_pivots_match_explicit_pass_on_random_complexes():
     rng = Random(20261021)
     passes = nonflag = 0
     for trial in range(200):
-        n = rng.randrange(1, 13)
-        p = rng.choice((0.2, 0.4, 0.6, 0.8))
-        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-        cx = flag_complex(*neighbour_masks(range(n), edges), rng.randrange(2, 5))
-        if trial % 2 and cx.dim >= 2:
-            bases = [list(b) for b in cx.basis]
-            bases[-1] = [s for s in bases[-1] if rng.random() < 0.5]
-            cx = complex_from_simplices(bases if bases[-1] else bases[:-1])
-            nonflag += 1
+        cx = _random_complex(rng, trial)
+        nonflag += trial % 2 and cx.dim >= 2
         passes += _assert_same_pivots(cx, rng.randrange(max(cx.dim - 1, 0), cx.dim + 1))
     assert passes >= 150 and nonflag >= 50, (passes, nonflag)
 
 
 @pytest.mark.parametrize("sub,n", [("sym", 7), ("sym", 9), ("triv", 9)])
 def test_mask_pivots_match_explicit_pass_on_torsion_grid_points(sub, n):
+    cc, through = _torsion_grid_point(sub, n)
+    assert _assert_same_pivots(cc, through) == through
+
+
+# ---------------------------------------------------------------------------
+# the spread vertex order: reduced_homology's passes run on a relabelled copy
+
+
+def _relabelled(cx, rng):
+    """cx with its vertices in a seeded order: the 0-cells, listed in that order, fix the bits."""
+    bases = [list(b) for b in cx.basis]
+    bases[0] = rng.sample(bases[0], len(bases[0]))
+    return complex_from_simplices(bases)
+
+
+def _torsion_grid_point(sub, n):
     config = Config.make(2, 1, sub)
     through = connectivity_bound(config, n) + 1
-    cc = build_complex(config, n).chain_complex(through + 1)
-    assert _assert_same_pivots(cc, through) == through
+    return build_complex(config, n).chain_complex(through + 1), through
+
+
+def test_reduced_homology_is_invariant_under_vertex_relabelling():
+    rng = Random(20261023)
+    nonflag = 0
+    for trial in range(40):
+        cx = _random_complex(rng, trial)
+        through = rng.randrange(0, cx.dim + 1)
+        nonflag += trial % 2 and cx.dim >= 2
+        want = reduced_homology(cx, through)
+        assert want == reduced_homology_oracle(cx, through), trial
+        for _ in range(20):
+            assert reduced_homology(_relabelled(cx, rng), through) == want, trial
+    assert nonflag >= 10, nonflag
+
+
+@pytest.mark.parametrize("sub,n", [("sym", 7), ("sym", 9), ("triv", 9)])
+def test_reduced_homology_is_invariant_under_vertex_relabelling_on_torsion_grid_points(sub, n):
+    # a grid point is a flag complex truncated above through + 1, so it is relabelled
+    # through its neighbour masks
+    rng = Random(20261023 + n)
+    cc, through = _torsion_grid_point(sub, n)
+    want = reduced_homology(cc, through)
+    assert any(want.torsion)
+    n0 = cc.n_cells(0)
+    for _ in range(20):
+        perm = rng.sample(range(n0), n0)
+        moved = [0] * n0
+        for i, m in enumerate(cc.neighbours):
+            moved[perm[i]] = sum(1 << perm[j] for j in range(n0) if m >> j & 1)
+        cy = flag_complex(range(n0), moved, cc.dim)
+        assert [len(c) for c in cy.cells] == [len(c) for c in cc.cells]
+        assert reduced_homology(cy, through) == want
+
+
+def _spread_image(cx, top):
+    """cx's cells through top, each as a sorted list of masks, with vertex i moved to i*k mod n0
+    for the first k >= floor(5*n0/8) prime to n0."""
+    n0 = cx.n_cells(0)
+    k = next(k for k in count(math.floor(5 * n0 / 8)) if math.gcd(k, n0) == 1)
+    return [sorted(sum(1 << (i * k % n0) for i in range(n0) if s >> i & 1) for s in cx.cells[d])
+            for d in range(top + 1)]
+
+
+def _clique_closed(cx, top):
+    """Every clique of cx's 1-skeleton with at most top + 1 vertices is a cell of cx."""
+    cliques = flag_complex_oracle(list(cx.vertices), list(cx.basis[1]) if cx.dim else [], top)
+    return all({frozenset(s) for s in cliques[d]} == set(map(frozenset, cx.basis[d]))
+               if d < len(cliques) else not cx.n_cells(d) for d in range(top + 1))
+
+
+def test_spread_copy_is_taken_exactly_when_clique_closed():
+    rng = Random(20261024)
+    taken = open_kept = 0
+    for trial in range(300):
+        cx = _random_complex(rng, trial)
+        through = rng.randrange(0, cx.dim + 2)
+        ran, _, res = _pivot_passes(cx, through)
+        top = min(cx.dim, through + 1)
+        closed = _clique_closed(cx, top)
+        want = through >= 1 and cx.n_cells(2) > 0 and closed
+        assert (ran is not cx) == want, trial
+        if want:
+            assert [sorted(c) for c in ran.cells] == _spread_image(cx, top), trial
+        taken += want
+        open_kept += not closed
+        assert res == reduced_homology_oracle(cx, through), trial
+    assert taken >= 60 and open_kept >= 20, (taken, open_kept)
 
 
 def _sphere_boundary(k):
