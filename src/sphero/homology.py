@@ -17,49 +17,52 @@ so no overflow is possible.
 boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
 2021).  The first boundary is the incidence matrix of a graph: it is totally
 unimodular, so its rank comes from a spanning forest, and every factor is 1.
-The forest is Kruskal's over the edges in lexicographic order, read off the
-neighbour masks: Kruskal meets the edges of vertex i to higher vertices
-together, lowest first, and keeps one iff its other end is outside i's tree,
-so i keeps the edges to the lowest neighbours above it outside its tree,
-taking each one's tree in as it goes; that is O(n0) mask operations, not a
-find per edge.  Each higher boundary is reduced as its transpose, the
-coboundary, in anti-transposed order (faces from last to first, cofaces on
-reversed rows), so the pass pivots on the smallest coface.  The cofaces of a
-face f are the cells f | v for v in the AND of the neighbour masks of f's
-vertices, and since the cells are in lexicographic order the smallest is
-f | v for the lowest such v that gives a cell: that is the column's low,
-found without its other entries.  Most columns are emergent (Ripser's
-emergent pairs): no earlier column holds a pivot on their low.  Such a
-column is not reduced at all, so its unreduced entries, +-1 at the low and
-entries on later cofaces, are its pivot column as they stand; they are
-built only when a later column is reduced against it.  Rows that carry a
-unit pivot in one coboundary name columns of the next that reduce to zero,
-and those columns are left out.  This is exact over the integers.  For the
-forest, d1 d2 = 0 and peeling the forest from its leaves write each
+The forest is Kruskal's over the edges in descending mask order, read off
+the neighbour masks: Kruskal meets the edges of vertex i to lower vertices
+together, highest first, and keeps one iff its other end is outside i's
+tree, so i, from the highest vertex down, keeps the edges to the highest
+neighbours below it outside its tree, taking each one's tree in as it goes;
+that is O(n0) mask operations, not a find per edge.  Each higher boundary is
+reduced as its transpose, the coboundary, with the faces as columns in
+ascending mask order and each coface on the row named by its own mask, so
+the pass pivots on the largest coface and no table of rows is built.  The
+cofaces of a face f are the cells f | v for v in the AND of the neighbour
+masks of f's vertices, and the largest is f | v for the highest such v that
+gives a cell: that is the column's low, found without its other entries.
+Most columns are emergent (Ripser's emergent pairs): no earlier column holds
+a pivot on their low.  Such a column is not reduced at all, so its
+unreduced entries, +-1 at the low and entries on smaller cofaces, are its
+pivot column as they stand; they are built only when a later column is
+reduced against it.  Rows that carry a unit pivot in one coboundary name
+columns of the next that reduce to zero, and those columns are left out.
+This is exact over the integers, in any vertex order.
+For the forest, d1 d2 = 0 and peeling the forest from its leaves write each
 forest-edge row of d2 as an integer combination of the other rows.  Above
 it, a unit pivot column c is an integer combination of coboundary columns,
 so the next coboundary kills it.  Its pivot is +-1 and its other entries lie
-on later cofaces, so the cleared columns form a unit triangular set, and
+on smaller cofaces, so the cleared columns form a unit triangular set, and
 leaving them out is a unimodular column operation.  Transposing keeps the
 invariant factors.
 
 The passes run in a spread vertex order.  A structured order works against
 emergent columns: with vertices sorted by support, as ``build_complex`` lists
-them, many faces share the same lowest coface, so their columns collide on
+them, many faces share the same largest coface, so their columns collide on
 one low and all but the first are filled and reduced.  ``reduced_homology``
-therefore reduces a copy of cx's cells through through_dim + 1 with vertex i
-moved to i*k mod n0, k the first integer >= floor(5*n0/8) prime to n0 (fixed,
-no randomness).  At q=2 with Sym(2) and n=11, 5,893 of the 5,994 columns of
-the coboundary of d3 are then emergent instead of 4,639, 230 are filled
-instead of 3,683, and 130 column additions are made instead of 4,017; at q=2
-with trivial labels and n=10, 73 columns of d2 are filled instead of 993.
-The copy is the flag complex of the moved 1-skeleton.  Every cell of cx is a
-clique of that 1-skeleton, so its image is a cell of the copy, and the copy
-is used only when its cell counts equal cx's in every dimension through
-through_dim + 1: then that injection is onto, the copy is cx relabelled, and
-its homology is cx's.  A complex that is not clique-closed that far (a flag
-complex less some of its cells, say) is reduced in its own order, as are
-complexes with no coboundary to reduce.  Only the homology leaves the
+therefore reduces a copy of cx with vertex i moved to n0 - 1 - (i*k mod n0),
+k the first integer >= floor(5*n0/8) prime to n0 (fixed, no randomness); the
+reversal makes mask order the reversed lexicographic order of the labels
+i*k mod n0.  At q=2 with Sym(2) and n=11, 5,893 of the 5,994 columns of the
+coboundary of d3 are then emergent instead of 4,639, 230 are filled instead
+of 3,683, and 130 column additions are made instead of 4,017.  The copy is
+the flag complex of the moved 1-skeleton up to top = min(cx.dim,
+through_dim + 1): it lists its cells through top - 1, in descending mask
+order, and counts its top cells, the largest dimension, as the popcounts of
+the last extension masks.  Every cell of cx is a clique of that 1-skeleton,
+so the copy is used only when its counts equal cx's through top: then it is
+cx relabelled, and each f | v above is a cell, with no test.  A complex that
+is not clique-closed that far (a flag complex less some cells, say), or has
+no coboundary to reduce, goes through the same passes in its own labels,
+each coface tested against its d-cells.  Only the homology leaves the
 function: the cell order, ``basis`` and ``dump_matrices`` stay cx's.
 """
 
@@ -282,7 +285,9 @@ def _sparse_snf_full(columns: list[Column]) -> tuple[list[int], int]:
     shrink the pivot until it divides its row and column, keeping coefficient
     growth under control.  Returns the invariant factors and the rank.
     """
-    colmap: dict[int, Column] = {j: dict(c) for j, c in enumerate(columns) if c}
+    rows: dict[int, int] = {}  # wide row keys, such as coface masks, numbered as they first appear
+    colmap: dict[int, Column] = {j: {rows.setdefault(r, len(rows)): v for r, v in c.items()}
+                                 for j, c in enumerate(columns) if c}
     rowidx: dict[int, set[int]] = {}
     for j, col in colmap.items():
         for r in col:
@@ -373,7 +378,7 @@ def sparse_invariant_factors(columns: list[Column],
     pivots: dict[int, Column] = {}
     parked: list[Column] = []
     for col in columns:
-        if type(col) is _Cofaces and not col:
+        if isinstance(col, _Cofaces) and not col:
             if col.low not in pivots:
                 pivots[col.low] = col  # emergent: filled when a column is reduced against it
                 continue
@@ -449,10 +454,11 @@ class HomologyResult:
 
 
 def _spanning_forest(neighbours: Sequence[int]) -> set[int]:
-    """Kruskal's forest over the edges in lexicographic order, as edge masks, from neighbour masks.
+    """Kruskal's forest over the edges in descending mask order, as edge masks, from neighbour masks.
 
-    Vertex i keeps the edge to the lowest neighbour above it outside its
-    tree, takes that neighbour's tree in, and repeats (module docstring).
+    Vertex i, from the highest down, keeps the edge to the highest neighbour
+    below it outside its tree, takes that neighbour's tree in, and repeats
+    (module docstring).
     """
     parent = list(range(len(neighbours)))
     tree = [1 << i for i in parent]  # the vertex mask of each root's tree
@@ -463,63 +469,57 @@ def _spanning_forest(neighbours: Sequence[int]) -> set[int]:
         return x
 
     forest: set[int] = set()
-    for i, m in enumerate(neighbours):
+    for i in range(len(neighbours) - 1, -1, -1):
         r = find(i)
-        m &= -(2 << i) & ~tree[r]  # neighbours above i outside its tree
+        m = neighbours[i] & ((1 << i) - 1) & ~tree[r]  # neighbours below i outside its tree
         while m:
-            low = m & -m
-            t = find(low.bit_length() - 1)
+            j = m.bit_length() - 1
+            t = find(j)
             parent[t] = r
             tree[r] |= tree[t]
             m &= ~tree[t]
-            forest.add(1 << i | low)
+            forest.add(1 << i | 1 << j)
     return forest
 
 
 class _Cofaces(dict):
-    """A coboundary column, row -> sign, whose entries are filled on first use.
+    """A coboundary column, coface mask -> sign, whose entries are filled on first use.
 
-    ``face`` is the (d-1)-cell, ``cands`` the vertices v whose f | v may be a
-    d-cell, from the lowest one that is, and ``rows`` maps each d-cell to its
-    row; ``low`` is the row of that lowest coface.
+    ``face`` is the (d-1)-cell and ``cands`` the vertices v whose f | v is a
+    d-cell; ``low`` is the largest of those cofaces.
     """
 
-    __slots__ = ("face", "cands", "rows", "low")
+    __slots__ = ("face", "cands", "low")
 
     def fill(self) -> "_Cofaces":
-        """Add the entries: f | v on its row with sign (-1)^(bits of f below v)."""
-        f, m, get = self.face, self.cands, self.rows.get
-        rest, sign = f, 1
+        """Add the entries, highest v first: f | v with sign (-1)^(bits of f below v)."""
+        f, m = self.face, self.cands
+        rest, sign = f, -1 if f.bit_count() & 1 else 1
         while m:
-            b = rest & -rest  # the next bit of f; 0 past the last
-            rest ^= b
-            run = m & (b - 1) if b else m  # the candidates below b: one sign
+            top = 1 << rest.bit_length() >> 1  # the next bit of f from the top; 0 past the last
+            rest ^= top
+            run = m & -top if top else m  # the candidates above top: one sign
             m ^= run
             while run:
-                low = run & -run
-                run ^= low
-                row = get(f | low)
-                if row is not None:
-                    self[row] = sign
+                high = 1 << (run.bit_length() - 1)
+                run ^= high
+                self[f | high] = sign
             sign = -sign
         return self
 
 
-def _coboundary(cx: ChainComplex, d: int, cleared: set[int]) -> list[_Cofaces]:
-    """The coboundary of dimension d in anti-transposed order, cleared faces left out, unfilled.
+def _coboundary(neighbours: Sequence[int], faces: Iterable[int], cells: Collection[int] | None,
+                cleared: set[int]) -> list[_Cofaces]:
+    """The coboundary on these faces, in their order, cleared faces left out, unfilled.
 
-    Columns are the (d-1)-cells from the last to the first, and d-cell j sits
-    on row n_cells(d) - 1 - j, so the max-low pass pivots on the smallest
-    coface.  The cofaces of face f are the cells f | v for v in the AND of
-    the neighbour masks of f's vertices; cells are in lexicographic order,
-    so the lowest such v that gives a cell gives the low.  Cleared faces get
-    no column, and faces without cofaces give none either.
+    Rows are the coface masks, so the max-low pass pivots on the largest
+    coface.  The cofaces of face f are the f | v, v in the AND of the
+    neighbour masks of f's vertices, that are in ``cells`` (all when it is
+    None).  Cleared faces and faces without cofaces give no column.
     """
-    top = cx.cells[d]
-    rows = {s: r for r, s in enumerate(reversed(top))}
-    adj = {1 << i: m for i, m in enumerate(cx.neighbours)}  # keyed by the vertex's bit
+    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
     cols = []
-    for f in reversed(cx.cells[d - 1]):
+    for f in faces:
         if f in cleared:
             continue
         m, x = -1, f
@@ -527,34 +527,34 @@ def _coboundary(cx: ChainComplex, d: int, cleared: set[int]) -> list[_Cofaces]:
             b = x & -x
             x ^= b
             m &= adj[b]
-        while m:
-            low = m & -m
-            row = rows.get(f | low)
-            if row is not None:
-                col = _Cofaces()
-                col.face, col.cands, col.rows, col.low = f, m, rows, row
-                cols.append(col)
-                break
-            m ^= low
+        if cells is not None:
+            x, m = m, 0
+            while x:
+                b = x & -x
+                x ^= b
+                if f | b in cells:
+                    m |= b
+        if m:
+            col = _Cofaces()
+            col.face, col.cands, col.low = f, m, f | 1 << (m.bit_length() - 1)
+            cols.append(col)
     return cols
 
 
-def _spread(cx: ChainComplex, through_dim: int) -> ChainComplex:
-    """cx's cells through through_dim + 1 with vertex i moved to i*k mod n0, or cx itself.
+def _spread(cx: ChainComplex, through_dim: int) -> tuple[Sequence[int], list[list[int]] | None]:
+    """The neighbour masks the passes run on, and the spread copy's cells or None for cx's own.
 
-    k is the first integer >= floor(5*n0/8) prime to n0.  The copy is the
-    flag complex of the moved 1-skeleton, and it is returned only when a
-    coboundary gets reduced and its cell counts equal cx's through
-    through_dim + 1: then its cells are exactly cx's moved cells (module
-    docstring).
+    The copy, taken when a coboundary gets reduced and it is clique-closed
+    (module docstring), lists each clique of dimension below top, extended by
+    its common neighbours below its lowest bit, highest first.
     """
     if through_dim < 1 or not cx.n_cells(2):
-        return cx
+        return cx.neighbours, None
     n0, top = cx.n_cells(0), min(cx.dim, through_dim + 1)
     k = 5 * n0 // 8
     while math.gcd(k, n0) != 1:
         k += 1
-    bit = [1 << (i * k % n0) for i in range(n0)]
+    bit = [1 << (n0 - 1 - i * k % n0) for i in range(n0)]
     moved = [0] * n0
     for i, m in enumerate(cx.neighbours):
         x = 0
@@ -562,28 +562,38 @@ def _spread(cx: ChainComplex, through_dim: int) -> ChainComplex:
             low = m & -m
             m ^= low
             x |= bit[low.bit_length() - 1]
-        moved[i * k % n0] = x
-    sp = flag_complex(range(n0), moved, top)
-    return sp if all(sp.n_cells(d) == cx.n_cells(d) for d in range(top + 1)) else cx
+        moved[n0 - 1 - i * k % n0] = x
+    adj = {1 << i: m for i, m in enumerate(moved)}  # keyed by the vertex's bit
+    cliques = list(adj)[::-1]
+    below = [adj[x] & (x - 1) for x in cliques]
+    levels = [cliques]
+    for d in range(1, top):
+        nxt, nxt_below = [], []
+        for clique, m in zip(cliques, below):
+            while m:
+                high = 1 << (m.bit_length() - 1)
+                m ^= high  # m keeps the common neighbours below high
+                nxt.append(clique | high)
+                nxt_below.append(m & adj[high])
+        if len(nxt) != cx.n_cells(d):
+            return cx.neighbours, None
+        levels.append(nxt)
+        cliques, below = nxt, nxt_below
+    if sum(map(int.bit_count, below)) != cx.n_cells(top):
+        return cx.neighbours, None
+    return moved, levels
 
 
 def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     """Reduced homology in degrees 0..through_dim (degree 0 via augmentation).
 
-    The passes run on the spread copy of cx when it is clique-closed through
-    through_dim + 1, and on cx in its own order otherwise (module docstring).
-    """
-    return _reduced_homology_in_order(_spread(cx, through_dim), through_dim)
-
-
-def _reduced_homology_in_order(cx: ChainComplex, through_dim: int) -> HomologyResult:
-    """Reduced homology from the passes on cx's cells in their own order.
-
     The first boundary goes to a spanning forest, and each higher one is
-    reduced as a cleared coboundary (module docstring).
+    reduced as a cleared coboundary on coface masks: on the spread copy of cx
+    when it is clique-closed through through_dim + 1, on cx's own cells
+    otherwise (module docstring).
     """
-    n0 = cx.n_cells(0)
-    rank: dict[int, int] = {0: 1 if n0 else 0}  # augmentation
+    neighbours, levels = _spread(cx, through_dim)
+    rank: dict[int, int] = {0: 1 if cx.n_cells(0) else 0}  # augmentation
     factors: dict[int, list[int]] = {}
     cleared: set[int] = set()  # cells whose rows of the next boundary are dropped
     for d in range(1, through_dim + 2):
@@ -591,13 +601,14 @@ def _reduced_homology_in_order(cx: ChainComplex, through_dim: int) -> HomologyRe
             f, r = [], 0
         elif d == 1:
             # an incidence matrix: totally unimodular, rank from a spanning forest
-            cleared = _spanning_forest(cx.neighbours)
+            cleared = _spanning_forest(neighbours)
             f, r = [1] * len(cleared), len(cleared)
         else:
+            faces, cells = ((sorted(cx.cells[d - 1]), set(cx.cells[d])) if levels is None
+                            else (reversed(levels[d - 1]), None))
             pivots: set[int] = set()
-            f, r = sparse_invariant_factors(_coboundary(cx, d, cleared), pivots)
-            top = cx.cells[d]
-            cleared = {top[-1 - p] for p in pivots}
+            f, r = sparse_invariant_factors(_coboundary(neighbours, faces, cells, cleared), pivots)
+            cleared = pivots
         factors[d], rank[d] = f, r
     betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
     torsion = tuple(tuple(x for x in factors[d + 1] if x > 1) for d in range(through_dim + 1))

@@ -20,11 +20,20 @@ forest stopped once it spanned.  ``one_pass_coboundary_oracle`` fills every
 column of a cleared coboundary in one pass over the cells, and
 ``early_forest_oracle`` is Kruskal's scan stopping once the forest spans:
 ``reduced_homology`` used both before it took the coboundary columns and
-the forest from neighbour masks.
+the forest from neighbour masks.  ``row_indexed_homology_oracle`` runs the
+passes as ``reduced_homology`` ran them before its rows were the coface
+masks: Kruskal's forest over the lexicographic edge list, then coboundaries
+from ``row_indexed_coboundary_oracle``, whose lazily filled ``RowCofaces``
+put each coface on its row in reversed lexicographic order.
+``spread_copy_oracle`` is the copy those passes ran on, every dimension
+through through_dim + 1 listed.
 """
 
-from sphero.homology import (ChainComplex, Column, HomologyResult, _cyc_reduce, _free_reduce,
-                             complex_from_simplices, sparse_invariant_factors)
+import math
+
+from sphero.homology import (ChainComplex, Column, HomologyResult, _Cofaces, _cyc_reduce,
+                             _free_reduce, complex_from_simplices, flag_complex,
+                             sparse_invariant_factors)
 from sphero.posets import GenPoset, ObjId, PosetError
 
 
@@ -267,3 +276,112 @@ def early_forest_oracle(n0: int, edges: tuple[int, ...]) -> set[int]:
             if len(forest) == need:
                 break
     return forest
+
+
+class RowCofaces(_Cofaces):
+    """A coboundary column, row -> sign, whose entries are filled on first use.
+
+    ``face`` is the (d-1)-cell, ``cands`` the vertices v whose f | v may be a
+    d-cell, from the lowest one that is, and ``rows`` maps each d-cell to its
+    row; ``low`` is the row of that lowest coface.
+    """
+
+    __slots__ = ("rows",)
+
+    def fill(self) -> "RowCofaces":
+        """Add the entries: f | v on its row with sign (-1)^(bits of f below v)."""
+        f, m, get = self.face, self.cands, self.rows.get
+        rest, sign = f, 1
+        while m:
+            b = rest & -rest  # the next bit of f; 0 past the last
+            rest ^= b
+            run = m & (b - 1) if b else m  # the candidates below b: one sign
+            m ^= run
+            while run:
+                low = run & -run
+                run ^= low
+                row = get(f | low)
+                if row is not None:
+                    self[row] = sign
+            sign = -sign
+        return self
+
+
+def row_indexed_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -> list[RowCofaces]:
+    """The coboundary of dimension d in anti-transposed order, cleared faces left out, unfilled.
+
+    Columns are the (d-1)-cells from the last to the first, and d-cell j sits
+    on row n_cells(d) - 1 - j, so the max-low pass pivots on the smallest
+    coface: f | v for the lowest v in the AND of the neighbour masks of f's
+    vertices that gives a cell.  Cleared faces (by mask) and faces without
+    cofaces give no column.
+    """
+    rows = {s: r for r, s in enumerate(reversed(cx.cells[d]))}
+    adj = {1 << i: m for i, m in enumerate(cx.neighbours)}
+    cols = []
+    for f in reversed(cx.cells[d - 1]):
+        if f in cleared:
+            continue
+        m, x = -1, f
+        while x:
+            b = x & -x
+            x ^= b
+            m &= adj[b]
+        while m:
+            low = m & -m
+            row = rows.get(f | low)
+            if row is not None:
+                col = RowCofaces()
+                col.face, col.cands, col.rows, col.low = f, m, rows, row
+                cols.append(col)
+                break
+            m ^= low
+    return cols
+
+
+def spread_copy_oracle(cx: ChainComplex, through_dim: int) -> ChainComplex:
+    """cx's cells through through_dim + 1 with vertex i moved to i*k mod n0, or cx itself.
+
+    k is the first integer >= floor(5*n0/8) prime to n0.  The copy is the
+    flag complex of the moved 1-skeleton, and it is returned only when a
+    coboundary gets reduced and its cell counts equal cx's through
+    through_dim + 1.
+    """
+    if through_dim < 1 or not cx.n_cells(2):
+        return cx
+    n0, top = cx.n_cells(0), min(cx.dim, through_dim + 1)
+    k = 5 * n0 // 8
+    while math.gcd(k, n0) != 1:
+        k += 1
+    moved = [0] * n0
+    for i, m in enumerate(cx.neighbours):
+        moved[i * k % n0] = sum(1 << (j * k % n0) for j in range(n0) if m >> j & 1)
+    sp = flag_complex(range(n0), moved, top)
+    return sp if all(sp.n_cells(d) == cx.n_cells(d) for d in range(top + 1)) else cx
+
+
+def row_indexed_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyResult:
+    """Reduced homology from a spanning forest and cleared row-indexed coboundaries on cx's order.
+
+    The forest is Kruskal's over the lexicographic edge list; each unit pivot
+    row of a coboundary clears its d-cell's column of the next one.
+    """
+    n0 = cx.n_cells(0)
+    rank: dict[int, int] = {0: 1 if n0 else 0}  # augmentation
+    factors: dict[int, list[int]] = {}
+    cleared: set[int] = set()
+    for d in range(1, through_dim + 2):
+        if not cx.n_cells(d):
+            f, r = [], 0
+        elif d == 1:
+            cleared = {cx.cells[1][j] for j in early_forest_oracle(n0, cx.cells[1])}
+            f, r = [1] * len(cleared), len(cleared)
+        else:
+            pivots: set[int] = set()
+            f, r = sparse_invariant_factors(row_indexed_coboundary_oracle(cx, d, cleared), pivots)
+            top = cx.cells[d]
+            cleared = {top[-1 - p] for p in pivots}
+        factors[d], rank[d] = f, r
+    betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
+    torsion = tuple(tuple(x for x in factors[d + 1] if x > 1) for d in range(through_dim + 1))
+    return HomologyResult(betti, torsion)

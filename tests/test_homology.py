@@ -1,12 +1,16 @@
+import inspect
 import math
+import sys
 from itertools import combinations, count
 from random import Random
 
+import homology_oracle
 import pytest
 from dense_snf import smith_normal_form
 from homology_oracle import (boundary_columns_oracle, coboundary_oracle, early_forest_oracle,
                              flag_complex_oracle, one_pass_coboundary_oracle,
-                             reduced_homology_oracle, spanning_forest_oracle,
+                             reduced_homology_oracle, row_indexed_homology_oracle,
+                             spanning_forest_oracle, spread_copy_oracle,
                              tietze_trivializes_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -475,7 +479,7 @@ def test_spanning_forest_stops_where_full_kruskal_would():
 
 
 def test_mask_forest_is_kruskals_early_forest():
-    # the same edges as Kruskal's scan over the lexicographic edge list, as masks
+    # the same edges as Kruskal's scan over the edges in descending mask order
     rng = Random(20261020)
     split = isolated = 0
     for trial in range(300):
@@ -483,8 +487,8 @@ def test_mask_forest_is_kruskals_early_forest():
         p = rng.choice((0.03, 0.1, 0.2, 0.4, 0.8))
         edges = [e for e in combinations(range(n0), 2) if rng.random() < p]
         cx = flag_complex(*neighbour_masks(range(n0), edges), 1)
-        cells = cx.cells[1] if cx.dim else ()
-        want = {cells[j] for j in early_forest_oracle(n0, cells)}
+        cells = tuple(sorted(cx.cells[1] if cx.dim else (), reverse=True))
+        want = {cells[j] for j in spanning_forest_oracle(n0, cells)}
         assert homology._spanning_forest(cx.neighbours) == want, trial
         # complex_from_simplices derives the same masks from any order of the same edges
         bases = [[(v,) for v in range(n0)], rng.sample(edges, len(edges))]
@@ -495,37 +499,78 @@ def test_mask_forest_is_kruskals_early_forest():
     assert split >= 100 and isolated >= 100, (split, isolated)
 
 
-def _pivot_passes(cx, through):
-    """What reduced_homology did: the complex its passes ran on, then (forest, then per
-    coboundary: factors, rank and pivot rows), and the result."""
-    seen, ran = [], []
-    forest, snf = homology._spanning_forest, homology.sparse_invariant_factors
-    in_order = homology._reduced_homology_in_order
+# the lines of sparse_invariant_factors that run once per column addition, in the pass
+# and in the clearing of parked columns
+_ADDITION_LINES = {homology.sparse_invariant_factors.__code__.co_firstlineno + i
+                   for i, line in enumerate(inspect.getsource(homology.sparse_invariant_factors)
+                                            .splitlines()) if "f = col[" in line}
+assert len(_ADDITION_LINES) == 2, _ADDITION_LINES
 
-    def spy_forest(neighbours):
-        seen.append(forest(neighbours))
-        return seen[-1]
 
-    def spy_snf(columns, pivot_rows=None):
+def _spied_passes(run):
+    """run()'s result, and per sparse_invariant_factors call: its factors and rank, its pivot
+    rows, how many of its lazy columns were filled, its column additions and the core it
+    handed to the Euclidean routine (None if none)."""
+    passes = []
+    snf, full = homology.sparse_invariant_factors, homology._sparse_snf_full
+    additions = 0
+
+    def count_additions(frame, event, arg):
+        nonlocal additions
+        if event == "line" and frame.f_lineno in _ADDITION_LINES:
+            additions += 1
+        return count_additions
+
+    def spy_snf(columns, pivot_rows):
+        passes.append(record := {"core": None})
+        start = additions
         out = snf(columns, pivot_rows)
-        seen.append((out, set(pivot_rows)))
+        record.update(out=out, pivots=set(pivot_rows), additions=additions - start,
+                      fills=sum(1 for col in columns if col))  # a lazy column is filled once
         return out
 
-    def spy_in_order(c, t):
-        ran.append(c)
-        return in_order(c, t)
+    def spy_full(core):
+        passes[-1]["core"] = [dict(col) for col in core]
+        return full(core)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_spanning_forest", spy_forest)
         mp.setattr(homology, "sparse_invariant_factors", spy_snf)
-        mp.setattr(homology, "_reduced_homology_in_order", spy_in_order)
-        res = reduced_homology(cx, through)
+        mp.setattr(homology_oracle, "sparse_invariant_factors", spy_snf)
+        mp.setattr(homology, "_sparse_snf_full", spy_full)
+        sys.settrace(lambda frame, event, arg:
+                     count_additions if frame.f_code is snf.__code__ else None)
+        try:
+            res = run()
+        finally:
+            sys.settrace(None)
+    return res, passes
+
+
+def _pivot_passes(cx, through):
+    """What reduced_homology did: what its passes ran on (the neighbour masks, and the spread
+    copy's cells or None for cx's own), its forests, its coboundary passes and its result."""
+    ran, forests = [], []
+    spread, forest = homology._spread, homology._spanning_forest
+
+    def spy_spread(c, t):
+        ran.append(spread(c, t))
+        return ran[-1]
+
+    def spy_forest(neighbours):
+        forests.append(forest(neighbours))
+        return forests[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_spread", spy_spread)
+        mp.setattr(homology, "_spanning_forest", spy_forest)
+        res, passes = _spied_passes(lambda: reduced_homology(cx, through))
     (ran,) = ran
-    return ran, seen, res
+    return ran, forests, passes, res
 
 
 def _explicit_passes(cx, through):
-    """The same passes, from the one-pass coboundaries and Kruskal's early-stopping forest."""
+    """The same passes, from the one-pass coboundaries and Kruskal's early-stopping forest:
+    the forest, then per coboundary its factors and rank and its pivot rows."""
     if through < 0 or not cx.n_cells(1):
         return []
     cleared = early_forest_oracle(cx.n_cells(0), cx.cells[1])
@@ -540,13 +585,51 @@ def _explicit_passes(cx, through):
     return seen
 
 
+def _reversed(cx):
+    """cx with its vertex order reversed: vertex i takes bit n0 - 1 - i."""
+    bases = [list(b) for b in cx.basis]
+    bases[0].reverse()
+    return complex_from_simplices(bases)
+
+
 def _assert_same_pivots(cx, through):
-    """Check the passes on the complex they ran on, and the homology against the in-order
-    reduction and the oracle on cx; return the number of coboundary passes."""
-    ran, got, res = _pivot_passes(cx, through)
-    assert got == _explicit_passes(ran, through)
-    assert res == homology._reduced_homology_in_order(cx, through) == reduced_homology_oracle(cx, through)
-    return len(got) - 1 if got else 0
+    """Check reduced_homology's passes pivot for pivot against the row-indexed oracle, and its
+    homology against the oracles on cx; return the number of coboundary passes.
+
+    The oracle runs where reversed lexicographic order is the mask order of the passes: on
+    the spread copy listed in full, whose labels are the reversal of the passes' labels, when
+    the passes ran on the spread copy, and on cx with its vertices reversed when they ran on
+    cx.  A mask goes to its row there through the bit reversal.
+    """
+    (_, levels), forests, passes, res = _pivot_passes(cx, through)
+    sp = spread_copy_oracle(cx, through)
+    assert (levels is not None) == (sp is not cx)
+    oc = sp if levels is not None else _reversed(cx)
+    want_res, want = _spied_passes(lambda: row_indexed_homology_oracle(oc, through))
+    n0 = cx.n_cells(0)
+
+    def rev(m):
+        return int(f"{m:0{n0}b}"[::-1], 2)
+
+    # the lazy row-indexed passes are those of eagerly built columns
+    explicit = _explicit_passes(oc, through)
+    assert [(exp["out"], exp["pivots"]) for exp in want] == explicit[1:]
+    assert [{rev(e) for e in forest} for forest in forests] == explicit[:1]
+    assert len(passes) == len(want)
+    for d, got, exp in zip(count(2), passes, want):
+        row = {s: r for r, s in enumerate(reversed(oc.cells[d]))}
+        assert {row[rev(m)] for m in got["pivots"]} == exp["pivots"], d
+        assert [got[k] for k in ("out", "fills", "additions")] == \
+            [exp[k] for k in ("out", "fills", "additions")], d
+        if exp["core"] is None:
+            assert got["core"] is None, d
+            continue
+        core = [{row[rev(m)]: v for m, v in col.items()} for col in got["core"]]
+        # the two orientations differ by one sign per dimension
+        assert core in (exp["core"], [{r: -v for r, v in col.items()} for col in exp["core"]]), d
+    assert res == want_res == row_indexed_homology_oracle(cx, through)
+    assert res == reduced_homology_oracle(cx, through)
+    return len(passes)
 
 
 def _random_complex(rng, trial):
@@ -575,8 +658,10 @@ def test_mask_pivots_match_explicit_pass_on_random_complexes():
 
 @pytest.mark.parametrize("sub,n", [("sym", 7), ("sym", 9), ("triv", 9)])
 def test_mask_pivots_match_explicit_pass_on_torsion_grid_points(sub, n):
+    # through nu + 1, and through nu
     cc, through = _torsion_grid_point(sub, n)
     assert _assert_same_pivots(cc, through) == through
+    assert _assert_same_pivots(cc, through - 1) == through - 1
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +714,11 @@ def test_reduced_homology_is_invariant_under_vertex_relabelling_on_torsion_grid_
         assert reduced_homology(cy, through) == want
 
 
-def _spread_image(cx, top):
-    """cx's cells through top, each as a sorted list of masks, with vertex i moved to i*k mod n0
-    for the first k >= floor(5*n0/8) prime to n0."""
-    n0 = cx.n_cells(0)
+def _spread_labels(n0):
+    """The spread copy's label of each vertex i: n0 - 1 - (i*k mod n0), for the first
+    k >= floor(5*n0/8) prime to n0."""
     k = next(k for k in count(math.floor(5 * n0 / 8)) if math.gcd(k, n0) == 1)
-    return [sorted(sum(1 << (i * k % n0) for i in range(n0) if s >> i & 1) for s in cx.cells[d])
-            for d in range(top + 1)]
+    return [n0 - 1 - i * k % n0 for i in range(n0)]
 
 
 def _clique_closed(cx, top):
@@ -651,13 +734,22 @@ def test_spread_copy_is_taken_exactly_when_clique_closed():
     for trial in range(300):
         cx = _random_complex(rng, trial)
         through = rng.randrange(0, cx.dim + 2)
-        ran, _, res = _pivot_passes(cx, through)
+        (neighbours, levels), _, _, res = _pivot_passes(cx, through)
         top = min(cx.dim, through + 1)
         closed = _clique_closed(cx, top)
         want = through >= 1 and cx.n_cells(2) > 0 and closed
-        assert (ran is not cx) == want, trial
+        assert (levels is not None) == want, trial
         if want:
-            assert [sorted(c) for c in ran.cells] == _spread_image(cx, top), trial
+            # cx moved: its cells through top - 1 in descending mask order, none of dimension top
+            label = _spread_labels(cx.n_cells(0))
+
+            def moved(s):
+                return sum(1 << t for i, t in enumerate(label) if s >> i & 1)
+
+            assert levels == [sorted(map(moved, cx.cells[d]), reverse=True) for d in range(top)]
+            assert [neighbours[t] for t in label] == list(map(moved, cx.neighbours)), trial
+        else:
+            assert neighbours is cx.neighbours, trial
         taken += want
         open_kept += not closed
         assert res == reduced_homology_oracle(cx, through), trial
