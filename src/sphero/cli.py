@@ -296,6 +296,17 @@ def cmd_trade(args) -> int:
 # parser
 
 
+def _budget(text: str) -> int:
+    """A --pi1-budget value: an integer, 0 or more."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {budget}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sphero", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="seed recorded in manifests")
@@ -316,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--q", type=int, required=True)
     v.add_argument("--subgroup", default="sym")
     v.add_argument("--nmax", type=int, required=True)
-    v.add_argument("--pi1-budget", type=int, default=0, dest="pi1_budget")
+    v.add_argument("--pi1-budget", type=_budget, default=0, dest="pi1_budget",
+                   help="Tietze work units per pi1 search; 0 skips the search")
     v.add_argument("--guard", type=int, default=None, help="override the nmax resource guard")
     v.add_argument("--out", default=None)
     v.set_defaults(cmd="cmd_verify_nu")

@@ -88,6 +88,13 @@ def _cases() -> list[tuple[str, list[str], Outputs]]:
         argv = ["verify-nu", "--q", str(q), "--subgroup", d, "--nmax", str(nmax),
                 "--pi1-budget", "5000"]
         cases.append((name, argv, (("--out", name + ".csv"),)))
+    # with a budget the searches never reach, pi1 reads trivial from n=8 on:
+    # each search runs to completion and rewrites every relator
+    for d, nmax in (("sym", 10), ("triv", 9)):
+        name = f"verify-nu-q2-{d}-nmax{nmax}-budget1000000"
+        argv = ["verify-nu", "--q", "2", "--subgroup", d, "--nmax", str(nmax),
+                "--pi1-budget", "1000000"]
+        cases.append((name, argv, (("--out", name + ".csv"),)))
     # 213 and 231 generate proper subgroups of Sym(3): the general-D root label
     for q, d, n in ((2, "sym", 4), (2, "triv", 4), (3, "sym", 5), (2, "sym", 5),
                     (3, "213", 5), (3, "231", 5)):

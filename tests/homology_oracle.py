@@ -9,7 +9,12 @@ boundary matrix, in its own column order and without clearing, to
 ``sparse_invariant_factors``: no spanning forest for the first boundary, no
 transpose and no cleared columns.
 ``tietze_trivializes_oracle`` is the generator elimination that re-reduces,
-re-sorts and rewrites every relator on every step.  ``simplicial_join`` is
+re-sorts and rewrites every relator on every step.
+``pi1_report_oracle`` is ``pi1_report`` as it built every triangle's relator
+before its search began (``pi1_presentation_oracle``), and
+``tietze_incremental_oracle`` the incremental search it ran them through, on
+the whole list, before the search read the relators of a complex's
+triangles only when it needed them.  ``simplicial_join`` is
 the join of two simplicial complexes, the oracle for ``sphero.posets.join``.
 ``chains_oracle`` lists the chains of an honest poset as tuples, as
 ``sphero.posets.order_complex`` did before it took the clique search.
@@ -30,9 +35,10 @@ through through_dim + 1 listed.
 """
 
 import math
+from heapq import heappop, heappush
 
-from sphero.homology import (ChainComplex, Column, HomologyResult, _Cofaces, _cyc_reduce,
-                             _free_reduce, complex_from_simplices, flag_complex,
+from sphero.homology import (ChainComplex, Column, HomologyError, HomologyResult, _Cofaces,
+                             _cyc_reduce, _free_reduce, complex_from_simplices, flag_complex,
                              sparse_invariant_factors)
 from sphero.posets import GenPoset, ObjId, PosetError
 
@@ -151,6 +157,142 @@ def tietze_trivializes_oracle(ngens: int, relators: list[tuple[int, ...]], budge
         rels = new_rels
     return not gens
 
+
+
+def pi1_presentation_oracle(cx: ChainComplex) -> tuple[int, list[tuple[int, ...]], bool]:
+    """The edge-path presentation as ``pi1_report`` built it whole: generators, relators, tree-only.
+
+    The spanning tree is a BFS over adjacency lists in edge order; the last
+    value says that every edge is a tree edge, so the group is trivial
+    without a search.
+    """
+    n0 = cx.n_cells(0)
+    if n0 == 0:
+        raise HomologyError("empty complex")
+    edges = cx.cells[1] if cx.dim >= 1 else ()
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n0)]
+    for ei, e in enumerate(edges):
+        a, b = (e & -e).bit_length() - 1, e.bit_length() - 1
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
+    # spanning tree by BFS
+    tree: set[int] = set()
+    seen = {0}
+    queue = [0]
+    for x in queue:  # the queue grows while it is walked
+        for y, ei in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                tree.add(ei)
+                queue.append(y)
+    if len(seen) != n0:
+        raise HomologyError("pi1 report requires a connected complex")
+    # edges run from their lower bit to their higher one; tree edges get no letter
+    letter = {e: g + 1 for g, e in enumerate(e for ei, e in enumerate(edges) if ei not in tree)}
+    relators = []
+    for t in cx.cells[2] if cx.dim >= 2 else ():
+        # the triangle a < b < c reads ab, bc, then ac backwards; 0 is the empty word
+        low, high = t & -t, 1 << (t.bit_length() - 1)
+        relators.append(_free_reduce((letter.get(t ^ high, 0), letter.get(t ^ low, 0),
+                                      -letter.get(low | high, 0))))
+    return len(letter), relators, not letter
+
+
+def pi1_report_oracle(cx: ChainComplex, h1: HomologyResult, budget: int = 5000,
+                      eliminated: list[int] | None = None) -> dict:
+    """``pi1_report`` on the whole presentation, searched by ``tietze_incremental_oracle``.
+
+    ``eliminated``, if given, receives the generators the search eliminates, in order.
+    """
+    if len(h1.betti) < 2:
+        raise HomologyError("pi1 report needs the reduced homology through degree 1")
+    ngens, relators, tree_only = pi1_presentation_oracle(cx)
+    if tree_only:
+        return {"status": "trivial", "generators": 0, "relators": 0}
+    if h1.betti[1] > 0 or h1.torsion[1]:
+        return {"status": "nontrivial", "h1_betti": h1.betti[1], "h1_torsion": list(h1.torsion[1])}
+    status = tietze_incremental_oracle(ngens, relators, budget, eliminated)
+    return {"status": "trivial" if status else "unknown",
+            "generators": ngens, "relators": len(relators)}
+
+
+def tietze_incremental_oracle(ngens: int, relators: list[tuple[int, ...]], budget: int,
+                              eliminated: list[int] | None = None) -> bool:
+    """The incremental elimination on a relator list: every relator cyclically reduced first.
+
+    It decides as ``tietze_trivializes_oracle`` does: a step rewrites only the
+    relators in the eliminated generator's entry of an occurrence index (a
+    superset), and a heap of (length, position) entries, checked when they
+    reach the top, finds the shortest relator with a once-occurring
+    generator.  ``eliminated``, if given, receives each step's generator.
+    """
+    gens = set(range(1, ngens + 1))
+    rels = {p: _cyc_reduce(r) for p, r in enumerate(relators)}
+    total = sum(map(len, rels.values()))
+    occ: dict[int, set[int]] = {}
+    for p, r in rels.items():
+        for x in r:
+            occ.setdefault(abs(x), set()).add(p)
+    once: dict[int, int] = {}  # position -> its first generator occurring once
+    heap: list[tuple[int, int]] = []
+    touched = list(rels)  # relators not yet cyclically reduced and checked
+    steps = 0
+    while gens and steps < budget:
+        steps += max(1, total // 64)
+        for p in touched:
+            r = rels[p]
+            if len(r) >= 2 and r[0] == -r[-1]:  # free-reduced: only the ends can cancel
+                c = _cyc_reduce(r)
+                total -= len(r) - len(c)
+                rels[p] = r = c
+            once.pop(p, None)
+            if not r:
+                del rels[p]
+                continue
+            counts: dict[int, int] = {}
+            for x in r:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            g = next((abs(x) for x in r if counts[abs(x)] == 1 and abs(x) in gens), None)
+            if g is not None:
+                once[p] = g
+                heappush(heap, (len(r), p))
+        while heap and (heap[0][1] not in once or len(rels[heap[0][1]]) != heap[0][0]):
+            heappop(heap)
+        if not heap:
+            return False
+        _, pk = heappop(heap)
+        g = once.pop(pk)
+        if eliminated is not None:
+            eliminated.append(g)
+        rel = rels.pop(pk)
+        total -= len(rel)
+        i = next(k for k, x in enumerate(rel) if abs(x) == g)
+        rest = rel[i + 1:] + rel[:i]  # rel ~ g * rest or g^-1 * rest cyclically
+        if rel[i] > 0:
+            sub = tuple(-x for x in reversed(rest))  # g = rest^-1
+        else:
+            sub = rest  # g^-1 = rest^-1, so g = rest
+        inv = tuple(-x for x in reversed(sub))
+        touched = []
+        for p in occ.pop(g):
+            r = rels.get(p)
+            if r is None or (g not in r and -g not in r):
+                continue
+            w: list[int] = []
+            for x in r:
+                if x == g:
+                    w.extend(sub)
+                elif x == -g:
+                    w.extend(inv)
+                else:
+                    w.append(x)
+            rels[p] = new = _free_reduce(tuple(w))
+            total += len(new) - len(r)
+            touched.append(p)
+        for a in {abs(x) for x in rest}:
+            occ[a].update(touched)
+        gens.remove(g)
+    return not gens
 
 def simplicial_join(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Join of two simplicial complexes (independent oracle for category joins).

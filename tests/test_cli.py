@@ -83,6 +83,16 @@ def test_verify_nu_guard_builds_no_config(monkeypatch):
     assert built == []
 
 
+def test_verify_nu_rejects_negative_budget(tmp_path, capsys):
+    # a negative budget would skip every search and write "unknown" where a
+    # proof exists (q=2 sym n=8)
+    out = tmp_path / "nu.csv"
+    assert run(["verify-nu", "--q", "2", "--nmax", "8", "--pi1-budget", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--pi1-budget" in capsys.readouterr().err
+    assert run(["verify-nu", "--q", "2", "--nmax", "8", "--pi1-budget", "0", "--out", str(out)]) == 0
+
+
 def test_parser_is_built_once_and_commands_dispatch_by_name(tmp_path, monkeypatch):
     assert run(["desclink", "--q", "2", "--n", "1", "--out", str(tmp_path / "a.json")]) == 0
     rebuilt = []

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+from collections import Counter
 from itertools import combinations, count
 from random import Random
 
@@ -9,6 +10,7 @@ import pytest
 from dense_snf import smith_normal_form
 from homology_oracle import (boundary_columns_oracle, coboundary_oracle, early_forest_oracle,
                              flag_complex_oracle, one_pass_coboundary_oracle,
+                             pi1_presentation_oracle, pi1_report_oracle,
                              reduced_homology_oracle, row_indexed_homology_oracle,
                              spanning_forest_oracle, spread_copy_oracle,
                              tietze_trivializes_oracle)
@@ -20,6 +22,7 @@ from sphero.complexes import build_complex, connectivity_bound
 from sphero.groups import Config
 from sphero.homology import (
     HomologyError,
+    HomologyResult,
     _divisibility_chain,
     _sparse_snf_full,
     complex_from_simplices,
@@ -889,16 +892,31 @@ def test_pi1_never_false_trivial_on_torsion():
     assert rep["h1_torsion"] == [2]
 
 
+def _search(ngens, rels, budget):
+    """The search on an explicit relator list, every relator given up front."""
+    return homology._tietze_trivializes(ngens, homology._Relators(rels), budget)
+
+
 def _spy_presentations(cx, budgets):
-    """pi1_report statuses at each budget, and the presentation it hands to the search."""
+    """pi1_report statuses at each budget, and the whole presentation its search reads from.
+
+    The search reads the triangles' relators as it needs them; the spy reads
+    every one off the same source, and it must be the presentation that
+    ``pi1_report`` built whole before (``pi1_presentation_oracle``).
+    """
     seen = []
     search = homology._tietze_trivializes
+
+    def spy(ngens, relators, budget):
+        seen.append((ngens, [relators.relator(t) for t in relators.cells]))
+        return search(ngens, relators, budget)
+
     h1 = reduced_homology(cx, 1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_tietze_trivializes",
-                   lambda ngens, rels, budget: seen.append((ngens, rels)) or search(ngens, rels, budget))
+        mp.setattr(homology, "_tietze_trivializes", spy)
         statuses = [pi1_report(cx, h1, b)["status"] for b in budgets]
     assert all(p == seen[0] for p in seen)
+    assert seen[0] == pi1_presentation_oracle(cx)[:2]
     return statuses, seen[0]
 
 
@@ -944,7 +962,7 @@ def test_tietze_matches_oracle_on_random_presentations():
     for _ in range(25):
         ngens, rels = _random_presentation(rng)
         for budget in [*range(1, 121), 10**6]:
-            got = homology._tietze_trivializes(ngens, rels, budget)
+            got = _search(ngens, rels, budget)
             assert got == tietze_trivializes_oracle(ngens, rels, budget), (ngens, rels, budget)
             outcomes[got] += 1
     assert min(outcomes.values()) > 0.3 * sum(outcomes.values()), outcomes
@@ -958,8 +976,7 @@ def test_tietze_budget_counts_relators_before_cyclic_reduction():
     ngens = 45
     rels = [(1, 2), (1, 1, 2)] + [(1, p, 2) for p in range(3, ngens + 1)]
     for budget in range(1, 121):
-        assert (homology._tietze_trivializes(ngens, rels, budget)
-                == tietze_trivializes_oracle(ngens, rels, budget)), budget
+        assert _search(ngens, rels, budget) == tietze_trivializes_oracle(ngens, rels, budget), budget
     assert next(b for b in range(1, 121) if tietze_trivializes_oracle(ngens, rels, b)) == 47
 
 
@@ -980,12 +997,120 @@ def test_tietze_matches_oracle_on_grid_presentations(grid_presentations):
                       ("triv", 8): (785, 3360, "unknown")}
     for ngens, rels, _ in grid_presentations.values():
         for budget in (1, 64, 500, 5000):
-            assert (homology._tietze_trivializes(ngens, rels, budget)
-                    == tietze_trivializes_oracle(ngens, rels, budget)), (ngens, budget)
+            assert _search(ngens, rels, budget) == tietze_trivializes_oracle(ngens, rels, budget), (ngens, budget)
 
 
 def test_tietze_smallest_proving_budget_on_grid(grid_presentations):
     ngens, rels, _ = grid_presentations["sym", 8]
     smallest = 1500  # the oracle's smallest budget that proves q=2 sym n=8 trivial
     assert [tietze_trivializes_oracle(ngens, rels, b) for b in (smallest - 1, smallest)] == [False, True]
-    assert [homology._tietze_trivializes(ngens, rels, b) for b in (smallest - 1, smallest)] == [False, True]
+    assert [_search(ngens, rels, b) for b in (smallest - 1, smallest)] == [False, True]
+    cx = build_complex(Config.make(2, 1, "sym"), 8).chain_complex(2)
+    h1 = reduced_homology(cx, 1)
+    assert [pi1_report(cx, h1, b)["status"] for b in (smallest - 1, smallest)] == ["unknown", "trivial"]
+
+
+PI1_BUDGETS = (0, 1, 2, 3, 17, 64, 500, 1499, 1500, 5000, 20000, 10**6)
+
+
+def _pi1_outcomes(cx, h1):
+    """pi1_report and its oracle at each budget, each report with the generators it
+    eliminated in order, or the error both raise."""
+    out = []
+    containing = homology._Triangles.containing
+    for report in (pi1_report, pi1_report_oracle):
+        runs = []
+        try:
+            for budget in PI1_BUDGETS:
+                eliminated = []
+                if report is pi1_report:
+                    with pytest.MonkeyPatch.context() as mp:
+                        # the search asks each step's triangles on the eliminated edge once
+                        mp.setattr(homology._Triangles, "containing",
+                                   lambda self, g: eliminated.append(g) or containing(self, g))
+                        runs.append((report(cx, h1, budget), eliminated))
+                else:
+                    runs.append((report(cx, h1, budget, eliminated), eliminated))
+        except HomologyError as exc:
+            runs = str(exc)
+        out.append(runs)
+    return out
+
+
+def _count_outcomes(counts, runs):
+    if isinstance(runs, list):
+        counts.update(rep["status"] for rep, _ in runs)
+
+
+def _pruned_relabelled(rng, cx):
+    """cx's 2-skeleton with each triangle kept with a random probability, its vertices shuffled."""
+    perm = list(range(cx.n_cells(0)))
+    rng.shuffle(perm)
+    label, keep = dict(zip(cx.vertices, perm)), rng.uniform(0.05, 1)
+    simps = [[tuple(label[v] for v in s) for s in cells] for cells in cx.basis[:3]]
+    if len(simps) > 2:
+        simps[2] = [t for t in simps[2] if rng.random() < keep]
+    simps[0].sort()  # the 0-cells in label order: bit i is label i
+    return complex_from_simplices(simps)
+
+
+def test_pi1_matches_oracle_on_grid_complexes():
+    # every budget on the grid complexes: reports and eliminations as the whole
+    # presentation and the incremental search gave them
+    statuses = Counter()
+    for q, d, nmax in ((2, "sym", 9), (2, "triv", 8), (3, "sym", 8)):
+        for n in range(2, nmax + 1):
+            cx = build_complex(Config.make(q, 1, d), n).chain_complex(2)
+            if not cx.n_cells(0):
+                continue
+            got, want = _pi1_outcomes(cx, reduced_homology(cx, 1))
+            assert got == want, (q, d, n)
+            _count_outcomes(statuses, got)
+    assert statuses["trivial"] and statuses["unknown"] and statuses["nontrivial"], statuses
+
+
+# H~1 = 0 claimed for every complex, so that the search also runs on
+# presentations that never trivialise: those run out of relators shorter
+# than 3 and take the untouched triangles in cell order
+NO_H1 = HomologyResult((0, 0), ((), ()))
+
+
+def test_pi1_matches_oracle_on_pruned_relabelled_complexes():
+    # deleted triangles exercise the 2-cell test on each candidate coface; the
+    # shuffled vertices change cells[2]'s order and so the position tie-break
+    rng = Random(20261019)
+    grid = [build_complex(Config.make(2, 1, d), n).chain_complex(2)
+            for d, n in (("sym", 7), ("sym", 8), ("triv", 6), ("triv", 7))]
+    statuses, taken = Counter(), []
+    take = homology._Triangles.take
+    for i in range(60):
+        if i % 3:  # a random graph's flag complex
+            n = rng.randint(6, 13)
+            cx = flag_complex(*neighbour_masks(range(n), [e for e in combinations(range(n), 2)
+                                                          if rng.random() < 0.7]), 2)
+        else:
+            cx = rng.choice(grid)
+        cx = _pruned_relabelled(rng, cx)
+        for h1 in (reduced_homology(cx, 1), NO_H1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(homology._Triangles, "take", lambda self: taken.append(1) or take(self))
+                got, want = _pi1_outcomes(cx, h1)
+            assert got == want, (i, cx.cells)
+            _count_outcomes(statuses, got)
+    assert statuses["trivial"] and statuses["unknown"] and statuses["nontrivial"], statuses
+    assert len(taken) > 100
+
+
+def test_pi1_search_reads_triangles_within_its_budget():
+    # q=2 triv n=9 has 10,080 triangles; at budget 5000 the search runs a few
+    # steps and reads the relators of the triangles on tree edges and on the
+    # eliminated generators' edges, not every triangle
+    cx = build_complex(Config.make(2, 1, "triv"), 9).chain_complex(2)
+    h1 = reduced_homology(cx, 1)
+    built = []
+    relator = homology._Triangles.relator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology._Triangles, "relator", lambda self, t: built.append(t) or relator(self, t))
+        rep = pi1_report(cx, h1, 5000)
+    assert rep == {"status": "unknown", "generators": 1441, "relators": 10080}
+    assert len(set(built)) == len(built) < 0.2 * 10080
