@@ -4,7 +4,12 @@ A chain complex is its vertex labels, its simplices, each an int bitmask
 (bit i is vertices[i], as Ripser's simplices are integers) oriented by the
 vertex order and listed in lexicographic order, and the neighbour masks of
 its 1-skeleton; flag complexes are built from those masks, not edge lists.
-Boundary matrices are not stored but derived from the cells, face i of s
+A flag complex lists its cells below its top dimension when it is built and
+counts the top ones, as the popcounts of its last extension masks; it lists
+them only when ``cells`` is first read.  Homology never reads them: its
+passes reach a top cell only as a coface f | v of a listed face.  At q=2
+with Sym(2) and n=14, ``chain_complex(4)`` so lists 363,454 cells and not
+the 945,945 4-cells.  Boundary matrices are not stored but derived from the cells, face i of s
 being s less its i-th lowest bit with sign (-1)^i, so boundary squared
 vanishes by construction: ``faces`` enumerates them, and the coboundaries
 below take each column from the neighbour masks.  They are reduced by one
@@ -27,7 +32,8 @@ reduced as its transpose, the coboundary, with the faces as columns in
 ascending mask order and each coface on the row named by its own mask, so
 the pass pivots on the largest coface and no table of rows is built.  The
 cofaces of a face f are the cells f | v for v in the AND of the neighbour
-masks of f's vertices, and the largest is f | v for the highest such v that
+masks of f's vertices (on the spread copy below, the common-neighbour mask
+that the copy kept when it listed f), and the largest is f | v for the highest such v that
 gives a cell: that is the column's low, found without its other entries.
 Most columns are emergent (Ripser's emergent pairs): no earlier column holds
 a pivot on their low.  Such a column is not reduced at all, so its
@@ -57,7 +63,9 @@ of 3,683, and 130 column additions are made instead of 4,017.  The copy is
 the flag complex of the moved 1-skeleton up to top = min(cx.dim,
 through_dim + 1): it lists its cells through top - 1, in descending mask
 order, and counts its top cells, the largest dimension, as the popcounts of
-the last extension masks.  Every cell of cx is a clique of that 1-skeleton,
+the last extension masks; with each listed clique it keeps the clique's
+common neighbours, the vertices of its coboundary column, so no column ANDs
+neighbour masks again.  Every cell of cx is a clique of that 1-skeleton,
 so the copy is used only when its counts equal cx's through top: then it is
 cx relabelled, and each f | v above is a cell, with no test.  A complex that
 is not clique-closed that far (a flag complex less some cells, say), or has
@@ -101,7 +109,7 @@ class HomologyError(ValueError):
 # chain complexes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainComplex:
     """A simplicial complex as vertex labels and ordered cells, one tuple per dimension.
 
@@ -109,13 +117,46 @@ class ChainComplex:
     vertices[i], so cells[0] is (1, 2, 4, ...); each simplex is oriented by the
     vertex order, and each dimension is sorted lexicographically by the bit
     positions of its cells.  neighbours[i] is the neighbour mask of vertex i
-    in the 1-skeleton, derived data that equality ignores.  ``faces`` derives
-    the boundaries from the cells.
+    in the 1-skeleton.  ``faces`` derives the boundaries from the cells.
+
+    ``listed`` holds the dimensions listed when the complex was built.  A flag
+    complex lists only those below its top dimension and keeps the top as its
+    count, ``unlisted``: ``cells`` lists the top on first read, each clique
+    one dimension below extended by its common neighbours above its highest
+    bit, and ``dim`` and ``n_cells`` read the counts, so homology never lists
+    it.  Equality compares the vertices and the cells, not the masks.
     """
 
     vertices: tuple
-    cells: tuple[tuple[int, ...], ...]
-    neighbours: tuple[int, ...] = field(repr=False, compare=False)
+    listed: tuple[tuple[int, ...], ...]
+    neighbours: tuple[int, ...] = field(repr=False)
+    unlisted: int = 0  # the cells of dimension len(listed), not listed yet
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        if not self.unlisted:
+            return self.listed
+        adj = {1 << i: m for i, m in enumerate(self.neighbours)}  # keyed by the vertex's bit
+        top = []
+        for clique in self.listed[-1]:
+            m, x = -1 << clique.bit_length(), clique  # the common neighbours above its highest bit
+            while x:
+                b = x & -x
+                x ^= b
+                m &= adj[b]
+            while m:
+                low = m & -m
+                m ^= low
+                top.append(clique | low)
+        return self.listed + (tuple(top),)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChainComplex):
+            return NotImplemented
+        return self.vertices == other.vertices and self.cells == other.cells
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.cells))
 
     @cached_property
     def basis(self) -> tuple[tuple[tuple, ...], ...]:
@@ -126,10 +167,16 @@ class ChainComplex:
 
     @property
     def dim(self) -> int:
-        return len(self.cells) - 1
+        return len(self.listed) - 1 + bool(self.unlisted)
 
     def n_cells(self, d: int) -> int:
-        return len(self.cells[d]) if 0 <= d < len(self.cells) else 0
+        if 0 <= d < len(self.listed):
+            return len(self.listed[d])
+        return self.unlisted if d == len(self.listed) else 0
+
+    def level(self, d: int) -> tuple[int, ...]:
+        """cells[d], 0 <= d <= dim, without listing the top dimension unless d is the top."""
+        return self.listed[d] if d < len(self.listed) else self.cells[d]
 
     def faces(self, d: int) -> Iterator[tuple[int, int, int]]:
         """(cell index, face index, sign) for every face of every d-cell, 1 <= d <= dim.
@@ -137,8 +184,8 @@ class ChainComplex:
         Face i of a simplex drops its i-th lowest bit and carries the sign
         (-1)^i.
         """
-        index = {s: i for i, s in enumerate(self.cells[d - 1])}
-        for j, s in enumerate(self.cells[d]):
+        index = {s: i for i, s in enumerate(self.level(d - 1))}
+        for j, s in enumerate(self.level(d)):
             m, sign = s, 1
             while m:
                 low = m & -m
@@ -248,28 +295,31 @@ def flag_complex(vertices: Iterable, neighbours: Sequence[int], max_dim: int) ->
     makes them from an edge list.  Each clique is extended by its common
     neighbours above its highest bit, in increasing order, from cliques in
     lexicographic order, so each dimension comes out sorted by bit position.
+    Dimension max_dim is not listed but counted, as the popcounts of the last
+    extension masks; ``ChainComplex.cells`` lists it on first read.
     """
     adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
     cells = [tuple(adj)]
     # the last cells, each with its common neighbours above its highest bit
     cliques, above = list(adj), [m & -(x << 1) for x, m in adj.items()]
-    while len(cells) <= max_dim:
-        top = len(cells) == max_dim  # cells of the top dimension are not extended
+    while len(cells) < max_dim:
         nxt, nxt_above = [], []
         for clique, m in zip(cliques, above):
             while m:
                 low = m & -m
                 m ^= low  # m keeps the common neighbours above low
                 nxt.append(clique | low)
-                if not top:
-                    nxt_above.append(m & adj[low])
+                nxt_above.append(m & adj[low])
         if not nxt:
             break
         cells.append(tuple(nxt))
         cliques, above = nxt, nxt_above
+    # past a dimension with no extension every mask is 0
+    top = sum(map(int.bit_count, above)) if max_dim > 0 else 0
     # the masks of the 1-skeleton: none when it has no edges
+    edges = len(cells) > 1 or top
     return ChainComplex(tuple(vertices), tuple(cells),
-                        tuple(neighbours) if len(cells) > 1 else (0,) * len(neighbours))
+                        tuple(neighbours) if edges else (0,) * len(neighbours), top)
 
 
 # ---------------------------------------------------------------------------
@@ -524,48 +574,56 @@ class _Cofaces(dict):
         return self
 
 
-def _coboundary(neighbours: Sequence[int], faces: Iterable[int], cells: Collection[int] | None,
-                cleared: set[int]) -> list[_Cofaces]:
-    """The coboundary on these faces, in their order, cleared faces left out, unfilled.
+def _coboundary(faces: Iterable[tuple[int, int]], cleared: set[int]) -> list[_Cofaces]:
+    """The coboundary on these (face, coface vertices) pairs, in their order, unfilled.
 
     Rows are the coface masks, so the max-low pass pivots on the largest
-    coface.  The cofaces of face f are the f | v, v in the AND of the
-    neighbour masks of f's vertices, that are in ``cells`` (all when it is
-    None).  Cleared faces and faces without cofaces give no column.
+    coface.  Cleared faces and faces without cofaces give no column.
     """
-    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
     cols = []
-    for f in faces:
-        if f in cleared:
-            continue
-        m, x = -1, f
-        while x:
-            b = x & -x
-            x ^= b
-            m &= adj[b]
-        if cells is not None:
-            x, m = m, 0
-            while x:
-                b = x & -x
-                x ^= b
-                if f | b in cells:
-                    m |= b
-        if m:
+    for f, m in faces:
+        if m and f not in cleared:
             col = _Cofaces()
             col.face, col.cands, col.low = f, m, f | 1 << (m.bit_length() - 1)
             cols.append(col)
     return cols
 
 
-def _spread(cx: ChainComplex, through_dim: int) -> tuple[Sequence[int], list[list[int]] | None]:
-    """The neighbour masks the passes run on, and the spread copy's cells or None for cx's own.
+def _tested_cofaces(neighbours: Sequence[int], faces: Iterable[int],
+                    cells: Collection[int]) -> Iterator[tuple[int, int]]:
+    """Each face f with the vertices v whose f | v is in ``cells``.
+
+    The v are taken from the AND of the neighbour masks of f's vertices and
+    each f | v is tested: the path of complexes that are not clique-closed.
+    """
+    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
+    for f in faces:
+        m, x = -1, f
+        while x:
+            b = x & -x
+            x ^= b
+            m &= adj[b]
+        x, m = m, 0
+        while x:
+            b = x & -x
+            x ^= b
+            if f | b in cells:
+                m |= b
+        yield f, m
+
+
+def _spread(cx: ChainComplex, through_dim: int) -> tuple[Sequence[int], list[list[int]] | None,
+                                                          list[list[int]] | None]:
+    """The neighbour masks the passes run on, and the spread copy's cells and their common
+    neighbours, or None twice for cx's own.
 
     The copy, taken when a coboundary gets reduced and it is clique-closed
     (module docstring), lists each clique of dimension below top, extended by
-    its common neighbours below its lowest bit, highest first.
+    its common neighbours below its lowest bit, highest first; commons[d][i]
+    is the AND of the neighbour masks of the vertices of levels[d][i].
     """
     if through_dim < 1 or not cx.n_cells(2):
-        return cx.neighbours, None
+        return cx.neighbours, None, None
     n0, top = cx.n_cells(0), min(cx.dim, through_dim + 1)
     k = 5 * n0 // 8
     while math.gcd(k, n0) != 1:
@@ -581,23 +639,25 @@ def _spread(cx: ChainComplex, through_dim: int) -> tuple[Sequence[int], list[lis
         moved[n0 - 1 - i * k % n0] = x
     adj = {1 << i: m for i, m in enumerate(moved)}  # keyed by the vertex's bit
     cliques = list(adj)[::-1]
-    below = [adj[x] & (x - 1) for x in cliques]
-    levels = [cliques]
+    common = [adj[x] for x in cliques]
+    levels, commons = [cliques], [common]
     for d in range(1, top):
-        nxt, nxt_below = [], []
-        for clique, m in zip(cliques, below):
+        nxt, nxt_common = [], []
+        for clique, c in zip(cliques, common):
+            m = c & ((clique & -clique) - 1)  # the common neighbours below its lowest bit
             while m:
                 high = 1 << (m.bit_length() - 1)
-                m ^= high  # m keeps the common neighbours below high
+                m ^= high
                 nxt.append(clique | high)
-                nxt_below.append(m & adj[high])
+                nxt_common.append(c & adj[high])
         if len(nxt) != cx.n_cells(d):
-            return cx.neighbours, None
+            return cx.neighbours, None, None
         levels.append(nxt)
-        cliques, below = nxt, nxt_below
-    if sum(map(int.bit_count, below)) != cx.n_cells(top):
-        return cx.neighbours, None
-    return moved, levels
+        commons.append(nxt_common)
+        cliques, common = nxt, nxt_common
+    if sum((c & ((x & -x) - 1)).bit_count() for x, c in zip(cliques, common)) != cx.n_cells(top):
+        return cx.neighbours, None, None
+    return moved, levels, commons
 
 
 def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
@@ -608,7 +668,7 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     when it is clique-closed through through_dim + 1, on cx's own cells
     otherwise (module docstring).
     """
-    neighbours, levels = _spread(cx, through_dim)
+    neighbours, levels, commons = _spread(cx, through_dim)
     rank: dict[int, int] = {0: 1 if cx.n_cells(0) else 0}  # augmentation
     factors: dict[int, list[int]] = {}
     cleared: set[int] = set()  # cells whose rows of the next boundary are dropped
@@ -620,10 +680,10 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
             cleared = _spanning_forest(neighbours)
             f, r = [1] * len(cleared), len(cleared)
         else:
-            faces, cells = ((sorted(cx.cells[d - 1]), set(cx.cells[d])) if levels is None
-                            else (reversed(levels[d - 1]), None))
+            faces = (_tested_cofaces(neighbours, sorted(cx.level(d - 1)), set(cx.level(d)))
+                     if levels is None else zip(reversed(levels[d - 1]), reversed(commons[d - 1])))
             pivots: set[int] = set()
-            f, r = sparse_invariant_factors(_coboundary(neighbours, faces, cells, cleared), pivots)
+            f, r = sparse_invariant_factors(_coboundary(faces, cleared), pivots)
             cleared = pivots
         factors[d], rank[d] = f, r
     betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
@@ -666,7 +726,7 @@ def pi1_report(cx: ChainComplex, h1: HomologyResult, budget: int = 5000) -> dict
         raise HomologyError("pi1 report requires a connected complex")
     # edges run from their lower bit to their higher one; tree edges get no letter
     in_tree = set(tree)
-    edges = cx.cells[1] if cx.dim >= 1 else ()
+    edges = cx.level(1) if cx.dim >= 1 else ()
     letter = {e: g + 1 for g, e in enumerate(e for e in edges if e not in in_tree)}
     if not letter:
         return {"status": "trivial", "generators": 0, "relators": 0}
@@ -736,7 +796,7 @@ class _Triangles(_Relators):
     def __init__(self, cx: ChainComplex, tree: Iterable[int], letter: dict[int, int]):
         self.n0, self.neighbours, self.letter = cx.n_cells(0), cx.neighbours, letter
         self.edge = [0, *letter]  # generator -> its edge
-        self.cells = cx.cells[2] if cx.dim >= 2 else ()
+        self.cells = cx.level(2) if cx.dim >= 2 else ()
         self.unbuilt = set(self.cells)  # the triangles whose relator no one has read yet
         self.rest = iter(self.cells)  # the triangles after head, in cell order
         self.head, self.first = 0, None  # the first unbuilt triangle and its (3, position)

@@ -31,10 +31,16 @@ masks: Kruskal's forest over the lexicographic edge list, then coboundaries
 from ``row_indexed_coboundary_oracle``, whose lazily filled ``RowCofaces``
 put each coface on its row in reversed lexicographic order.
 ``spread_copy_oracle`` is the copy those passes ran on, every dimension
-through through_dim + 1 listed.
+through through_dim + 1 listed.  ``eager_flag_complex_oracle`` is
+``flag_complex`` as it listed every dimension through max_dim when it was
+built, before it counted the top one and left its listing to the first read
+of ``cells``.  ``and_coboundary_oracle`` is the coboundary builder that took
+each face's coface vertices from the AND of its vertices' neighbour masks,
+before the spread copy kept every clique's common neighbours.
 """
 
 import math
+from collections.abc import Collection, Iterable, Sequence
 from heapq import heappop, heappush
 
 from sphero.homology import (ChainComplex, Column, HomologyError, HomologyResult, _Cofaces,
@@ -527,3 +533,64 @@ def row_indexed_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyR
     betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
     torsion = tuple(tuple(x for x in factors[d + 1] if x > 1) for d in range(through_dim + 1))
     return HomologyResult(betti, torsion)
+
+
+def eager_flag_complex_oracle(vertices: Iterable, neighbours: Sequence[int], max_dim: int) -> ChainComplex:
+    """Clique complex of a graph given by neighbour masks, every dimension through max_dim listed.
+
+    Each clique is extended by its common neighbours above its highest bit,
+    in increasing order, from cliques in lexicographic order.
+    """
+    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
+    cells = [tuple(adj)]
+    # the last cells, each with its common neighbours above its highest bit
+    cliques, above = list(adj), [m & -(x << 1) for x, m in adj.items()]
+    while len(cells) <= max_dim:
+        top = len(cells) == max_dim  # cells of the top dimension are not extended
+        nxt, nxt_above = [], []
+        for clique, m in zip(cliques, above):
+            while m:
+                low = m & -m
+                m ^= low  # m keeps the common neighbours above low
+                nxt.append(clique | low)
+                if not top:
+                    nxt_above.append(m & adj[low])
+        if not nxt:
+            break
+        cells.append(tuple(nxt))
+        cliques, above = nxt, nxt_above
+    # the masks of the 1-skeleton: none when it has no edges
+    return ChainComplex(tuple(vertices), tuple(cells),
+                        tuple(neighbours) if len(cells) > 1 else (0,) * len(neighbours))
+
+
+def and_coboundary_oracle(neighbours: Sequence[int], faces: Iterable[int],
+                          cells: Collection[int] | None, cleared: set[int]) -> list[_Cofaces]:
+    """The coboundary on these faces, in their order, cleared faces left out, unfilled.
+
+    The cofaces of face f are the f | v, v in the AND of the neighbour masks
+    of f's vertices, that are in ``cells`` (all when it is None).  Cleared
+    faces and faces without cofaces give no column.
+    """
+    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
+    cols = []
+    for f in faces:
+        if f in cleared:
+            continue
+        m, x = -1, f
+        while x:
+            b = x & -x
+            x ^= b
+            m &= adj[b]
+        if cells is not None:
+            x, m = m, 0
+            while x:
+                b = x & -x
+                x ^= b
+                if f | b in cells:
+                    m |= b
+        if m:
+            col = _Cofaces()
+            col.face, col.cands, col.low = f, m, f | 1 << (m.bit_length() - 1)
+            cols.append(col)
+    return cols

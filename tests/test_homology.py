@@ -2,22 +2,24 @@ import inspect
 import math
 import sys
 from collections import Counter
+from functools import cached_property, reduce
 from itertools import combinations, count
+from operator import and_
 from random import Random
 
 import homology_oracle
 import pytest
 from dense_snf import smith_normal_form
-from homology_oracle import (boundary_columns_oracle, coboundary_oracle, early_forest_oracle,
-                             flag_complex_oracle, one_pass_coboundary_oracle,
-                             pi1_presentation_oracle, pi1_report_oracle,
+from homology_oracle import (and_coboundary_oracle, boundary_columns_oracle, coboundary_oracle,
+                             eager_flag_complex_oracle, early_forest_oracle, flag_complex_oracle,
+                             one_pass_coboundary_oracle, pi1_presentation_oracle, pi1_report_oracle,
                              reduced_homology_oracle, row_indexed_homology_oracle,
                              spanning_forest_oracle, spread_copy_oracle,
                              tietze_trivializes_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphero import homology
+from sphero import cli, homology
 from sphero.complexes import build_complex, connectivity_bound
 from sphero.groups import Config
 from sphero.homology import (
@@ -604,7 +606,7 @@ def _assert_same_pivots(cx, through):
     the passes ran on the spread copy, and on cx with its vertices reversed when they ran on
     cx.  A mask goes to its row there through the bit reversal.
     """
-    (_, levels), forests, passes, res = _pivot_passes(cx, through)
+    (_, levels, _), forests, passes, res = _pivot_passes(cx, through)
     sp = spread_copy_oracle(cx, through)
     assert (levels is not None) == (sp is not cx)
     oc = sp if levels is not None else _reversed(cx)
@@ -724,6 +726,11 @@ def _spread_labels(n0):
     return [n0 - 1 - i * k % n0 for i in range(n0)]
 
 
+def _common(neighbours, s):
+    """The AND of the neighbour masks of the vertices of s."""
+    return reduce(and_, (m for i, m in enumerate(neighbours) if s >> i & 1), -1)
+
+
 def _clique_closed(cx, top):
     """Every clique of cx's 1-skeleton with at most top + 1 vertices is a cell of cx."""
     cliques = flag_complex_oracle(list(cx.vertices), list(cx.basis[1]) if cx.dim else [], top)
@@ -737,7 +744,7 @@ def test_spread_copy_is_taken_exactly_when_clique_closed():
     for trial in range(300):
         cx = _random_complex(rng, trial)
         through = rng.randrange(0, cx.dim + 2)
-        (neighbours, levels), _, _, res = _pivot_passes(cx, through)
+        (neighbours, levels, commons), _, _, res = _pivot_passes(cx, through)
         top = min(cx.dim, through + 1)
         closed = _clique_closed(cx, top)
         want = through >= 1 and cx.n_cells(2) > 0 and closed
@@ -751,8 +758,10 @@ def test_spread_copy_is_taken_exactly_when_clique_closed():
 
             assert levels == [sorted(map(moved, cx.cells[d]), reverse=True) for d in range(top)]
             assert [neighbours[t] for t in label] == list(map(moved, cx.neighbours)), trial
+            # each clique's common neighbours, the AND of its vertices' masks
+            assert commons == [[_common(neighbours, s) for s in level] for level in levels], trial
         else:
-            assert neighbours is cx.neighbours, trial
+            assert neighbours is cx.neighbours and levels is commons is None, trial
         taken += want
         open_kept += not closed
         assert res == reduced_homology_oracle(cx, through), trial
@@ -797,6 +806,150 @@ def test_chain_complex_carries_its_one_skeleton_masks():
         cx = flag_complex(verts, adj, max_dim)
         assert cx.neighbours == tuple(adj)
         assert complex_from_simplices([list(b) for b in cx.basis]).neighbours == tuple(adj)
+
+
+# ---------------------------------------------------------------------------
+# the top dimension of a flag complex: counted when built, listed on first read
+
+
+_READERS = {"cells": lambda c: c.cells, "basis": lambda c: c.basis,
+            "dump_matrices": lambda c: c.dump_matrices(), "==": lambda c: c}
+
+
+def _assert_lazy_top_matches_eager(verts, adj):
+    """For every max_dim through the clique number + 1, flag_complex against the eager oracle:
+    the counts, read first and listing nothing, then each way of reading the cells."""
+    n = len(adj)
+    omega = eager_flag_complex_oracle(verts, adj, n).dim + 1 if n else 0
+    for max_dim in range(omega + 2):
+        want = eager_flag_complex_oracle(verts, adj, max_dim)
+        cx = flag_complex(verts, adj, max_dim)
+        assert cx.dim == want.dim, max_dim
+        assert [cx.n_cells(d) for d in range(-1, want.dim + 2)] == \
+            [want.n_cells(d) for d in range(-1, want.dim + 2)], max_dim
+        assert "cells" not in vars(cx) and cx.unlisted == (want.n_cells(max_dim) if max_dim else 0)
+        assert cx.neighbours == want.neighbours, max_dim
+        if max_dim == 0 or not want.n_cells(1):
+            assert cx.neighbours == (0,) * n, max_dim
+        for name, read in _READERS.items():
+            cx = flag_complex(verts, adj, max_dim)  # each reader lists the top itself
+            assert read(cx) == read(want), (max_dim, name)
+        assert hash(cx) == hash(want) and want == cx, max_dim
+
+
+def test_lazy_top_matches_eager_flag_complex_on_random_graphs():
+    rng = Random(20261025)
+    unlisted = 0
+    for trial in range(150):
+        n = rng.randrange(0, 11)
+        labels = rng.sample(range(-20, 40), n) if trial % 2 else [f"u{rng.random():.6f}" for _ in range(n)]
+        p = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+        verts, adj = neighbour_masks(labels, [e for e in combinations(labels, 2) if rng.random() < p])
+        _assert_lazy_top_matches_eager(verts, adj)
+        unlisted += any(m for m in adj)
+    assert unlisted >= 75, unlisted
+
+
+@pytest.mark.parametrize("q,sub,nmax", [(2, "sym", 8), (2, "triv", 7), (3, "sym", 9), (3, "triv", 6)])
+def test_lazy_top_matches_eager_flag_complex_on_grid_points(q, sub, nmax):
+    config = Config.make(q, 1, sub)
+    for n in range(q, nmax + 1):
+        cx = build_complex(config, n)
+        _assert_lazy_top_matches_eager(range(len(cx.vertices)), cx.neighbours)
+
+
+def _top_listings(mp):
+    """Patch ChainComplex.cells to record the dimension of every unlisted top it lists."""
+    tops = []
+    list_cells = homology.ChainComplex.cells.func
+
+    def spy(cx):
+        if cx.unlisted:
+            tops.append(cx.dim)
+        return list_cells(cx)
+
+    spied = cached_property(spy)
+    spied.__set_name__(homology.ChainComplex, "cells")
+    mp.setattr(homology.ChainComplex, "cells", spied)
+    return tops
+
+
+@pytest.mark.parametrize("q,sub,n,top", [(2, "sym", 11, 17_325), (3, "triv", 9, 30_240)])
+def test_nu_grid_pipeline_never_lists_the_top(q, sub, n, top):
+    # scripts/nu_grid.py: chain_complex(nu + 1) -> reduced_homology(., nu) -> n_cells and dim
+    config = Config.make(q, 1, sub)
+    through = max(connectivity_bound(config, n), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        tops = _top_listings(mp)
+        cc = build_complex(config, n).chain_complex(through + 1)
+        res = reduced_homology(cc, through)
+        counts = [cc.n_cells(d) for d in range(cc.dim + 1)]
+    assert tops == [] and "cells" not in vars(cc)
+    assert cc.dim == through + 1 and counts[-1] == cc.unlisted == top
+    assert res.is_trivial_through(through)
+
+
+def test_verify_nu_pi1_lists_nothing_above_dimension_two(tmp_path):
+    out = tmp_path / "nu.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        tops = _top_listings(mp)
+        assert cli.main(["verify-nu", "--q", "2", "--subgroup", "sym", "--nmax", "9",
+                         "--pi1-budget", "5000", "--out", str(out)]) == 0
+    rows = {int(r[0]): r for r in (line.split(",") for line in out.read_text().splitlines()[2:])}
+    # nu = 1 at n = 8 and 9: a 3-dimensional complex whose pi1 was searched, its top not listed
+    assert [rows[n][1] for n in (8, 9)] == ["1", "1"] and "n/a" not in (rows[8][5], rows[9][5])
+    assert all(d <= 2 for d in tops), tops
+
+
+def _assert_mask_columns_match_and_oracle(cx, through):
+    """The coboundary columns of the spread copy from its kept common-neighbour masks against
+    those of the AND of neighbour masks, with the cleared sets the passes hand on; return the
+    number of columns compared."""
+    neighbours, levels, commons = homology._spread(cx, through)
+    assert levels is not None
+    cleared, compared = homology._spanning_forest(neighbours), 0
+    for d in range(2, len(levels) + 1):
+        faces = levels[d - 1][::-1]
+        got = homology._coboundary(zip(faces, commons[d - 1][::-1]), cleared)
+        want = and_coboundary_oracle(neighbours, faces, None, cleared)
+        assert [(c.face, c.cands, c.low) for c in got] == [(c.face, c.cands, c.low) for c in want], d
+        assert _items(c.fill() for c in got) == _items(c.fill() for c in want), d
+        compared += len(got)
+        if d < len(levels):  # the pivots of this pass clear the next one
+            cleared = set()
+            sparse_invariant_factors(homology._coboundary(zip(faces, commons[d - 1][::-1]), cleared),
+                                     cleared)
+    return compared
+
+
+@pytest.mark.parametrize("sub,nmax", [("sym", 11), ("triv", 10)])
+def test_mask_columns_match_and_oracle_on_grid_points(sub, nmax):
+    config = Config.make(2, 1, sub)
+    for n in range(6, nmax + 1):
+        through = connectivity_bound(config, n) + 1
+        cc = build_complex(config, n).chain_complex(through + 1)
+        assert _assert_mask_columns_match_and_oracle(cc, through), n
+
+
+def test_mask_columns_match_and_oracle_on_random_complexes():
+    # flag complexes through the spread copy; the others through the tested cofaces
+    rng = Random(20261026)
+    flags = tested = 0
+    for trial in range(200):
+        cx = _random_complex(rng, trial)
+        through = rng.randrange(1, cx.dim + 1) if cx.dim >= 2 else 1
+        if homology._spread(cx, through)[1] is not None:
+            flags += bool(_assert_mask_columns_match_and_oracle(cx, through))
+            continue
+        for d in range(2, cx.dim + 1):
+            faces, cells = sorted(cx.cells[d - 1]), set(cx.cells[d])
+            cleared = set(rng.sample(faces, rng.randrange(len(faces) + 1)))
+            got = homology._coboundary(homology._tested_cofaces(cx.neighbours, faces, cells), cleared)
+            want = and_coboundary_oracle(cx.neighbours, faces, cells, cleared)
+            assert [(c.face, c.cands, c.low) for c in got] == [(c.face, c.cands, c.low) for c in want]
+            assert _items(c.fill() for c in got) == _items(c.fill() for c in want)
+            tested += bool(got)
+    assert flags >= 50 and tested >= 30, (flags, tested)
 
 
 def _rank_mod_p(columns, p):
