@@ -52,7 +52,10 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_SCHEDULE = 4
 
-GUARD_DEFAULTS = {2: 11, 3: 9}
+# verify-nu refuses nmax above these unless --guard says otherwise.  At q=2
+# the next point, n=11, reduces a dense core of its fourth boundary for more
+# than ten minutes; triv nmax 10 takes about 2 s.
+GUARD_DEFAULTS = {2: 10, 3: 9}
 
 # desclink refuses an order complex whose chains times objects exceed this:
 # each chain is a mask as wide as its highest object.  (2, sym, 6) has

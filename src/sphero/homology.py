@@ -1,22 +1,29 @@
 """Exact integral simplicial homology via Smith normal form.
 
-A chain complex is its vertex labels, its simplices, each an int bitmask
-(bit i is vertices[i], as Ripser's simplices are integers) oriented by the
-vertex order and listed in lexicographic order, and the neighbour masks of
-its 1-skeleton; flag complexes are built from those masks, not edge lists.
-A flag complex lists its cells below its top dimension when it is built and
-counts the top ones, as the popcounts of its last extension masks; it lists
-them only when ``cells`` is first read.  Homology never reads them: its
-passes reach a top cell only as a coface f | v of a listed face.  At q=2
-with Sym(2) and n=14, ``chain_complex(4)`` so lists 363,454 cells and not
-the 945,945 4-cells.  Boundary matrices are not stored but derived from the cells, face i of s
-being s less its i-th lowest bit with sign (-1)^i, so boundary squared
-vanishes by construction: ``faces`` enumerates them, and the coboundaries
-below take each column from the neighbour masks.  They are reduced by one
-elimination: a unit-pivot column pass, then a Euclidean sparse Smith normal
-form on the leftover core of columns with non-unit lows, cleared on the
-pivot rows (empty on torsion-free instances).  Entries are Python integers,
-so no overflow is possible.
+A chain complex is its vertex labels, its cell counts, the neighbour masks
+of its 1-skeleton and, read through ``cells`` and ``level``, its simplices:
+each an int bitmask (bit i is vertices[i], as Ripser's simplices are
+integers) oriented by the vertex order and listed in lexicographic order.
+Flag complexes are built from those masks, not edge lists, and list each
+clique once (Zomorodian's incremental clique search, 2010), in the order
+homology reduces them: from dimension 2 up, ``flag_complex`` lists the
+cliques below its top dimension in the spread vertex order below, each with
+its common neighbours, and counts the top ones as the popcounts of the last
+extension masks.  Those lists are the complex's counts, and
+``reduced_homology`` reduces them as they are; its passes reach a top cell
+only as a coface f | v of a listed face.  The cells in the complex's own
+labels are listed only when ``cells``, ``level``, ``basis``,
+``dump_matrices``, equality or ``pi1_report`` first read them, and
+``level(d)`` lists nothing above d.  At q=2 with Sym(2) and n=14,
+``chain_complex(4)`` so lists 363,454 cliques once and not the 945,945
+4-cells.  Boundary matrices are not stored but derived from the cells, face
+i of s being s less its i-th lowest bit with sign (-1)^i, so boundary
+squared vanishes by construction: ``faces`` enumerates them, and the
+coboundaries below take each column from the neighbour masks.  They are
+reduced by one elimination: a unit-pivot column pass, then a Euclidean
+sparse Smith normal form on the leftover core of columns with non-unit lows,
+cleared on the pivot rows (empty on torsion-free instances).  Entries are
+Python integers, so no overflow is possible.
 
 ``reduced_homology`` needs only the rank and invariant factors of each
 boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
@@ -32,15 +39,16 @@ reduced as its transpose, the coboundary, with the faces as columns in
 ascending mask order and each coface on the row named by its own mask, so
 the pass pivots on the largest coface and no table of rows is built.  The
 cofaces of a face f are the cells f | v for v in the AND of the neighbour
-masks of f's vertices (on the spread copy below, the common-neighbour mask
-that the copy kept when it listed f), and the largest is f | v for the highest such v that
-gives a cell: that is the column's low, found without its other entries.
-Most columns are emergent (Ripser's emergent pairs): no earlier column holds
-a pivot on their low.  Such a column is not reduced at all, so its
-unreduced entries, +-1 at the low and entries on smaller cofaces, are its
-pivot column as they stand; they are built only when a later column is
-reduced against it.  Rows that carry a unit pivot in one coboundary name
-columns of the next that reduce to zero, and those columns are left out.
+masks of f's vertices (in the spread listing below, the common-neighbour
+mask kept when f was listed), and the largest is f | v for the highest such
+v that gives a cell: that is the column's low, found without its other
+entries.  Most columns are emergent (Ripser's emergent pairs): no earlier
+column holds a pivot on their low.  Such a column is not reduced at all, so
+its unreduced entries, +-1 at the low and entries on smaller cofaces, are
+its pivot column as they stand; it stays its (face, coface vertices) pair,
+and its entries are built only when a later column is reduced against it.
+Rows that carry a unit pivot in one coboundary name columns of the next
+that reduce to zero, and those columns are left out.
 This is exact over the integers, in any vertex order.
 For the forest, d1 d2 = 0 and peeling the forest from its leaves write each
 forest-edge row of d2 as an integer combination of the other rows.  Above
@@ -53,21 +61,22 @@ invariant factors.
 The passes run in a spread vertex order.  A structured order works against
 emergent columns: with vertices sorted by support, as ``build_complex`` lists
 them, many faces share the same largest coface, so their columns collide on
-one low and all but the first are filled and reduced.  ``reduced_homology``
-therefore reduces a copy of cx with vertex i moved to n0 - 1 - (i*k mod n0),
-k the first integer >= floor(5*n0/8) prime to n0 (fixed, no randomness); the
-reversal makes mask order the reversed lexicographic order of the labels
-i*k mod n0.  At q=2 with Sym(2) and n=11, 5,893 of the 5,994 columns of the
-coboundary of d3 are then emergent instead of 4,639, 230 are filled instead
-of 3,683, and 130 column additions are made instead of 4,017.  The copy is
-the flag complex of the moved 1-skeleton up to top = min(cx.dim,
-through_dim + 1): it lists its cells through top - 1, in descending mask
-order, and counts its top cells, the largest dimension, as the popcounts of
-the last extension masks; with each listed clique it keeps the clique's
-common neighbours, the vertices of its coboundary column, so no column ANDs
-neighbour masks again.  Every cell of cx is a clique of that 1-skeleton,
-so the copy is used only when its counts equal cx's through top: then it is
-cx relabelled, and each f | v above is a cell, with no test.  A complex that
+one low and all but the first are filled and reduced.  The passes therefore
+run on the cliques of the 1-skeleton with vertex i moved to
+n0 - 1 - (i*k mod n0), k the first integer >= floor(5*n0/8) prime to n0
+(fixed, no randomness); the reversal makes mask order the reversed
+lexicographic order of the labels i*k mod n0.  At q=2 with Sym(2) and n=11,
+5,893 of the 5,994 columns of the coboundary of d3 are then emergent instead
+of 4,639, 230 are filled instead of 3,683, and 130 column additions are made
+instead of 4,017.  ``_spread`` lists those cliques in descending mask order,
+each extended by its common neighbours below its lowest bit, and keeps with
+each the clique's common neighbours, the vertices of its coboundary column,
+so no column ANDs neighbour masks again.  A flag complex is that listing,
+made once when it is built; each f | v above is then a cell, with no test.
+A complex from ``complex_from_simplices`` is listed so through top =
+min(dim, through_dim + 1) when a coboundary gets reduced: every cell is a
+clique of its 1-skeleton, so the listing is used only when its counts equal
+the complex's through top, and then it is the complex relabelled.  One that
 is not clique-closed that far (a flag complex less some cells, say), or has
 no coboundary to reduce, goes through the same passes in its own labels,
 each coface tested against its d-cells.  Only the homology leaves the
@@ -79,8 +88,9 @@ of its three edges, those of tree edges dropped.  The relators are implicit,
 as the coboundary columns are: a budgeted Tietze search reads a triangle's
 relator off its mask only when it first needs it, that is when the
 generator of one of its edges is eliminated (the triangles on edge e are the
-e | v, v in the AND of the neighbour masks of e's ends, that are 2-cells),
-or when the triangle comes first in cell order among those never read and
+e | v, v in the AND of the neighbour masks of e's ends: every one in a flag
+complex with 2-cells, those that are 2-cells in any other complex), or when
+the triangle comes first in cell order among those never read and
 no relator shorter than 3 is left.  Only the triangles on tree edges, of
 lengths 1 and 2, are read up front; the letter total the budget is counted
 from is 3 * (2-cells) less the cofaces of the tree edges.  So a search's
@@ -97,6 +107,7 @@ from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 Column = dict[int, int]
 
@@ -109,9 +120,25 @@ class HomologyError(ValueError):
 # chain complexes
 
 
+class _Spread(NamedTuple):
+    """A complex's cliques listed in the spread vertex order (module docstring).
+
+    ``neighbours`` are the moved 1-skeleton's masks, ``levels[d]`` its d-cliques
+    in descending mask order, each extended by its common neighbours below its
+    lowest bit, highest first, and ``commons[d][i]`` the AND of the neighbour
+    masks of the vertices of ``levels[d][i]``.  ``top`` counts the cliques of
+    dimension len(levels), which are not listed.
+    """
+
+    neighbours: list[int]
+    levels: list[list[int]]
+    commons: list[list[int]]
+    top: int
+
+
 @dataclass(frozen=True, eq=False)
 class ChainComplex:
-    """A simplicial complex as vertex labels and ordered cells, one tuple per dimension.
+    """A simplicial complex as vertex labels, cell counts and its 1-skeleton's neighbour masks.
 
     cells[d] lists the d-simplices as int bitmasks, bit i standing for
     vertices[i], so cells[0] is (1, 2, 4, ...); each simplex is oriented by the
@@ -119,36 +146,24 @@ class ChainComplex:
     positions of its cells.  neighbours[i] is the neighbour mask of vertex i
     in the 1-skeleton.  ``faces`` derives the boundaries from the cells.
 
-    ``listed`` holds the dimensions listed when the complex was built.  A flag
-    complex lists only those below its top dimension and keeps the top as its
-    count, ``unlisted``: ``cells`` lists the top on first read, each clique
-    one dimension below extended by its common neighbours above its highest
-    bit, and ``dim`` and ``n_cells`` read the counts, so homology never lists
-    it.  Equality compares the vertices and the cells, not the masks.
+    ``counts[d]`` is the number of d-cells.  A complex from
+    ``complex_from_simplices`` keeps its cells as ``given``.  A flag complex
+    (``given`` is None) lists none in its own labels when it is built: from
+    dimension 2 up it keeps ``spread``, its cliques below the top in the spread
+    order that homology reduces, and ``level(d)`` lists cells[d] in its own
+    labels on first read, as cliques of the neighbour masks, nothing above d.
+    Equality compares the vertices and the cells, not the masks.
     """
 
     vertices: tuple
-    listed: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
     neighbours: tuple[int, ...] = field(repr=False)
-    unlisted: int = 0  # the cells of dimension len(listed), not listed yet
+    given: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
+    spread: _Spread | None = field(default=None, repr=False)
 
-    @cached_property
+    @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
-        if not self.unlisted:
-            return self.listed
-        adj = {1 << i: m for i, m in enumerate(self.neighbours)}  # keyed by the vertex's bit
-        top = []
-        for clique in self.listed[-1]:
-            m, x = -1 << clique.bit_length(), clique  # the common neighbours above its highest bit
-            while x:
-                b = x & -x
-                x ^= b
-                m &= adj[b]
-            while m:
-                low = m & -m
-                m ^= low
-                top.append(clique | low)
-        return self.listed + (tuple(top),)
+        return tuple(self.level(d) for d in range(self.dim + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainComplex):
@@ -167,16 +182,24 @@ class ChainComplex:
 
     @property
     def dim(self) -> int:
-        return len(self.listed) - 1 + bool(self.unlisted)
+        return len(self.counts) - 1
 
     def n_cells(self, d: int) -> int:
-        if 0 <= d < len(self.listed):
-            return len(self.listed[d])
-        return self.unlisted if d == len(self.listed) else 0
+        return self.counts[d] if 0 <= d < len(self.counts) else 0
+
+    @cached_property
+    def _listed(self) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, ...]]]:
+        """The dimensions of a flag complex listed in its own labels so far, and the rest."""
+        return [], _lex_levels(self.neighbours, self.dim)
 
     def level(self, d: int) -> tuple[int, ...]:
-        """cells[d], 0 <= d <= dim, without listing the top dimension unless d is the top."""
-        return self.listed[d] if d < len(self.listed) else self.cells[d]
+        """cells[d], 0 <= d <= dim, listing no dimension above d."""
+        if self.given is not None:
+            return self.given[d]
+        listed, rest = self._listed
+        while len(listed) <= d:
+            listed.append(next(rest))
+        return listed[d]
 
     def faces(self, d: int) -> Iterator[tuple[int, int, int]]:
         """(cell index, face index, sign) for every face of every d-cell, 1 <= d <= dim.
@@ -264,7 +287,7 @@ def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
         low = e & -e
         adj[low.bit_length() - 1] |= e ^ low
         adj[e.bit_length() - 1] |= low
-    return ChainComplex(tuple(bit), tuple(cells), tuple(adj))
+    return ChainComplex(tuple(bit), tuple(map(len, cells)), tuple(adj), tuple(cells))
 
 
 def neighbour_masks(vertices: Iterable, edges: Collection[tuple]) -> tuple[tuple, list[int]]:
@@ -292,17 +315,36 @@ def flag_complex(vertices: Iterable, neighbours: Sequence[int], max_dim: int) ->
 
     Bit j of neighbours[i] is set when vertices[i] and vertices[j] are
     adjacent; the masks must be symmetric and loop-free, as ``neighbour_masks``
-    makes them from an edge list.  Each clique is extended by its common
-    neighbours above its highest bit, in increasing order, from cliques in
-    lexicographic order, so each dimension comes out sorted by bit position.
-    Dimension max_dim is not listed but counted, as the popcounts of the last
-    extension masks; ``ChainComplex.cells`` lists it on first read.
+    makes them from an edge list.  No cell is listed in these labels.  From
+    max_dim 2 up the cliques below max_dim are listed once, in the spread
+    order that homology reduces (``_spread``), and those of dimension max_dim
+    are counted; below that the counts are the vertices and half the total
+    popcount of the masks.
+    """
+    spread = _spread(neighbours, max_dim) if max_dim >= 2 else None
+    if spread is not None:
+        counts = [*map(len, spread.levels), spread.top]
+    else:
+        counts = [len(neighbours), sum(map(int.bit_count, neighbours)) // 2 if max_dim == 1 else 0]
+    while len(counts) > 1 and not counts[-1]:
+        counts.pop()
+    # the masks of the 1-skeleton: none when it has no edges
+    return ChainComplex(tuple(vertices), tuple(counts),
+                        tuple(neighbours) if len(counts) > 1 else (0,) * len(neighbours),
+                        spread=spread)
+
+
+def _lex_levels(neighbours: Sequence[int], top: int) -> Iterator[tuple[int, ...]]:
+    """The cliques of each dimension 0..top in these labels, each dimension sorted by bit position.
+
+    Each clique is extended by its common neighbours above its highest bit,
+    in increasing order, from cliques in lexicographic order.
     """
     adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
-    cells = [tuple(adj)]
-    # the last cells, each with its common neighbours above its highest bit
-    cliques, above = list(adj), [m & -(x << 1) for x, m in adj.items()]
-    while len(cells) < max_dim:
+    # the last cliques, each with its common neighbours above its highest bit
+    cliques, above = tuple(adj), [m & -(x << 1) for x, m in adj.items()]
+    yield cliques
+    for _ in range(top):
         nxt, nxt_above = [], []
         for clique, m in zip(cliques, above):
             while m:
@@ -310,16 +352,58 @@ def flag_complex(vertices: Iterable, neighbours: Sequence[int], max_dim: int) ->
                 m ^= low  # m keeps the common neighbours above low
                 nxt.append(clique | low)
                 nxt_above.append(m & adj[low])
+        cliques, above = tuple(nxt), nxt_above
+        yield cliques
+
+
+def _spread(neighbours: Sequence[int], top: int,
+            counts: Sequence[int] | None = None) -> _Spread | None:
+    """The cliques below dimension top in the spread order, and the number of the next dimension.
+
+    Vertex i moves to n0 - 1 - (i*k mod n0) (module docstring).  Each clique
+    is extended by its common neighbours below its lowest bit, highest first,
+    from cliques in descending mask order, and keeps the AND of its vertices'
+    neighbour masks; the listing stops at a dimension without cliques.  Given
+    the ``counts`` of a complex that need not be clique-closed, it returns
+    None as soon as some dimension through top has another number of cliques.
+    """
+    n0 = len(neighbours)
+    k = 5 * n0 // 8
+    while math.gcd(k, n0) != 1:
+        k += 1
+    bit = [1 << (n0 - 1 - i * k % n0) for i in range(n0)]
+    moved = [0] * n0
+    for i, m in enumerate(neighbours):
+        x = 0
+        while m:
+            low = m & -m
+            m ^= low
+            x |= bit[low.bit_length() - 1]
+        moved[n0 - 1 - i * k % n0] = x
+    adj = {1 << i: m for i, m in enumerate(moved)}  # keyed by the vertex's bit
+    cliques = list(adj)[::-1]
+    common = [adj[x] for x in cliques]
+    levels, commons = [cliques], [common]
+    for d in range(1, top):
+        nxt, nxt_common = [], []
+        for clique, c in zip(cliques, common):
+            m = c & ((clique & -clique) - 1)  # the common neighbours below its lowest bit
+            while m:
+                high = 1 << (m.bit_length() - 1)
+                m ^= high
+                nxt.append(clique | high)
+                nxt_common.append(c & adj[high])
+        if counts is not None and len(nxt) != counts[d]:
+            return None
         if not nxt:
             break
-        cells.append(tuple(nxt))
-        cliques, above = nxt, nxt_above
-    # past a dimension with no extension every mask is 0
-    top = sum(map(int.bit_count, above)) if max_dim > 0 else 0
-    # the masks of the 1-skeleton: none when it has no edges
-    edges = len(cells) > 1 or top
-    return ChainComplex(tuple(vertices), tuple(cells),
-                        tuple(neighbours) if edges else (0,) * len(neighbours), top)
+        levels.append(nxt)
+        commons.append(nxt_common)
+        cliques, common = nxt, nxt_common
+    n = sum((c & ((x & -x) - 1)).bit_count() for x, c in zip(cliques, common))
+    if counts is not None and n != counts[top]:
+        return None
+    return _Spread(moved, levels, commons, n)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +507,8 @@ def _sparse_snf_full(columns: list[Column]) -> tuple[list[int], int]:
     return _divisibility_chain(diag), len(diag)
 
 
-def sparse_invariant_factors(columns: list[Column],
-                             pivot_rows: set[int] | None = None) -> tuple[list[int], int]:
+def sparse_invariant_factors(columns: list[Column], pivot_rows: set[int] | None = None,
+                             lazy: _Coboundary | None = None) -> tuple[list[int], int]:
     """Invariant factors and rank from sparse integer columns.
 
     Each column is reduced on its lowest row against the unit pivots found so
@@ -435,28 +519,33 @@ def sparse_invariant_factors(columns: list[Column],
     that core goes to the Euclidean routine.  If ``pivot_rows`` is given, the
     rows of the unit pivots are added to it.
 
-    A column may be an unfilled ``_Cofaces``, whose low is known before its
-    entries.  If no pivot sits on that low yet, it becomes one unfilled, and
-    is filled the first time a column is reduced against it; otherwise it is
-    filled and reduced like any other column.  Filled columns are never
+    With ``lazy``, an empty column i is unfilled: its low is ``lazy.lows[i]``,
+    known before its entries, ``lazy.fill(i)``.  If no pivot sits on that low
+    yet, it becomes one as its index, and is filled the first time a column is
+    reduced against it; otherwise it is filled and reduced like any other
+    column.  A filled column takes its place in ``columns`` and is never
     edited, so afterwards each holds its entries or, never needed, none.
     """
-    pivots: dict[int, Column] = {}
+    pivots: dict[int, Column | int] = {}  # an int: the index of an emergent column, unfilled
     parked: list[Column] = []
-    for col in columns:
-        if isinstance(col, _Cofaces) and not col:
-            if col.low not in pivots:
-                pivots[col.low] = col  # emergent: filled when a column is reduced against it
+    for i, col in enumerate(columns):
+        if not col:
+            if lazy is None:
                 continue
-            col.fill()
+            low = lazy.lows[i]
+            if low not in pivots:
+                pivots[low] = i  # emergent: filled when a column is reduced against it
+                continue
+            col = columns[i] = lazy.fill(i)
         shared = True  # still the caller's column: copied before its first edit
         while col:
             low = max(col)
             p = pivots.get(low)
             if p is None:
                 break
-            if not p:
-                p.fill()
+            if type(p) is int:
+                # targets left to right: columns[p] while p is still the index
+                columns[p] = pivots[low] = p = lazy.fill(p)
             if shared:
                 col, shared = dict(col), False
             f = col[low] * p[low]  # p[low] is +-1
@@ -483,7 +572,9 @@ def sparse_invariant_factors(columns: list[Column],
             r = -heappop(todo)
             if r not in col:
                 continue  # cancelled by fill-in, or queued twice
-            p = pivots[r] or pivots[r].fill()
+            p = pivots[r]
+            if type(p) is int:
+                columns[p] = pivots[r] = p = lazy.fill(p)
             f = col[r] * p[r]
             for rr, v in p.items():
                 nv = col.get(rr, 0) - f * v
@@ -548,18 +639,31 @@ def _spanning_forest(neighbours: Sequence[int]) -> set[int]:
     return forest
 
 
-class _Cofaces(dict):
-    """A coboundary column, coface mask -> sign, whose entries are filled on first use.
+class _Coboundary:
+    """A coboundary on (face, coface vertices) pairs, in their order, each column kept as its pair.
 
-    ``face`` is the (d-1)-cell and ``cands`` the vertices v whose f | v is a
-    d-cell; ``low`` is the largest of those cofaces.
+    Column i is the face faces[i], a (d-1)-cell, with cands[i], the vertices v
+    whose f | v is a d-cell; its low is lows[i], the largest of those cofaces,
+    and its entries, on the rows named by the coface masks, are built only by
+    ``fill``.  ``columns`` holds () for each until ``sparse_invariant_factors``
+    fills it.  Cleared faces and faces without cofaces give no column.
     """
 
-    __slots__ = ("face", "cands", "low")
+    __slots__ = ("faces", "cands", "lows", "columns")
 
-    def fill(self) -> "_Cofaces":
-        """Add the entries, highest v first: f | v with sign (-1)^(bits of f below v)."""
-        f, m = self.face, self.cands
+    def __init__(self, pairs: Iterable[tuple[int, int]], cleared: set[int]):
+        faces, cands, lows = self.faces, self.cands, self.lows = [], [], []
+        for f, m in pairs:
+            if m and f not in cleared:
+                faces.append(f)
+                cands.append(m)
+                lows.append(f | 1 << (m.bit_length() - 1))
+        self.columns = [()] * len(faces)  # one slot per column: () until it is filled
+
+    def fill(self, i: int) -> Column:
+        """Column i's entries, highest v first: f | v with sign (-1)^(bits of f below v)."""
+        f, m = self.faces[i], self.cands[i]
+        col: Column = {}
         rest, sign = f, -1 if f.bit_count() & 1 else 1
         while m:
             top = 1 << rest.bit_length() >> 1  # the next bit of f from the top; 0 past the last
@@ -569,24 +673,9 @@ class _Cofaces(dict):
             while run:
                 high = 1 << (run.bit_length() - 1)
                 run ^= high
-                self[f | high] = sign
+                col[f | high] = sign
             sign = -sign
-        return self
-
-
-def _coboundary(faces: Iterable[tuple[int, int]], cleared: set[int]) -> list[_Cofaces]:
-    """The coboundary on these (face, coface vertices) pairs, in their order, unfilled.
-
-    Rows are the coface masks, so the max-low pass pivots on the largest
-    coface.  Cleared faces and faces without cofaces give no column.
-    """
-    cols = []
-    for f, m in faces:
-        if m and f not in cleared:
-            col = _Cofaces()
-            col.face, col.cands, col.low = f, m, f | 1 << (m.bit_length() - 1)
-            cols.append(col)
-    return cols
+        return col
 
 
 def _tested_cofaces(neighbours: Sequence[int], faces: Iterable[int],
@@ -612,63 +701,30 @@ def _tested_cofaces(neighbours: Sequence[int], faces: Iterable[int],
         yield f, m
 
 
-def _spread(cx: ChainComplex, through_dim: int) -> tuple[Sequence[int], list[list[int]] | None,
-                                                          list[list[int]] | None]:
-    """The neighbour masks the passes run on, and the spread copy's cells and their common
-    neighbours, or None twice for cx's own.
+def _spread_for(cx: ChainComplex, through_dim: int) -> _Spread | None:
+    """The spread listing the passes run on, or None for cx's own cells.
 
-    The copy, taken when a coboundary gets reduced and it is clique-closed
-    (module docstring), lists each clique of dimension below top, extended by
-    its common neighbours below its lowest bit, highest first; commons[d][i]
-    is the AND of the neighbour masks of the vertices of levels[d][i].
+    It is needed only when a coboundary gets reduced: a flag complex has it
+    from when it was built, and a complex from ``complex_from_simplices`` is
+    listed in the spread order through min(dim, through_dim + 1) only to be
+    used when it is clique-closed that far (module docstring).
     """
     if through_dim < 1 or not cx.n_cells(2):
-        return cx.neighbours, None, None
-    n0, top = cx.n_cells(0), min(cx.dim, through_dim + 1)
-    k = 5 * n0 // 8
-    while math.gcd(k, n0) != 1:
-        k += 1
-    bit = [1 << (n0 - 1 - i * k % n0) for i in range(n0)]
-    moved = [0] * n0
-    for i, m in enumerate(cx.neighbours):
-        x = 0
-        while m:
-            low = m & -m
-            m ^= low
-            x |= bit[low.bit_length() - 1]
-        moved[n0 - 1 - i * k % n0] = x
-    adj = {1 << i: m for i, m in enumerate(moved)}  # keyed by the vertex's bit
-    cliques = list(adj)[::-1]
-    common = [adj[x] for x in cliques]
-    levels, commons = [cliques], [common]
-    for d in range(1, top):
-        nxt, nxt_common = [], []
-        for clique, c in zip(cliques, common):
-            m = c & ((clique & -clique) - 1)  # the common neighbours below its lowest bit
-            while m:
-                high = 1 << (m.bit_length() - 1)
-                m ^= high
-                nxt.append(clique | high)
-                nxt_common.append(c & adj[high])
-        if len(nxt) != cx.n_cells(d):
-            return cx.neighbours, None, None
-        levels.append(nxt)
-        commons.append(nxt_common)
-        cliques, common = nxt, nxt_common
-    if sum((c & ((x & -x) - 1)).bit_count() for x, c in zip(cliques, common)) != cx.n_cells(top):
-        return cx.neighbours, None, None
-    return moved, levels, commons
+        return None
+    if cx.given is None:
+        return cx.spread
+    return _spread(cx.neighbours, min(cx.dim, through_dim + 1), cx.counts)
 
 
 def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     """Reduced homology in degrees 0..through_dim (degree 0 via augmentation).
 
     The first boundary goes to a spanning forest, and each higher one is
-    reduced as a cleared coboundary on coface masks: on the spread copy of cx
-    when it is clique-closed through through_dim + 1, on cx's own cells
-    otherwise (module docstring).
+    reduced as a cleared coboundary on coface masks: on the spread listing of
+    a flag complex or of a clique-closed one, on cx's own cells otherwise
+    (module docstring).
     """
-    neighbours, levels, commons = _spread(cx, through_dim)
+    sp = _spread_for(cx, through_dim)
     rank: dict[int, int] = {0: 1 if cx.n_cells(0) else 0}  # augmentation
     factors: dict[int, list[int]] = {}
     cleared: set[int] = set()  # cells whose rows of the next boundary are dropped
@@ -677,13 +733,16 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
             f, r = [], 0
         elif d == 1:
             # an incidence matrix: totally unimodular, rank from a spanning forest
-            cleared = _spanning_forest(neighbours)
+            cleared = _spanning_forest(cx.neighbours if sp is None else sp.neighbours)
             f, r = [1] * len(cleared), len(cleared)
         else:
-            faces = (_tested_cofaces(neighbours, sorted(cx.level(d - 1)), set(cx.level(d)))
-                     if levels is None else zip(reversed(levels[d - 1]), reversed(commons[d - 1])))
+            if sp is None:
+                pairs = _tested_cofaces(cx.neighbours, sorted(cx.level(d - 1)), set(cx.level(d)))
+            else:
+                pairs = zip(reversed(sp.levels[d - 1]), reversed(sp.commons[d - 1]))
+            cob = _Coboundary(pairs, cleared)
             pivots: set[int] = set()
-            f, r = sparse_invariant_factors(_coboundary(faces, cleared), pivots)
+            f, r = sparse_invariant_factors(cob.columns, pivots, cob)
             cleared = pivots
         factors[d], rank[d] = f, r
     betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
@@ -787,23 +846,25 @@ class _Triangles(_Relators):
     tree edges dropped.  The triangles on a tree edge (lengths 1 and 2) are
     given up front; any other triangle has three distinct letters, so it is
     cyclically reduced and its first letter occurs once.  The triangles on an
-    edge e are the e | v, v in the AND of the neighbour masks of e's ends,
-    that are 2-cells: a complex need not be clique-closed.  A triangle's
-    position is (a * n0 + b) * n0 + c, which orders the triangles as cells[2]
-    lists them.
+    edge e are the e | v, v in the AND of the neighbour masks of e's ends:
+    in a flag complex with 2-cells every such e | v is one, and in any other
+    complex each is tested against the 2-cells.  ``read`` holds the triangles
+    whose relator was read.  A triangle's position is (a * n0 + b) * n0 + c,
+    which orders the triangles as cells[2] lists them.
     """
 
     def __init__(self, cx: ChainComplex, tree: Iterable[int], letter: dict[int, int]):
         self.n0, self.neighbours, self.letter = cx.n_cells(0), cx.neighbours, letter
         self.edge = [0, *letter]  # generator -> its edge
         self.cells = cx.level(2) if cx.dim >= 2 else ()
-        self.unbuilt = set(self.cells)  # the triangles whose relator no one has read yet
+        self.test = None if cx.given is None and self.cells else set(self.cells)
+        self.read: set[int] = set()
         self.rest = iter(self.cells)  # the triangles after head, in cell order
-        self.head, self.first = 0, None  # the first unbuilt triangle and its (3, position)
+        self.head, self.first = 0, None  # the first triangle not read and its (3, position)
         self.given = {}
         for e in tree:
             self.given.update(self._on(e))
-        self.later = 3 * len(self.unbuilt)
+        self.later = 3 * (len(self.cells) - len(self.read))
 
     def relator(self, t: int) -> tuple[int, ...]:
         low, high = t & -t, 1 << (t.bit_length() - 1)
@@ -817,29 +878,30 @@ class _Triangles(_Relators):
         return (a * self.n0 + b) * self.n0 + c
 
     def _on(self, e: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(position, relator) for the unbuilt triangles on edge e, now built."""
+        """(position, relator) for the triangles on edge e not read before, now read."""
         m = self.neighbours[(e & -e).bit_length() - 1] & self.neighbours[e.bit_length() - 1]
-        unbuilt, position, relator, out = self.unbuilt, self._position, self.relator, []
+        read, test, position, relator, out = self.read, self.test, self._position, self.relator, []
         while m:
             v = m & -m
             m ^= v
-            if e | v in unbuilt:
-                unbuilt.remove(e | v)
-                out.append((position(e | v), relator(e | v)))
+            t = e | v
+            if t not in read and (test is None or t in test):
+                read.add(t)
+                out.append((position(t), relator(t)))
         return out
 
     def containing(self, g: int) -> list[tuple[int, tuple[int, ...]]]:
         return self._on(self.edge[g])
 
     def untouched(self) -> tuple[int, int] | None:
-        if self.head not in self.unbuilt:  # built since, or not yet looked for
-            self.head = next((t for t in self.rest if t in self.unbuilt), 0)
+        if not self.head or self.head in self.read:  # read since, or not yet looked for
+            self.head = next((t for t in self.rest if t not in self.read), 0)
             self.first = (3, self._position(self.head)) if self.head else None
         return self.first
 
     def take(self) -> tuple[int, tuple[int, ...]]:
-        """(position, relator) of the first unbuilt triangle, now built; ``untouched`` finds it."""
-        self.unbuilt.remove(self.head)
+        """(position, relator) of the first triangle not read, now read; ``untouched`` finds it."""
+        self.read.add(self.head)
         return self.first[1], self.relator(self.head)
 
 

@@ -28,22 +28,23 @@ column of a cleared coboundary in one pass over the cells, and
 the forest from neighbour masks.  ``row_indexed_homology_oracle`` runs the
 passes as ``reduced_homology`` ran them before its rows were the coface
 masks: Kruskal's forest over the lexicographic edge list, then coboundaries
-from ``row_indexed_coboundary_oracle``, whose lazily filled ``RowCofaces``
+from ``row_indexed_coboundary_oracle``, whose lazily filled ``RowCoboundary``
 put each coface on its row in reversed lexicographic order.
 ``spread_copy_oracle`` is the copy those passes ran on, every dimension
 through through_dim + 1 listed.  ``eager_flag_complex_oracle`` is
-``flag_complex`` as it listed every dimension through max_dim when it was
-built, before it counted the top one and left its listing to the first read
-of ``cells``.  ``and_coboundary_oracle`` is the coboundary builder that took
-each face's coface vertices from the AND of its vertices' neighbour masks,
-before the spread copy kept every clique's common neighbours.
+``flag_complex`` as it listed every dimension through max_dim in its own
+labels when it was built, before it counted the top one and listed the
+others only in the spread order.  ``and_coboundary_oracle`` is the
+coboundary builder that took each face's coface vertices from the AND of its
+vertices' neighbour masks, before the spread copy kept every clique's common
+neighbours.
 """
 
 import math
 from collections.abc import Collection, Iterable, Sequence
 from heapq import heappop, heappush
 
-from sphero.homology import (ChainComplex, Column, HomologyError, HomologyResult, _Cofaces,
+from sphero.homology import (ChainComplex, Column, HomologyError, HomologyResult, _Coboundary,
                              _cyc_reduce, _free_reduce, complex_from_simplices, flag_complex,
                              sparse_invariant_factors)
 from sphero.posets import GenPoset, ObjId, PosetError
@@ -426,19 +427,20 @@ def early_forest_oracle(n0: int, edges: tuple[int, ...]) -> set[int]:
     return forest
 
 
-class RowCofaces(_Cofaces):
-    """A coboundary column, row -> sign, whose entries are filled on first use.
+class RowCoboundary(_Coboundary):
+    """A coboundary whose columns put each coface on its row, filled on first use.
 
-    ``face`` is the (d-1)-cell, ``cands`` the vertices v whose f | v may be a
-    d-cell, from the lowest one that is, and ``rows`` maps each d-cell to its
-    row; ``low`` is the row of that lowest coface.
+    Column i is the face faces[i] with cands[i], the vertices v whose f | v
+    may be a d-cell, from the lowest one that is, and ``rows`` maps each
+    d-cell to its row; lows[i] is the row of that lowest coface.
     """
 
     __slots__ = ("rows",)
 
-    def fill(self) -> "RowCofaces":
-        """Add the entries: f | v on its row with sign (-1)^(bits of f below v)."""
-        f, m, get = self.face, self.cands, self.rows.get
+    def fill(self, i: int) -> Column:
+        """Column i's entries: f | v on its row with sign (-1)^(bits of f below v)."""
+        f, m, get = self.faces[i], self.cands[i], self.rows.get
+        col: Column = {}
         rest, sign = f, 1
         while m:
             b = rest & -rest  # the next bit of f; 0 past the last
@@ -450,12 +452,12 @@ class RowCofaces(_Cofaces):
                 run ^= low
                 row = get(f | low)
                 if row is not None:
-                    self[row] = sign
+                    col[row] = sign
             sign = -sign
-        return self
+        return col
 
 
-def row_indexed_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -> list[RowCofaces]:
+def row_indexed_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -> RowCoboundary:
     """The coboundary of dimension d in anti-transposed order, cleared faces left out, unfilled.
 
     Columns are the (d-1)-cells from the last to the first, and d-cell j sits
@@ -466,7 +468,8 @@ def row_indexed_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -
     """
     rows = {s: r for r, s in enumerate(reversed(cx.cells[d]))}
     adj = {1 << i: m for i, m in enumerate(cx.neighbours)}
-    cols = []
+    cob = RowCoboundary((), set())
+    cob.rows = rows
     for f in reversed(cx.cells[d - 1]):
         if f in cleared:
             continue
@@ -479,12 +482,13 @@ def row_indexed_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -
             low = m & -m
             row = rows.get(f | low)
             if row is not None:
-                col = RowCofaces()
-                col.face, col.cands, col.rows, col.low = f, m, rows, row
-                cols.append(col)
+                cob.faces.append(f)
+                cob.cands.append(m)
+                cob.lows.append(row)
                 break
             m ^= low
-    return cols
+    cob.columns = [()] * len(cob.faces)
+    return cob
 
 
 def spread_copy_oracle(cx: ChainComplex, through_dim: int) -> ChainComplex:
@@ -526,7 +530,8 @@ def row_indexed_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyR
             f, r = [1] * len(cleared), len(cleared)
         else:
             pivots: set[int] = set()
-            f, r = sparse_invariant_factors(row_indexed_coboundary_oracle(cx, d, cleared), pivots)
+            cob = row_indexed_coboundary_oracle(cx, d, cleared)
+            f, r = sparse_invariant_factors(cob.columns, pivots, cob)
             top = cx.cells[d]
             cleared = {top[-1 - p] for p in pivots}
         factors[d], rank[d] = f, r
@@ -560,12 +565,12 @@ def eager_flag_complex_oracle(vertices: Iterable, neighbours: Sequence[int], max
         cells.append(tuple(nxt))
         cliques, above = nxt, nxt_above
     # the masks of the 1-skeleton: none when it has no edges
-    return ChainComplex(tuple(vertices), tuple(cells),
-                        tuple(neighbours) if len(cells) > 1 else (0,) * len(neighbours))
+    return ChainComplex(tuple(vertices), tuple(map(len, cells)),
+                        tuple(neighbours) if len(cells) > 1 else (0,) * len(neighbours), tuple(cells))
 
 
 def and_coboundary_oracle(neighbours: Sequence[int], faces: Iterable[int],
-                          cells: Collection[int] | None, cleared: set[int]) -> list[_Cofaces]:
+                          cells: Collection[int] | None, cleared: set[int]) -> _Coboundary:
     """The coboundary on these faces, in their order, cleared faces left out, unfilled.
 
     The cofaces of face f are the f | v, v in the AND of the neighbour masks
@@ -573,7 +578,7 @@ def and_coboundary_oracle(neighbours: Sequence[int], faces: Iterable[int],
     faces and faces without cofaces give no column.
     """
     adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
-    cols = []
+    pairs = []
     for f in faces:
         if f in cleared:
             continue
@@ -590,7 +595,5 @@ def and_coboundary_oracle(neighbours: Sequence[int], faces: Iterable[int],
                 if f | b in cells:
                     m |= b
         if m:
-            col = _Cofaces()
-            col.face, col.cands, col.low = f, m, f | 1 << (m.bit_length() - 1)
-            cols.append(col)
-    return cols
+            pairs.append((f, m))
+    return _Coboundary(pairs, set())

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import pytest
 from sphero import cli
 from sphero.cli import main
 from sphero.groups import Config, element_to_json, identity_element, inverse
@@ -81,6 +82,27 @@ def test_verify_nu_guard_builds_no_config(monkeypatch):
     monkeypatch.setattr(cli, "_config_from_args", lambda args: built.append(args) or Config.make(2, 1))
     assert run(["verify-nu", "--q", "9", "--nmax", "50"]) == 3
     assert built == []
+
+
+def test_verify_nu_q2_guard_stops_below_eleven(monkeypatch):
+    # q=2 sym nmax 11 runs for more than ten minutes: the default guard refuses it before
+    # any config is built, and --guard 11 lets it through to the build
+    class Built(Exception):
+        """Raised in place of the build, so nothing past the guard runs."""
+
+    built = []
+
+    def build(args):
+        built.append(args.nmax)
+        raise Built
+
+    monkeypatch.setattr(cli, "_config_from_args", build)
+    assert cli.GUARD_DEFAULTS[2] == 10
+    assert run(["verify-nu", "--q", "2", "--subgroup", "sym", "--nmax", "11"]) == 3
+    assert built == []
+    with pytest.raises(Built):
+        run(["verify-nu", "--q", "2", "--subgroup", "sym", "--nmax", "11", "--guard", "11"])
+    assert built == [11]
 
 
 def test_verify_nu_rejects_negative_budget(tmp_path, capsys):

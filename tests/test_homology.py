@@ -2,7 +2,7 @@ import inspect
 import math
 import sys
 from collections import Counter
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, count
 from operator import and_
 from random import Random
@@ -526,10 +526,10 @@ def _spied_passes(run):
             additions += 1
         return count_additions
 
-    def spy_snf(columns, pivot_rows):
+    def spy_snf(columns, pivot_rows, lazy=None):
         passes.append(record := {"core": None})
         start = additions
-        out = snf(columns, pivot_rows)
+        out = snf(columns, pivot_rows, lazy)
         record.update(out=out, pivots=set(pivot_rows), additions=additions - start,
                       fills=sum(1 for col in columns if col))  # a lazy column is filled once
         return out
@@ -552,10 +552,10 @@ def _spied_passes(run):
 
 
 def _pivot_passes(cx, through):
-    """What reduced_homology did: what its passes ran on (the neighbour masks, and the spread
-    copy's cells or None for cx's own), its forests, its coboundary passes and its result."""
+    """What reduced_homology did: what its passes ran on (the spread listing, or None for cx's
+    own cells), its forests, its coboundary passes and its result."""
     ran, forests = [], []
-    spread, forest = homology._spread, homology._spanning_forest
+    spread, forest = homology._spread_for, homology._spanning_forest
 
     def spy_spread(c, t):
         ran.append(spread(c, t))
@@ -566,7 +566,7 @@ def _pivot_passes(cx, through):
         return forests[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_spread", spy_spread)
+        mp.setattr(homology, "_spread_for", spy_spread)
         mp.setattr(homology, "_spanning_forest", spy_forest)
         res, passes = _spied_passes(lambda: reduced_homology(cx, through))
     (ran,) = ran
@@ -606,10 +606,10 @@ def _assert_same_pivots(cx, through):
     the passes ran on the spread copy, and on cx with its vertices reversed when they ran on
     cx.  A mask goes to its row there through the bit reversal.
     """
-    (_, levels, _), forests, passes, res = _pivot_passes(cx, through)
+    ran, forests, passes, res = _pivot_passes(cx, through)
     sp = spread_copy_oracle(cx, through)
-    assert (levels is not None) == (sp is not cx)
-    oc = sp if levels is not None else _reversed(cx)
+    assert (ran is not None) == (sp is not cx)
+    oc = sp if ran is not None else _reversed(cx)
     want_res, want = _spied_passes(lambda: row_indexed_homology_oracle(oc, through))
     n0 = cx.n_cells(0)
 
@@ -667,6 +667,21 @@ def test_mask_pivots_match_explicit_pass_on_torsion_grid_points(sub, n):
     cc, through = _torsion_grid_point(sub, n)
     assert _assert_same_pivots(cc, through) == through
     assert _assert_same_pivots(cc, through - 1) == through - 1
+
+
+@pytest.mark.parametrize("sub,n,extra,want", [
+    ("sym", 9, 1, [(29, 18), (666, 5_924)]),
+    ("triv", 8, 1, [(46, 25), (2_293, 3_696)]),
+    ("sym", 11, 0, [(0, 0), (230, 130)]),
+])
+def test_spread_passes_fill_and_add_as_pinned(sub, n, extra, want):
+    # (filled columns, column additions) of each coboundary pass through nu + extra, as they
+    # have been since the passes ran in the spread order
+    config = Config.make(2, 1, sub)
+    through = connectivity_bound(config, n) + extra
+    cc = build_complex(config, n).chain_complex(through + 1)
+    _, passes = _spied_passes(lambda: reduced_homology(cc, through))
+    assert [(p["fills"], p["additions"]) for p in passes] == want
 
 
 # ---------------------------------------------------------------------------
@@ -744,24 +759,30 @@ def test_spread_copy_is_taken_exactly_when_clique_closed():
     for trial in range(300):
         cx = _random_complex(rng, trial)
         through = rng.randrange(0, cx.dim + 2)
-        (neighbours, levels, commons), _, _, res = _pivot_passes(cx, through)
+        sp, _, _, res = _pivot_passes(cx, through)
         top = min(cx.dim, through + 1)
         closed = _clique_closed(cx, top)
         want = through >= 1 and cx.n_cells(2) > 0 and closed
-        assert (levels is not None) == want, trial
+        assert (sp is not None) == want, trial
         if want:
-            # cx moved: its cells through top - 1 in descending mask order, none of dimension top
+            # cx moved: its cells through top - 1 or more in descending mask order, the next
+            # dimension counted; one from complex_from_simplices is listed through top - 1
             label = _spread_labels(cx.n_cells(0))
 
             def moved(s):
                 return sum(1 << t for i, t in enumerate(label) if s >> i & 1)
 
-            assert levels == [sorted(map(moved, cx.cells[d]), reverse=True) for d in range(top)]
+            neighbours, levels, commons = sp.neighbours, sp.levels, sp.commons
+            assert top <= len(levels) <= cx.dim + 1, trial
+            assert cx.given is None or len(levels) == top, trial
+            assert levels == [sorted(map(moved, cx.cells[d]), reverse=True)
+                              for d in range(len(levels))]
+            assert sp.top == cx.n_cells(len(levels)), trial
             assert [neighbours[t] for t in label] == list(map(moved, cx.neighbours)), trial
             # each clique's common neighbours, the AND of its vertices' masks
             assert commons == [[_common(neighbours, s) for s in level] for level in levels], trial
         else:
-            assert neighbours is cx.neighbours and levels is commons is None, trial
+            assert sp is None, trial
         taken += want
         open_kept += not closed
         assert res == reduced_homology_oracle(cx, through), trial
@@ -809,7 +830,7 @@ def test_chain_complex_carries_its_one_skeleton_masks():
 
 
 # ---------------------------------------------------------------------------
-# the top dimension of a flag complex: counted when built, listed on first read
+# a flag complex: its cliques listed once, in the spread order, its own labels on first read
 
 
 _READERS = {"cells": lambda c: c.cells, "basis": lambda c: c.basis,
@@ -818,7 +839,8 @@ _READERS = {"cells": lambda c: c.cells, "basis": lambda c: c.basis,
 
 def _assert_lazy_top_matches_eager(verts, adj):
     """For every max_dim through the clique number + 1, flag_complex against the eager oracle:
-    the counts, read first and listing nothing, then each way of reading the cells."""
+    the counts, read first and listing nothing in its own labels, the top counted and not
+    listed in the spread order, each way of reading the cells, and the homology."""
     n = len(adj)
     omega = eager_flag_complex_oracle(verts, adj, n).dim + 1 if n else 0
     for max_dim in range(omega + 2):
@@ -827,27 +849,36 @@ def _assert_lazy_top_matches_eager(verts, adj):
         assert cx.dim == want.dim, max_dim
         assert [cx.n_cells(d) for d in range(-1, want.dim + 2)] == \
             [want.n_cells(d) for d in range(-1, want.dim + 2)], max_dim
-        assert "cells" not in vars(cx) and cx.unlisted == (want.n_cells(max_dim) if max_dim else 0)
+        assert "_listed" not in vars(cx), max_dim
+        if max_dim < 2:
+            assert cx.spread is None, max_dim
+        else:
+            listed = len(cx.spread.levels)
+            assert listed == min(max_dim, want.dim + 1), max_dim
+            assert cx.spread.top == want.n_cells(listed), max_dim
         assert cx.neighbours == want.neighbours, max_dim
         if max_dim == 0 or not want.n_cells(1):
             assert cx.neighbours == (0,) * n, max_dim
         for name, read in _READERS.items():
-            cx = flag_complex(verts, adj, max_dim)  # each reader lists the top itself
+            cx = flag_complex(verts, adj, max_dim)  # each reader lists the cells itself
             assert read(cx) == read(want), (max_dim, name)
         assert hash(cx) == hash(want) and want == cx, max_dim
+        for through in range(want.dim + 1):
+            assert reduced_homology(flag_complex(verts, adj, max_dim), through) == \
+                reduced_homology_oracle(want, through), (max_dim, through)
 
 
 def test_lazy_top_matches_eager_flag_complex_on_random_graphs():
     rng = Random(20261025)
-    unlisted = 0
+    with_edges = 0
     for trial in range(150):
         n = rng.randrange(0, 11)
         labels = rng.sample(range(-20, 40), n) if trial % 2 else [f"u{rng.random():.6f}" for _ in range(n)]
         p = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
         verts, adj = neighbour_masks(labels, [e for e in combinations(labels, 2) if rng.random() < p])
         _assert_lazy_top_matches_eager(verts, adj)
-        unlisted += any(m for m in adj)
-    assert unlisted >= 75, unlisted
+        with_edges += any(m for m in adj)
+    assert with_edges >= 75, with_edges
 
 
 @pytest.mark.parametrize("q,sub,nmax", [(2, "sym", 8), (2, "triv", 7), (3, "sym", 9), (3, "triv", 6)])
@@ -858,68 +889,88 @@ def test_lazy_top_matches_eager_flag_complex_on_grid_points(q, sub, nmax):
         _assert_lazy_top_matches_eager(range(len(cx.vertices)), cx.neighbours)
 
 
-def _top_listings(mp):
-    """Patch ChainComplex.cells to record the dimension of every unlisted top it lists."""
-    tops = []
-    list_cells = homology.ChainComplex.cells.func
+def _listings(mp):
+    """Patch the clique listings to record them: the dimension of every level a flag complex
+    lists in its own labels, and the number of spread listings."""
+    own, spread = [], []
+    lex, spread_of = homology._lex_levels, homology._spread
 
-    def spy(cx):
-        if cx.unlisted:
-            tops.append(cx.dim)
-        return list_cells(cx)
+    def spy_lex(neighbours, top):
+        for d, level in enumerate(lex(neighbours, top)):
+            own.append(d)
+            yield level
 
-    spied = cached_property(spy)
-    spied.__set_name__(homology.ChainComplex, "cells")
-    mp.setattr(homology.ChainComplex, "cells", spied)
-    return tops
+    mp.setattr(homology, "_lex_levels", spy_lex)
+    mp.setattr(homology, "_spread", lambda *a: spread.append(1) or spread_of(*a))
+    return own, spread
 
 
 @pytest.mark.parametrize("q,sub,n,top", [(2, "sym", 11, 17_325), (3, "triv", 9, 30_240)])
 def test_nu_grid_pipeline_never_lists_the_top(q, sub, n, top):
-    # scripts/nu_grid.py: chain_complex(nu + 1) -> reduced_homology(., nu) -> n_cells and dim
+    # scripts/nu_grid.py: chain_complex(nu + 1) -> reduced_homology(., nu) -> n_cells and dim,
+    # every clique listed once, in the spread order, and the top counted
     config = Config.make(q, 1, sub)
     through = max(connectivity_bound(config, n), 0)
     with pytest.MonkeyPatch.context() as mp:
-        tops = _top_listings(mp)
+        own, spread = _listings(mp)
         cc = build_complex(config, n).chain_complex(through + 1)
         res = reduced_homology(cc, through)
         counts = [cc.n_cells(d) for d in range(cc.dim + 1)]
-    assert tops == [] and "cells" not in vars(cc)
-    assert cc.dim == through + 1 and counts[-1] == cc.unlisted == top
+    assert own == [] and len(spread) == (through + 1 >= 2)
+    assert cc.dim == through + 1 and counts[-1] == top
+    if cc.spread is not None:
+        assert len(cc.spread.levels) == cc.dim and cc.spread.top == top
     assert res.is_trivial_through(through)
+
+
+def test_desclink_lists_no_cell_in_its_own_labels(tmp_path):
+    # each order complex is listed once, in the spread order, and reduced from that listing
+    with pytest.MonkeyPatch.context() as mp:
+        own, spread = _listings(mp)
+        assert cli.main(["desclink", "--q", "2", "--subgroup", "triv", "--n", "4", "--full", "--star",
+                         "--out", str(tmp_path / "dl.json"),
+                         "--homology-csv", str(tmp_path / "dl.csv")]) == 0
+    assert own == [] and len(spread) == 2
 
 
 def test_verify_nu_pi1_lists_nothing_above_dimension_two(tmp_path):
     out = tmp_path / "nu.csv"
     with pytest.MonkeyPatch.context() as mp:
-        tops = _top_listings(mp)
+        listed, _ = _listings(mp)
         assert cli.main(["verify-nu", "--q", "2", "--subgroup", "sym", "--nmax", "9",
                          "--pi1-budget", "5000", "--out", str(out)]) == 0
     rows = {int(r[0]): r for r in (line.split(",") for line in out.read_text().splitlines()[2:])}
     # nu = 1 at n = 8 and 9: a 3-dimensional complex whose pi1 was searched, its top not listed
     assert [rows[n][1] for n in (8, 9)] == ["1", "1"] and "n/a" not in (rows[8][5], rows[9][5])
-    assert all(d <= 2 for d in tops), tops
+    assert all(d <= 2 for d in listed), listed
 
 
 def _assert_mask_columns_match_and_oracle(cx, through):
     """The coboundary columns of the spread copy from its kept common-neighbour masks against
     those of the AND of neighbour masks, with the cleared sets the passes hand on; return the
     number of columns compared."""
-    neighbours, levels, commons = homology._spread(cx, through)
-    assert levels is not None
+    sp = homology._spread_for(cx, through)
+    assert sp is not None
+    neighbours, levels, commons = sp.neighbours, sp.levels, sp.commons
     cleared, compared = homology._spanning_forest(neighbours), 0
     for d in range(2, len(levels) + 1):
         faces = levels[d - 1][::-1]
-        got = homology._coboundary(zip(faces, commons[d - 1][::-1]), cleared)
+        got = homology._Coboundary(zip(faces, commons[d - 1][::-1]), cleared)
         want = and_coboundary_oracle(neighbours, faces, None, cleared)
-        assert [(c.face, c.cands, c.low) for c in got] == [(c.face, c.cands, c.low) for c in want], d
-        assert _items(c.fill() for c in got) == _items(c.fill() for c in want), d
-        compared += len(got)
+        assert _lazy(got) == _lazy(want), d
+        assert _items(map(got.fill, range(len(got.faces)))) == \
+            _items(map(want.fill, range(len(want.faces)))), d
+        compared += len(got.faces)
         if d < len(levels):  # the pivots of this pass clear the next one
             cleared = set()
-            sparse_invariant_factors(homology._coboundary(zip(faces, commons[d - 1][::-1]), cleared),
-                                     cleared)
+            sparse_invariant_factors(got.columns, cleared, got)
     return compared
+
+
+def _lazy(cob):
+    """A coboundary's unfilled columns as (face, coface vertices, low), and that none is filled."""
+    assert cob.columns == [()] * len(cob.faces)
+    return list(zip(cob.faces, cob.cands, cob.lows))
 
 
 @pytest.mark.parametrize("sub,nmax", [("sym", 11), ("triv", 10)])
@@ -938,17 +989,18 @@ def test_mask_columns_match_and_oracle_on_random_complexes():
     for trial in range(200):
         cx = _random_complex(rng, trial)
         through = rng.randrange(1, cx.dim + 1) if cx.dim >= 2 else 1
-        if homology._spread(cx, through)[1] is not None:
+        if homology._spread_for(cx, through) is not None:
             flags += bool(_assert_mask_columns_match_and_oracle(cx, through))
             continue
         for d in range(2, cx.dim + 1):
             faces, cells = sorted(cx.cells[d - 1]), set(cx.cells[d])
             cleared = set(rng.sample(faces, rng.randrange(len(faces) + 1)))
-            got = homology._coboundary(homology._tested_cofaces(cx.neighbours, faces, cells), cleared)
+            got = homology._Coboundary(homology._tested_cofaces(cx.neighbours, faces, cells), cleared)
             want = and_coboundary_oracle(cx.neighbours, faces, cells, cleared)
-            assert [(c.face, c.cands, c.low) for c in got] == [(c.face, c.cands, c.low) for c in want]
-            assert _items(c.fill() for c in got) == _items(c.fill() for c in want)
-            tested += bool(got)
+            assert _lazy(got) == _lazy(want)
+            assert _items(map(got.fill, range(len(got.faces)))) == \
+                _items(map(want.fill, range(len(want.faces))))
+            tested += bool(got.faces)
     assert flags >= 50 and tested >= 30, (flags, tested)
 
 
