@@ -1,20 +1,25 @@
 """Exact integral simplicial homology via Smith normal form.
 
-A chain complex is its vertex labels, its cell counts, the neighbour masks
-of its 1-skeleton and, read through ``cells`` and ``level``, its simplices:
-each an int bitmask (bit i is vertices[i], as Ripser's simplices are
-integers) oriented by the vertex order and listed in lexicographic order.
-Flag complexes are built from those masks, not edge lists, and list each
-clique once (Zomorodian's incremental clique search, 2010), in the order
-homology reduces them: from dimension 2 up, ``flag_complex`` lists the
-cliques below its top dimension in the spread vertex order below, each with
-its common neighbours, and counts the top ones as the popcounts of the last
-extension masks.  Those lists are the complex's counts, and
-``reduced_homology`` reduces them as they are; its passes reach a top cell
-only as a coface f | v of a listed face.  The cells in the complex's own
-labels are listed only when ``cells``, ``level``, ``basis``,
-``dump_matrices``, equality or ``pi1_report`` first read them, and
-``level(d)`` lists nothing above d.  At q=2 with Sym(2) and n=14,
+Every chain complex here is a flag complex: the clique complex of its
+1-skeleton, truncated above its dimension.  The paper's complexes are all
+of this kind (a simplex of a decorated disjoint-support complex is a set of
+pairwise disjoint vertices, one of an order complex a chain, a clique of
+the comparability graph), and so, as in Bauer's Ripser (2021), a coface
+f | v of a cell needs no membership test.  A chain complex is its vertex
+labels, its cell counts, the neighbour masks of its 1-skeleton and, read
+through ``cells`` and ``level``, its simplices: each an int bitmask (bit i
+is vertices[i], as Ripser's simplices are integers) oriented by the vertex
+order and listed in lexicographic order.  ``flag_complex`` builds it from
+those masks, not edge lists, and lists each clique once (Zomorodian's
+incremental clique search, 2010), in the order homology reduces them: from
+dimension 2 up, it lists the cliques below its top dimension in the spread
+vertex order below, each with its common neighbours, and counts the top
+ones as the popcounts of the last extension masks.  Those lists are the
+complex's counts, and ``reduced_homology`` reduces them as they are; its
+passes reach a top cell only as a coface f | v of a listed face.  The cells
+in the complex's own labels are listed only when ``cells``, ``level``,
+``basis``, ``dump_matrices``, equality or ``pi1_report`` first read them,
+and ``level(d)`` lists nothing above d.  At q=2 with Sym(2) and n=14,
 ``chain_complex(4)`` so lists 363,454 cliques once and not the 945,945
 4-cells.  Boundary matrices are not stored but derived from the cells, face
 i of s being s less its i-th lowest bit with sign (-1)^i, so boundary
@@ -41,9 +46,9 @@ the pass pivots on the largest coface and no table of rows is built.  The
 cofaces of a face f are the cells f | v for v in the AND of the neighbour
 masks of f's vertices (in the spread listing below, the common-neighbour
 mask kept when f was listed), and the largest is f | v for the highest such
-v that gives a cell: that is the column's low, found without its other
-entries.  Most columns are emergent (Ripser's emergent pairs): no earlier
-column holds a pivot on their low.  Such a column is not reduced at all, so
+v: that is the column's low, found without its other entries.  Most
+columns are emergent (Ripser's emergent pairs): no earlier column holds a
+pivot on their low.  Such a column is not reduced at all, so
 its unreduced entries, +-1 at the low and entries on smaller cofaces, are
 its pivot column as they stand; it stays its (face, coface vertices) pair,
 and its entries are built only when a later column is reduced against it.
@@ -71,16 +76,10 @@ of 4,639, 230 are filled instead of 3,683, and 130 column additions are made
 instead of 4,017.  ``_spread`` lists those cliques in descending mask order,
 each extended by its common neighbours below its lowest bit, and keeps with
 each the clique's common neighbours, the vertices of its coboundary column,
-so no column ANDs neighbour masks again.  A flag complex is that listing,
-made once when it is built; each f | v above is then a cell, with no test.
-A complex from ``complex_from_simplices`` is listed so through top =
-min(dim, through_dim + 1) when a coboundary gets reduced: every cell is a
-clique of its 1-skeleton, so the listing is used only when its counts equal
-the complex's through top, and then it is the complex relabelled.  One that
-is not clique-closed that far (a flag complex less some cells, say), or has
-no coboundary to reduce, goes through the same passes in its own labels,
-each coface tested against its d-cells.  Only the homology leaves the
-function: the cell order, ``basis`` and ``dump_matrices`` stay cx's.
+so no column ANDs neighbour masks again.  A complex keeps that listing,
+made once when it is built, as ``spread``; each f | v above is then a cell.
+Only the homology leaves the function: the cell order, ``basis`` and
+``dump_matrices`` stay cx's.
 
 ``pi1_report`` presents the edge-path group by a generator for each edge off
 a breadth-first spanning tree and a relator for each triangle: the letters
@@ -88,12 +87,12 @@ of its three edges, those of tree edges dropped.  The relators are implicit,
 as the coboundary columns are: a budgeted Tietze search reads a triangle's
 relator off its mask only when it first needs it, that is when the
 generator of one of its edges is eliminated (the triangles on edge e are the
-e | v, v in the AND of the neighbour masks of e's ends: every one in a flag
-complex with 2-cells, those that are 2-cells in any other complex), or when
-the triangle comes first in cell order among those never read and
-no relator shorter than 3 is left.  Only the triangles on tree edges, of
-lengths 1 and 2, are read up front; the letter total the budget is counted
-from is 3 * (2-cells) less the cofaces of the tree edges.  So a search's
+e | v, v in the AND of the neighbour masks of e's ends, when the complex has
+2-cells; a complex of dimension 1 has none), or when the triangle comes
+first in cell order among those never read and no relator shorter than 3 is
+left.  Only the triangles on tree edges, of lengths 1 and 2, are read up
+front; the letter total the budget is counted from is 3 * (2-cells) less
+the cofaces of the tree edges.  So a search's
 work is bounded by its budget, not by the complex: at q=2 with trivial
 labels and n=9, budget 5000 reads 976 of the 10,080 triangles.  Each step
 decides as a search over every relator would.
@@ -138,27 +137,26 @@ class _Spread(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ChainComplex:
-    """A simplicial complex as vertex labels, cell counts and its 1-skeleton's neighbour masks.
+    """A flag complex as vertex labels, cell counts and its 1-skeleton's neighbour masks.
 
-    cells[d] lists the d-simplices as int bitmasks, bit i standing for
+    Its d-cells are the cliques of d + 1 vertices of the 1-skeleton, for d up
+    to its dimension.  cells[d] lists them as int bitmasks, bit i standing for
     vertices[i], so cells[0] is (1, 2, 4, ...); each simplex is oriented by the
     vertex order, and each dimension is sorted lexicographically by the bit
     positions of its cells.  neighbours[i] is the neighbour mask of vertex i
     in the 1-skeleton.  ``faces`` derives the boundaries from the cells.
 
-    ``counts[d]`` is the number of d-cells.  A complex from
-    ``complex_from_simplices`` keeps its cells as ``given``.  A flag complex
-    (``given`` is None) lists none in its own labels when it is built: from
-    dimension 2 up it keeps ``spread``, its cliques below the top in the spread
-    order that homology reduces, and ``level(d)`` lists cells[d] in its own
-    labels on first read, as cliques of the neighbour masks, nothing above d.
-    Equality compares the vertices and the cells, not the masks.
+    ``counts[d]`` is the number of d-cells.  ``flag_complex`` lists no cell in
+    its own labels when it builds one: from dimension 2 up it keeps
+    ``spread``, its cliques below the top in the spread order that homology
+    reduces, and ``level(d)`` lists cells[d] in its own labels on first read,
+    as cliques of the neighbour masks, nothing above d.  Equality compares the
+    vertices and the cells, not the masks.
     """
 
     vertices: tuple
     counts: tuple[int, ...]
     neighbours: tuple[int, ...] = field(repr=False)
-    given: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
     spread: _Spread | None = field(default=None, repr=False)
 
     @property
@@ -189,13 +187,11 @@ class ChainComplex:
 
     @cached_property
     def _listed(self) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, ...]]]:
-        """The dimensions of a flag complex listed in its own labels so far, and the rest."""
+        """The dimensions listed in its own labels so far, and the rest."""
         return [], _lex_levels(self.neighbours, self.dim)
 
     def level(self, d: int) -> tuple[int, ...]:
         """cells[d], 0 <= d <= dim, listing no dimension above d."""
-        if self.given is not None:
-            return self.given[d]
         listed, rest = self._listed
         while len(listed) <= d:
             listed.append(next(rest))
@@ -247,47 +243,6 @@ class ChainComplex:
             for j, col in enumerate(acc):
                 if any(col.values()):
                     raise HomologyError(f"boundary squared nonzero at dim {d}, column {j}")
-
-
-def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ChainComplex:
-    """The complex with these simplex lists as its cells, each sorted as ``flag_complex`` sorts.
-
-    The 0-cells fix the vertex order and so the orientation of every simplex,
-    whatever the order of its tuple; each higher dimension is put in
-    lexicographic order of bit positions, whatever the order of its list.
-    Raises HomologyError on a simplex of the wrong length for its dimension, a
-    repeated vertex, a vertex that is not a 0-cell, a face that is not a cell,
-    or a simplex listed twice.
-    """
-    bit: dict = {}
-    cells: list[tuple[int, ...]] = []
-    for d, simplices in enumerate(simplices_by_dim):
-        lower = set(cells[-1]) if cells else set()
-        keyed = []  # (bit positions, mask)
-        for s in simplices:
-            if len(s) != d + 1:
-                raise HomologyError(f"{s!r} has {len(s)} vertices, not {d + 1}")
-            if d == 0:
-                bit.setdefault(s[0], 1 << len(bit))  # a repeated 0-cell keeps its first bit
-            try:
-                bits = [bit[v] for v in s]
-            except KeyError:
-                raise HomologyError(f"a vertex of {s!r} is not a 0-cell") from None
-            m = sum(bits)  # a repeated vertex carries, leaving fewer than d + 1 bits
-            if m.bit_count() != d + 1:
-                raise HomologyError(f"{s!r} repeats a vertex")
-            if d and not lower.issuperset(map(m.__xor__, bits)):  # the faces m ^ b
-                raise HomologyError(f"a face of {s!r} is not a {d - 1}-cell")
-            keyed.append((sorted(b.bit_length() for b in bits), m))
-        if len({m for _, m in keyed}) != len(keyed):
-            raise HomologyError(f"a {d}-simplex is listed twice")
-        cells.append(tuple(m for _, m in sorted(keyed)))
-    adj = [0] * len(bit)
-    for e in cells[1] if len(cells) > 1 else ():
-        low = e & -e
-        adj[low.bit_length() - 1] |= e ^ low
-        adj[e.bit_length() - 1] |= low
-    return ChainComplex(tuple(bit), tuple(map(len, cells)), tuple(adj), tuple(cells))
 
 
 def neighbour_masks(vertices: Iterable, edges: Collection[tuple]) -> tuple[tuple, list[int]]:
@@ -356,16 +311,14 @@ def _lex_levels(neighbours: Sequence[int], top: int) -> Iterator[tuple[int, ...]
         yield cliques
 
 
-def _spread(neighbours: Sequence[int], top: int,
-            counts: Sequence[int] | None = None) -> _Spread | None:
+def _spread(neighbours: Sequence[int], top: int) -> _Spread:
     """The cliques below dimension top in the spread order, and the number of the next dimension.
 
     Vertex i moves to n0 - 1 - (i*k mod n0) (module docstring).  Each clique
     is extended by its common neighbours below its lowest bit, highest first,
     from cliques in descending mask order, and keeps the AND of its vertices'
-    neighbour masks; the listing stops at a dimension without cliques.  Given
-    the ``counts`` of a complex that need not be clique-closed, it returns
-    None as soon as some dimension through top has another number of cliques.
+    neighbour masks; the listing stops at a dimension without cliques.  The
+    counts of the listed dimensions and the next one are the flag complex's.
     """
     n0 = len(neighbours)
     k = 5 * n0 // 8
@@ -384,7 +337,7 @@ def _spread(neighbours: Sequence[int], top: int,
     cliques = list(adj)[::-1]
     common = [adj[x] for x in cliques]
     levels, commons = [cliques], [common]
-    for d in range(1, top):
+    for _ in range(1, top):
         nxt, nxt_common = [], []
         for clique, c in zip(cliques, common):
             m = c & ((clique & -clique) - 1)  # the common neighbours below its lowest bit
@@ -393,16 +346,12 @@ def _spread(neighbours: Sequence[int], top: int,
                 m ^= high
                 nxt.append(clique | high)
                 nxt_common.append(c & adj[high])
-        if counts is not None and len(nxt) != counts[d]:
-            return None
         if not nxt:
             break
         levels.append(nxt)
         commons.append(nxt_common)
         cliques, common = nxt, nxt_common
     n = sum((c & ((x & -x) - 1)).bit_count() for x, c in zip(cliques, common))
-    if counts is not None and n != counts[top]:
-        return None
     return _Spread(moved, levels, commons, n)
 
 
@@ -678,53 +627,15 @@ class _Coboundary:
         return col
 
 
-def _tested_cofaces(neighbours: Sequence[int], faces: Iterable[int],
-                    cells: Collection[int]) -> Iterator[tuple[int, int]]:
-    """Each face f with the vertices v whose f | v is in ``cells``.
-
-    The v are taken from the AND of the neighbour masks of f's vertices and
-    each f | v is tested: the path of complexes that are not clique-closed.
-    """
-    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
-    for f in faces:
-        m, x = -1, f
-        while x:
-            b = x & -x
-            x ^= b
-            m &= adj[b]
-        x, m = m, 0
-        while x:
-            b = x & -x
-            x ^= b
-            if f | b in cells:
-                m |= b
-        yield f, m
-
-
-def _spread_for(cx: ChainComplex, through_dim: int) -> _Spread | None:
-    """The spread listing the passes run on, or None for cx's own cells.
-
-    It is needed only when a coboundary gets reduced: a flag complex has it
-    from when it was built, and a complex from ``complex_from_simplices`` is
-    listed in the spread order through min(dim, through_dim + 1) only to be
-    used when it is clique-closed that far (module docstring).
-    """
-    if through_dim < 1 or not cx.n_cells(2):
-        return None
-    if cx.given is None:
-        return cx.spread
-    return _spread(cx.neighbours, min(cx.dim, through_dim + 1), cx.counts)
-
-
 def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     """Reduced homology in degrees 0..through_dim (degree 0 via augmentation).
 
     The first boundary goes to a spanning forest, and each higher one is
-    reduced as a cleared coboundary on coface masks: on the spread listing of
-    a flag complex or of a clique-closed one, on cx's own cells otherwise
-    (module docstring).
+    reduced as a cleared coboundary on coface masks, all on cx's spread
+    listing (module docstring); a complex built below dimension 2 keeps none,
+    and its forest is taken in its own labels.
     """
-    sp = _spread_for(cx, through_dim)
+    sp = cx.spread
     rank: dict[int, int] = {0: 1 if cx.n_cells(0) else 0}  # augmentation
     factors: dict[int, list[int]] = {}
     cleared: set[int] = set()  # cells whose rows of the next boundary are dropped
@@ -736,11 +647,7 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
             cleared = _spanning_forest(cx.neighbours if sp is None else sp.neighbours)
             f, r = [1] * len(cleared), len(cleared)
         else:
-            if sp is None:
-                pairs = _tested_cofaces(cx.neighbours, sorted(cx.level(d - 1)), set(cx.level(d)))
-            else:
-                pairs = zip(reversed(sp.levels[d - 1]), reversed(sp.commons[d - 1]))
-            cob = _Coboundary(pairs, cleared)
+            cob = _Coboundary(zip(reversed(sp.levels[d - 1]), reversed(sp.commons[d - 1])), cleared)
             pivots: set[int] = set()
             f, r = sparse_invariant_factors(cob.columns, pivots, cob)
             cleared = pivots
@@ -846,18 +753,18 @@ class _Triangles(_Relators):
     tree edges dropped.  The triangles on a tree edge (lengths 1 and 2) are
     given up front; any other triangle has three distinct letters, so it is
     cyclically reduced and its first letter occurs once.  The triangles on an
-    edge e are the e | v, v in the AND of the neighbour masks of e's ends:
-    in a flag complex with 2-cells every such e | v is one, and in any other
-    complex each is tested against the 2-cells.  ``read`` holds the triangles
-    whose relator was read.  A triangle's position is (a * n0 + b) * n0 + c,
-    which orders the triangles as cells[2] lists them.
+    edge e are the e | v, v in the AND of the neighbour masks of e's ends, in
+    a complex with 2-cells; one of dimension 1 has no triangle, whatever
+    cliques its graph has, and so its masks are taken as empty.  ``read``
+    holds the triangles whose relator was read.  A triangle's position is
+    (a * n0 + b) * n0 + c, which orders the triangles as cells[2] lists them.
     """
 
     def __init__(self, cx: ChainComplex, tree: Iterable[int], letter: dict[int, int]):
-        self.n0, self.neighbours, self.letter = cx.n_cells(0), cx.neighbours, letter
+        self.n0, self.letter = cx.n_cells(0), letter
         self.edge = [0, *letter]  # generator -> its edge
         self.cells = cx.level(2) if cx.dim >= 2 else ()
-        self.test = None if cx.given is None and self.cells else set(self.cells)
+        self.neighbours = cx.neighbours if self.cells else (0,) * self.n0
         self.read: set[int] = set()
         self.rest = iter(self.cells)  # the triangles after head, in cell order
         self.head, self.first = 0, None  # the first triangle not read and its (3, position)
@@ -880,12 +787,12 @@ class _Triangles(_Relators):
     def _on(self, e: int) -> list[tuple[int, tuple[int, ...]]]:
         """(position, relator) for the triangles on edge e not read before, now read."""
         m = self.neighbours[(e & -e).bit_length() - 1] & self.neighbours[e.bit_length() - 1]
-        read, test, position, relator, out = self.read, self.test, self._position, self.relator, []
+        read, position, relator, out = self.read, self._position, self.relator, []
         while m:
             v = m & -m
             m ^= v
             t = e | v
-            if t not in read and (test is None or t in test):
+            if t not in read:
                 read.add(t)
                 out.append((position(t), relator(t)))
         return out

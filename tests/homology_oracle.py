@@ -37,17 +37,75 @@ labels when it was built, before it counted the top one and listed the
 others only in the spread order.  ``and_coboundary_oracle`` is the
 coboundary builder that took each face's coface vertices from the AND of its
 vertices' neighbour masks, before the spread copy kept every clique's common
-neighbours.
+neighbours.  ``complex_from_simplices`` builds an ``ExplicitComplex`` from
+simplex tuples; ``sphero.homology`` took such complexes, flag or not, before
+it reduced flag complexes only, and the oracles still do.
 """
 
 import math
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from sphero.homology import (ChainComplex, Column, HomologyError, HomologyResult, _Coboundary,
-                             _cyc_reduce, _free_reduce, complex_from_simplices, flag_complex,
-                             sparse_invariant_factors)
+                             _cyc_reduce, _free_reduce, flag_complex, sparse_invariant_factors)
 from sphero.posets import GenPoset, ObjId, PosetError
+
+
+@dataclass(frozen=True, eq=False)
+class ExplicitComplex(ChainComplex):
+    """A simplicial complex that holds its cells, listed in full, and need not be a flag complex.
+
+    It keeps no spread listing, so ``sphero.homology`` cannot reduce it; only
+    the oracles here read it, through ``cells``, ``level``, ``basis`` and
+    ``faces``.
+    """
+
+    simplices: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+
+    def level(self, d: int) -> tuple[int, ...]:
+        return self.simplices[d]
+
+
+def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ExplicitComplex:
+    """The complex with these simplex lists as its cells, each sorted as ``flag_complex`` sorts.
+
+    The 0-cells fix the vertex order and so the orientation of every simplex,
+    whatever the order of its tuple; each higher dimension is put in
+    lexicographic order of bit positions, whatever the order of its list.
+    Raises HomologyError on a simplex of the wrong length for its dimension, a
+    repeated vertex, a vertex that is not a 0-cell, a face that is not a cell,
+    or a simplex listed twice.
+    """
+    bit: dict = {}
+    cells: list[tuple[int, ...]] = []
+    for d, simplices in enumerate(simplices_by_dim):
+        lower = set(cells[-1]) if cells else set()
+        keyed = []  # (bit positions, mask)
+        for s in simplices:
+            if len(s) != d + 1:
+                raise HomologyError(f"{s!r} has {len(s)} vertices, not {d + 1}")
+            if d == 0:
+                bit.setdefault(s[0], 1 << len(bit))  # a repeated 0-cell keeps its first bit
+            try:
+                bits = [bit[v] for v in s]
+            except KeyError:
+                raise HomologyError(f"a vertex of {s!r} is not a 0-cell") from None
+            m = sum(bits)  # a repeated vertex carries, leaving fewer than d + 1 bits
+            if m.bit_count() != d + 1:
+                raise HomologyError(f"{s!r} repeats a vertex")
+            if d and not lower.issuperset(map(m.__xor__, bits)):  # the faces m ^ b
+                raise HomologyError(f"a face of {s!r} is not a {d - 1}-cell")
+            keyed.append((sorted(b.bit_length() for b in bits), m))
+        if len({m for _, m in keyed}) != len(keyed):
+            raise HomologyError(f"a {d}-simplex is listed twice")
+        cells.append(tuple(m for _, m in sorted(keyed)))
+    adj = [0] * len(bit)
+    for e in cells[1] if len(cells) > 1 else ():
+        low = e & -e
+        adj[low.bit_length() - 1] |= e ^ low
+        adj[e.bit_length() - 1] |= low
+    return ExplicitComplex(tuple(bit), tuple(map(len, cells)), tuple(adj), simplices=tuple(cells))
 
 
 def flag_complex_oracle(vertices: list, edges: list[tuple], max_dim: int) -> list[list[tuple]]:
@@ -301,7 +359,7 @@ def tietze_incremental_oracle(ngens: int, relators: list[tuple[int, ...]], budge
         gens.remove(g)
     return not gens
 
-def simplicial_join(a: ChainComplex, b: ChainComplex) -> ChainComplex:
+def simplicial_join(a: ChainComplex, b: ChainComplex) -> ExplicitComplex:
     """Join of two simplicial complexes (independent oracle for category joins).
 
     Vertices of the two inputs are tagged to stay disjoint; simplices are all
@@ -492,15 +550,11 @@ def row_indexed_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -
 
 
 def spread_copy_oracle(cx: ChainComplex, through_dim: int) -> ChainComplex:
-    """cx's cells through through_dim + 1 with vertex i moved to i*k mod n0, or cx itself.
+    """cx's cells through through_dim + 1 with vertex i moved to i*k mod n0.
 
     k is the first integer >= floor(5*n0/8) prime to n0.  The copy is the
-    flag complex of the moved 1-skeleton, and it is returned only when a
-    coboundary gets reduced and its cell counts equal cx's through
-    through_dim + 1.
+    flag complex of the moved 1-skeleton.
     """
-    if through_dim < 1 or not cx.n_cells(2):
-        return cx
     n0, top = cx.n_cells(0), min(cx.dim, through_dim + 1)
     k = 5 * n0 // 8
     while math.gcd(k, n0) != 1:
@@ -508,8 +562,7 @@ def spread_copy_oracle(cx: ChainComplex, through_dim: int) -> ChainComplex:
     moved = [0] * n0
     for i, m in enumerate(cx.neighbours):
         moved[i * k % n0] = sum(1 << (j * k % n0) for j in range(n0) if m >> j & 1)
-    sp = flag_complex(range(n0), moved, top)
-    return sp if all(sp.n_cells(d) == cx.n_cells(d) for d in range(top + 1)) else cx
+    return flag_complex(range(n0), moved, top)
 
 
 def row_indexed_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyResult:
@@ -540,7 +593,7 @@ def row_indexed_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyR
     return HomologyResult(betti, torsion)
 
 
-def eager_flag_complex_oracle(vertices: Iterable, neighbours: Sequence[int], max_dim: int) -> ChainComplex:
+def eager_flag_complex_oracle(vertices: Iterable, neighbours: Sequence[int], max_dim: int) -> ExplicitComplex:
     """Clique complex of a graph given by neighbour masks, every dimension through max_dim listed.
 
     Each clique is extended by its common neighbours above its highest bit,
@@ -565,17 +618,17 @@ def eager_flag_complex_oracle(vertices: Iterable, neighbours: Sequence[int], max
         cells.append(tuple(nxt))
         cliques, above = nxt, nxt_above
     # the masks of the 1-skeleton: none when it has no edges
-    return ChainComplex(tuple(vertices), tuple(map(len, cells)),
-                        tuple(neighbours) if len(cells) > 1 else (0,) * len(neighbours), tuple(cells))
+    return ExplicitComplex(tuple(vertices), tuple(map(len, cells)),
+                           tuple(neighbours) if len(cells) > 1 else (0,) * len(neighbours),
+                           simplices=tuple(cells))
 
 
 def and_coboundary_oracle(neighbours: Sequence[int], faces: Iterable[int],
-                          cells: Collection[int] | None, cleared: set[int]) -> _Coboundary:
+                          cleared: set[int]) -> _Coboundary:
     """The coboundary on these faces, in their order, cleared faces left out, unfilled.
 
     The cofaces of face f are the f | v, v in the AND of the neighbour masks
-    of f's vertices, that are in ``cells`` (all when it is None).  Cleared
-    faces and faces without cofaces give no column.
+    of f's vertices.  Cleared faces and faces without cofaces give no column.
     """
     adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
     pairs = []
@@ -587,13 +640,6 @@ def and_coboundary_oracle(neighbours: Sequence[int], faces: Iterable[int],
             b = x & -x
             x ^= b
             m &= adj[b]
-        if cells is not None:
-            x, m = m, 0
-            while x:
-                b = x & -x
-                x ^= b
-                if f | b in cells:
-                    m |= b
         if m:
             pairs.append((f, m))
     return _Coboundary(pairs, set())

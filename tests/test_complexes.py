@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 from block_orbit import orbit_canonical_block, split_records_oracle
-from homology_oracle import flag_complex_oracle
+from homology_oracle import complex_from_simplices, flag_complex_oracle
 from orbit_oracle import count_cell_orbits_oracle
 
 from sphero.complexes import (
@@ -34,7 +34,7 @@ from sphero.complexes import (
     vertex_descending_link,
 )
 from sphero.groups import Config, LabeledIsometry, TreePair, isometry_element, stabilizer_test
-from sphero.homology import complex_from_simplices, reduced_homology
+from sphero.homology import reduced_homology
 from sphero.posets import fixed_subcategory, order_complex, underlying_poset
 
 

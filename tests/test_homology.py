@@ -11,11 +11,11 @@ import homology_oracle
 import pytest
 from dense_snf import smith_normal_form
 from homology_oracle import (and_coboundary_oracle, boundary_columns_oracle, coboundary_oracle,
-                             eager_flag_complex_oracle, early_forest_oracle, flag_complex_oracle,
-                             one_pass_coboundary_oracle, pi1_presentation_oracle, pi1_report_oracle,
-                             reduced_homology_oracle, row_indexed_homology_oracle,
-                             spanning_forest_oracle, spread_copy_oracle,
-                             tietze_trivializes_oracle)
+                             complex_from_simplices, eager_flag_complex_oracle, early_forest_oracle,
+                             flag_complex_oracle, one_pass_coboundary_oracle,
+                             pi1_presentation_oracle, pi1_report_oracle, reduced_homology_oracle,
+                             row_indexed_homology_oracle, spanning_forest_oracle,
+                             spread_copy_oracle, tietze_trivializes_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,6 @@ from sphero.homology import (
     HomologyResult,
     _divisibility_chain,
     _sparse_snf_full,
-    complex_from_simplices,
     flag_complex,
     neighbour_masks,
     pi1_report,
@@ -241,7 +240,7 @@ def test_flag_disjoint_edges():
 
 
 def test_reduced_homology_point():
-    cx = complex_from_simplices([[("p",)]])
+    cx = flag_complex(["p"], [0], 2)
     res = reduced_homology(cx, 2)
     assert res.betti == (0, 0, 0)
     assert res.is_trivial_through(2)
@@ -249,18 +248,20 @@ def test_reduced_homology_point():
 
 
 def test_reduced_homology_sphere_boundary():
+    # the 4-cycle, and the oracle on the boundary of a triangle, which is not a flag complex
+    assert reduced_homology(_cross_polytope(2), 1).betti == (0, 1)
     cx = complex_from_simplices([
         [(1,), (2,), (3,)],
         [(1, 2), (1, 3), (2, 3)],
     ])
-    assert reduced_homology(cx, 1).betti == (0, 1)
+    assert reduced_homology_oracle(cx, 1).betti == (0, 1)
 
 
 def test_basis_not_closed_under_faces_raises():
     for simplices in ([[(1,), (2,)], [(1, 2), (1, 3)]],
                       [[(1,), (2,), (3,)], [(1, 2), (2, 3)], [(1, 2, 3)]]):
         with pytest.raises(HomologyError):
-            reduced_homology(complex_from_simplices(simplices), 2)
+            complex_from_simplices(simplices)
 
 
 def test_repeated_vertex_raises():
@@ -301,13 +302,44 @@ RP2_TRIANGLES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
                  (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
 
 
+def _subdivision(cx):
+    """The barycentric subdivision of cx as a flag complex: the order complex of its face poset.
+
+    Its vertices are cx's cells, as masks, each joined to its proper faces.
+    """
+    faces = [s for cells in cx.cells for s in cells]
+    index = {s: i for i, s in enumerate(faces)}
+    adj = [0] * len(faces)
+    for i, s in enumerate(faces):
+        sub = (s - 1) & s  # the proper nonempty submasks of s, from the largest down
+        while sub:
+            j = index[sub]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            sub = (sub - 1) & s
+    return flag_complex(faces, adj, cx.dim)
+
+
+def _rp2():
+    """The six-vertex projective plane, not a flag complex."""
+    return complex_from_simplices(_closure(RP2_TRIANGLES))
+
+
+def _cross_polytope(k):
+    """The boundary of the k-dimensional cross-polytope, a (k - 1)-sphere: 2k vertices, each
+    joined to all but its antipode (vertex i ^ 1)."""
+    n = 2 * k
+    return flag_complex(range(n), [((1 << n) - 1) ^ (1 << i) ^ (1 << (i ^ 1)) for i in range(n)], k - 1)
+
+
 def test_projective_plane_torsion():
-    tris = RP2_TRIANGLES
-    edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
-    cx = complex_from_simplices([[(i,) for i in range(6)], edges, sorted(tris)])
+    # the library on the barycentric subdivision, the oracle on the six-vertex complex
+    cx = _subdivision(_rp2())
+    assert cx.counts == (31, 90, 60)
     res = reduced_homology(cx, 2)
     assert res.betti == (0, 0, 0)
     assert res.torsion[1] == (2,)
+    assert reduced_homology_oracle(_rp2(), 2) == res
 
 
 def test_flag_complex_bases_come_out_sorted():
@@ -393,17 +425,20 @@ def test_clearing_matches_oracle_on_random_complexes():
             p = rng.choice((0.15, 0.3, 0.5, 0.7))
             edges = [e for e in combinations(range(n), 2) if rng.random() < p]
             cx = flag_complex(*neighbour_masks(range(n), edges), through + 1)
+            want = reduced_homology_oracle(cx, through)
         else:
             # seeded triangles and tetrahedra, half of the time on top of a
-            # relabeled six-vertex projective plane (Z/2 in degree one)
+            # relabeled six-vertex projective plane (Z/2 in degree one): the
+            # oracle on that complex, the library on its barycentric subdivision
             facets = [tuple(sorted(rng.sample(range(n), rng.choice((3, 3, 4)))))
                       for _ in range(rng.randrange(2, 2 * n))]
             if trial % 4 == 0:
                 label = rng.sample(range(n), 6)
                 facets += [tuple(sorted(label[v] for v in t)) for t in RP2_TRIANGLES]
-            cx = complex_from_simplices(_closure(facets))
+            explicit = complex_from_simplices(_closure(facets))
+            want = reduced_homology_oracle(explicit, through)
+            cx = _subdivision(explicit)
         _assert_boundaries_match_oracle(cx)
-        want = reduced_homology_oracle(cx, through)
         assert reduced_homology(cx, through) == want, (trial, want)
         disconnected += want.betti[0] > 0
         torsion += any(want.torsion)
@@ -552,25 +587,18 @@ def _spied_passes(run):
 
 
 def _pivot_passes(cx, through):
-    """What reduced_homology did: what its passes ran on (the spread listing, or None for cx's
-    own cells), its forests, its coboundary passes and its result."""
-    ran, forests = [], []
-    spread, forest = homology._spread_for, homology._spanning_forest
-
-    def spy_spread(c, t):
-        ran.append(spread(c, t))
-        return ran[-1]
+    """What reduced_homology did: its forests, its coboundary passes and its result."""
+    forests = []
+    forest = homology._spanning_forest
 
     def spy_forest(neighbours):
         forests.append(forest(neighbours))
         return forests[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_spread_for", spy_spread)
         mp.setattr(homology, "_spanning_forest", spy_forest)
         res, passes = _spied_passes(lambda: reduced_homology(cx, through))
-    (ran,) = ran
-    return ran, forests, passes, res
+    return forests, passes, res
 
 
 def _explicit_passes(cx, through):
@@ -603,13 +631,11 @@ def _assert_same_pivots(cx, through):
 
     The oracle runs where reversed lexicographic order is the mask order of the passes: on
     the spread copy listed in full, whose labels are the reversal of the passes' labels, when
-    the passes ran on the spread copy, and on cx with its vertices reversed when they ran on
-    cx.  A mask goes to its row there through the bit reversal.
+    cx keeps a spread listing, and on cx with its vertices reversed when it keeps none.  A
+    mask goes to its row there through the bit reversal.
     """
-    ran, forests, passes, res = _pivot_passes(cx, through)
-    sp = spread_copy_oracle(cx, through)
-    assert (ran is not None) == (sp is not cx)
-    oc = sp if ran is not None else _reversed(cx)
+    forests, passes, res = _pivot_passes(cx, through)
+    oc = _reversed(cx) if cx.spread is None else spread_copy_oracle(cx, through)
     want_res, want = _spied_passes(lambda: row_indexed_homology_oracle(oc, through))
     n0 = cx.n_cells(0)
 
@@ -638,7 +664,9 @@ def _assert_same_pivots(cx, through):
 
 
 def _random_complex(rng, trial):
-    """A seeded flag complex, and on odd trials one less some of its top cells (non-flag)."""
+    """A seeded flag complex and the complex the oracles run on: on odd trials the flag complex
+    less some of its top cells, which is not a flag complex, and its barycentric subdivision;
+    on even trials the flag complex twice."""
     n = rng.randrange(1, 13)
     p = rng.choice((0.2, 0.4, 0.6, 0.8))
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
@@ -646,18 +674,22 @@ def _random_complex(rng, trial):
     if trial % 2 and cx.dim >= 2:
         bases = [list(b) for b in cx.basis]
         bases[-1] = [s for s in bases[-1] if rng.random() < 0.5]
-        cx = complex_from_simplices(bases if bases[-1] else bases[:-1])
-    return cx
+        explicit = complex_from_simplices(bases if bases[-1] else bases[:-1])
+        return _subdivision(explicit), explicit
+    return cx, cx
 
 
 def test_mask_pivots_match_explicit_pass_on_random_complexes():
-    # flag complexes, and non-flag ones: a flag complex less some of its top cells
+    # flag complexes, and subdivisions of non-flag ones: a flag complex less some of its top
+    # cells, whose homology the oracle gives
     rng = Random(20261021)
     passes = nonflag = 0
     for trial in range(200):
-        cx = _random_complex(rng, trial)
-        nonflag += trial % 2 and cx.dim >= 2
-        passes += _assert_same_pivots(cx, rng.randrange(max(cx.dim - 1, 0), cx.dim + 1))
+        cx, explicit = _random_complex(rng, trial)
+        nonflag += cx is not explicit
+        through = rng.randrange(max(cx.dim - 1, 0), cx.dim + 1)
+        passes += _assert_same_pivots(cx, through)
+        assert reduced_homology(cx, through) == reduced_homology_oracle(explicit, through), trial
     assert passes >= 150 and nonflag >= 50, (passes, nonflag)
 
 
@@ -689,10 +721,14 @@ def test_spread_passes_fill_and_add_as_pinned(sub, n, extra, want):
 
 
 def _relabelled(cx, rng):
-    """cx with its vertices in a seeded order: the 0-cells, listed in that order, fix the bits."""
-    bases = [list(b) for b in cx.basis]
-    bases[0] = rng.sample(bases[0], len(bases[0]))
-    return complex_from_simplices(bases)
+    """cx with its vertices in a seeded order: vertex i takes a seeded bit, through its
+    neighbour masks."""
+    n0 = cx.n_cells(0)
+    perm = rng.sample(range(n0), n0)
+    moved = [0] * n0
+    for i, m in enumerate(cx.neighbours):
+        moved[perm[i]] = sum(1 << perm[j] for j in range(n0) if m >> j & 1)
+    return flag_complex(range(n0), moved, cx.dim)
 
 
 def _torsion_grid_point(sub, n):
@@ -705,11 +741,11 @@ def test_reduced_homology_is_invariant_under_vertex_relabelling():
     rng = Random(20261023)
     nonflag = 0
     for trial in range(40):
-        cx = _random_complex(rng, trial)
+        cx, explicit = _random_complex(rng, trial)
         through = rng.randrange(0, cx.dim + 1)
-        nonflag += trial % 2 and cx.dim >= 2
+        nonflag += cx is not explicit
         want = reduced_homology(cx, through)
-        assert want == reduced_homology_oracle(cx, through), trial
+        assert want == reduced_homology_oracle(explicit, through), trial
         for _ in range(20):
             assert reduced_homology(_relabelled(cx, rng), through) == want, trial
     assert nonflag >= 10, nonflag
@@ -717,19 +753,13 @@ def test_reduced_homology_is_invariant_under_vertex_relabelling():
 
 @pytest.mark.parametrize("sub,n", [("sym", 7), ("sym", 9), ("triv", 9)])
 def test_reduced_homology_is_invariant_under_vertex_relabelling_on_torsion_grid_points(sub, n):
-    # a grid point is a flag complex truncated above through + 1, so it is relabelled
-    # through its neighbour masks
+    # a grid point is a flag complex truncated above through + 1
     rng = Random(20261023 + n)
     cc, through = _torsion_grid_point(sub, n)
     want = reduced_homology(cc, through)
     assert any(want.torsion)
-    n0 = cc.n_cells(0)
     for _ in range(20):
-        perm = rng.sample(range(n0), n0)
-        moved = [0] * n0
-        for i, m in enumerate(cc.neighbours):
-            moved[perm[i]] = sum(1 << perm[j] for j in range(n0) if m >> j & 1)
-        cy = flag_complex(range(n0), moved, cc.dim)
+        cy = _relabelled(cc, rng)
         assert [len(c) for c in cy.cells] == [len(c) for c in cc.cells]
         assert reduced_homology(cy, through) == want
 
@@ -746,47 +776,45 @@ def _common(neighbours, s):
     return reduce(and_, (m for i, m in enumerate(neighbours) if s >> i & 1), -1)
 
 
-def _clique_closed(cx, top):
-    """Every clique of cx's 1-skeleton with at most top + 1 vertices is a cell of cx."""
-    cliques = flag_complex_oracle(list(cx.vertices), list(cx.basis[1]) if cx.dim else [], top)
-    return all({frozenset(s) for s in cliques[d]} == set(map(frozenset, cx.basis[d]))
-               if d < len(cliques) else not cx.n_cells(d) for d in range(top + 1))
+def _assert_spread_listing(cx, through):
+    """cx's spread listing against cx moved to the spread labels: its cells through the listed
+    dimensions in descending mask order, the next dimension counted, the neighbour masks moved,
+    each clique's common neighbours the AND of its vertices' masks; and the homology reduced
+    from it against the oracle."""
+    sp = cx.spread
+    label = _spread_labels(cx.n_cells(0))
+
+    def moved(s):
+        return sum(1 << t for i, t in enumerate(label) if s >> i & 1)
+
+    neighbours, levels, commons = sp.neighbours, sp.levels, sp.commons
+    assert cx.dim <= len(levels) <= cx.dim + 1
+    assert levels == [sorted(map(moved, cx.cells[d]), reverse=True) for d in range(len(levels))]
+    assert sp.top == cx.n_cells(len(levels))
+    assert [neighbours[t] for t in label] == list(map(moved, cx.neighbours))
+    assert commons == [[_common(neighbours, s) for s in level] for level in levels]
+    assert reduced_homology(cx, through) == reduced_homology_oracle(cx, through)
 
 
 def test_spread_copy_is_taken_exactly_when_clique_closed():
+    # every flag complex is clique-closed: one built through dimension 2 or more keeps its
+    # spread listing, on random graphs and on grid points through nu + 1
     rng = Random(20261024)
-    taken = open_kept = 0
+    taken = 0
     for trial in range(300):
-        cx = _random_complex(rng, trial)
-        through = rng.randrange(0, cx.dim + 2)
-        sp, _, _, res = _pivot_passes(cx, through)
-        top = min(cx.dim, through + 1)
-        closed = _clique_closed(cx, top)
-        want = through >= 1 and cx.n_cells(2) > 0 and closed
-        assert (sp is not None) == want, trial
-        if want:
-            # cx moved: its cells through top - 1 or more in descending mask order, the next
-            # dimension counted; one from complex_from_simplices is listed through top - 1
-            label = _spread_labels(cx.n_cells(0))
-
-            def moved(s):
-                return sum(1 << t for i, t in enumerate(label) if s >> i & 1)
-
-            neighbours, levels, commons = sp.neighbours, sp.levels, sp.commons
-            assert top <= len(levels) <= cx.dim + 1, trial
-            assert cx.given is None or len(levels) == top, trial
-            assert levels == [sorted(map(moved, cx.cells[d]), reverse=True)
-                              for d in range(len(levels))]
-            assert sp.top == cx.n_cells(len(levels)), trial
-            assert [neighbours[t] for t in label] == list(map(moved, cx.neighbours)), trial
-            # each clique's common neighbours, the AND of its vertices' masks
-            assert commons == [[_common(neighbours, s) for s in level] for level in levels], trial
-        else:
-            assert sp is None, trial
-        taken += want
-        open_kept += not closed
-        assert res == reduced_homology_oracle(cx, through), trial
-    assert taken >= 60 and open_kept >= 20, (taken, open_kept)
+        n = rng.randrange(1, 13)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        max_dim = rng.randrange(0, 5)
+        cx = flag_complex(*neighbour_masks(range(n), edges), max_dim)
+        assert (cx.spread is not None) == (max_dim >= 2), trial
+        if cx.spread is not None:
+            _assert_spread_listing(cx, rng.randrange(0, cx.dim + 2))
+            taken += 1
+    assert taken >= 150, taken
+    for sub, n in (("sym", 7), ("sym", 9), ("triv", 8)):
+        cc, through = _torsion_grid_point(sub, n)
+        _assert_spread_listing(cc, through)
 
 
 def _sphere_boundary(k):
@@ -795,16 +823,19 @@ def _sphere_boundary(k):
     return [list(combinations(verts, j + 1)) for j in range(k)]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_mask_homology_matches_oracle_on_sphere_boundaries(k):
-    cx = complex_from_simplices(_sphere_boundary(k))
+    # S^(k-1): the library on the cross-polytope boundary, the oracle on it and on the
+    # boundary of the k-simplex, which is not a flag complex
+    cx = _cross_polytope(k)
     res = reduced_homology(cx, k - 1)
     assert res == reduced_homology_oracle(cx, k - 1)
+    assert res == reduced_homology_oracle(complex_from_simplices(_sphere_boundary(k)), k - 1)
     assert res.betti == (0,) * (k - 1) + (1,)
 
 
 def test_mask_homology_matches_oracle_on_projective_plane():
-    # relabeled and listed in a seeded order: the cells come out sorted all the same
+    # relabeled and listed in a seeded order: the builder's cells come out sorted all the same
     rng = Random(20261022)
     for trial in range(20):
         label = rng.sample(range(6), 6)
@@ -815,7 +846,8 @@ def test_mask_homology_matches_oracle_on_projective_plane():
         cx = complex_from_simplices(bases)
         assert all(list(c) == sorted(c, key=lambda s: [i for i in range(6) if s >> i & 1])
                    for c in cx.cells), trial
-        res = reduced_homology(cx, 2)
+        # the library on its barycentric subdivision
+        res = reduced_homology(_subdivision(cx), 2)
         assert res == reduced_homology_oracle(cx, 2), trial
         assert res.betti == (0, 0, 0) and res.torsion == ((), (2,), ()), trial
 
@@ -945,18 +977,17 @@ def test_verify_nu_pi1_lists_nothing_above_dimension_two(tmp_path):
     assert all(d <= 2 for d in listed), listed
 
 
-def _assert_mask_columns_match_and_oracle(cx, through):
+def _assert_mask_columns_match_and_oracle(cx):
     """The coboundary columns of the spread copy from its kept common-neighbour masks against
     those of the AND of neighbour masks, with the cleared sets the passes hand on; return the
     number of columns compared."""
-    sp = homology._spread_for(cx, through)
-    assert sp is not None
+    sp = cx.spread
     neighbours, levels, commons = sp.neighbours, sp.levels, sp.commons
     cleared, compared = homology._spanning_forest(neighbours), 0
     for d in range(2, len(levels) + 1):
         faces = levels[d - 1][::-1]
         got = homology._Coboundary(zip(faces, commons[d - 1][::-1]), cleared)
-        want = and_coboundary_oracle(neighbours, faces, None, cleared)
+        want = and_coboundary_oracle(neighbours, faces, cleared)
         assert _lazy(got) == _lazy(want), d
         assert _items(map(got.fill, range(len(got.faces)))) == \
             _items(map(want.fill, range(len(want.faces)))), d
@@ -979,29 +1010,17 @@ def test_mask_columns_match_and_oracle_on_grid_points(sub, nmax):
     for n in range(6, nmax + 1):
         through = connectivity_bound(config, n) + 1
         cc = build_complex(config, n).chain_complex(through + 1)
-        assert _assert_mask_columns_match_and_oracle(cc, through), n
+        assert _assert_mask_columns_match_and_oracle(cc), n
 
 
 def test_mask_columns_match_and_oracle_on_random_complexes():
-    # flag complexes through the spread copy; the others through the tested cofaces
     rng = Random(20261026)
-    flags = tested = 0
+    flags = 0
     for trial in range(200):
-        cx = _random_complex(rng, trial)
-        through = rng.randrange(1, cx.dim + 1) if cx.dim >= 2 else 1
-        if homology._spread_for(cx, through) is not None:
-            flags += bool(_assert_mask_columns_match_and_oracle(cx, through))
-            continue
-        for d in range(2, cx.dim + 1):
-            faces, cells = sorted(cx.cells[d - 1]), set(cx.cells[d])
-            cleared = set(rng.sample(faces, rng.randrange(len(faces) + 1)))
-            got = homology._Coboundary(homology._tested_cofaces(cx.neighbours, faces, cells), cleared)
-            want = and_coboundary_oracle(cx.neighbours, faces, cells, cleared)
-            assert _lazy(got) == _lazy(want)
-            assert _items(map(got.fill, range(len(got.faces)))) == \
-                _items(map(want.fill, range(len(want.faces))))
-            tested += bool(got.faces)
-    assert flags >= 50 and tested >= 30, (flags, tested)
+        cx, _ = _random_complex(rng, trial)
+        if cx.spread is not None:
+            flags += bool(_assert_mask_columns_match_and_oracle(cx))
+    assert flags >= 50, flags
 
 
 def _rank_mod_p(columns, p):
@@ -1056,42 +1075,40 @@ def test_ranks_mod_p_certify_grid_homology():
 # fundamental group reports
 
 
+def _k4(max_dim):
+    """The complete graph on four vertices, as a flag complex truncated above max_dim: at
+    max_dim 2 the boundary of the tetrahedron, a 2-sphere."""
+    return flag_complex(range(4), [0b1111 ^ 1 << i for i in range(4)], max_dim)
+
+
 def test_pi1_two_sphere_trivial():
-    simps = [
-        [(i,) for i in range(4)],
-        list(combinations(range(4), 2)),
-        list(combinations(range(4), 3)),
-    ]
-    cx = complex_from_simplices(simps)
+    cx = _k4(2)
     assert pi1_report(cx, reduced_homology(cx, 1))["status"] == "trivial"
 
 
 def test_pi1_circle_nontrivial():
-    cx = complex_from_simplices([[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)]])
+    cx = _cross_polytope(2)  # the 4-cycle
     rep = pi1_report(cx, reduced_homology(cx, 1))
     assert rep["status"] == "nontrivial"
     assert rep["h1_betti"] == 1
 
 
 def test_pi1_requires_connected():
-    cx = complex_from_simplices([[(1,), (2,)]])
+    cx = flag_complex([1, 2], [0, 0], 2)
     h1 = reduced_homology(cx, 1)
     with pytest.raises(HomologyError):
         pi1_report(cx, h1)
 
 
 def test_pi1_requires_homology_through_degree_one():
-    cx = complex_from_simplices([[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)]])
+    cx = _cross_polytope(2)  # the 4-cycle
     with pytest.raises(HomologyError):
         pi1_report(cx, reduced_homology(cx, 0))
 
 
 def test_pi1_never_false_trivial_on_torsion():
-    # projective plane: H1 = Z/2 so the report must not say trivial
-    tris = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-            (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-    edges = sorted({(t[i], t[j]) for t in tris for i in range(3) for j in range(i + 1, 3)})
-    cx = complex_from_simplices([[(i,) for i in range(6)], edges, sorted(tris)])
+    # projective plane, subdivided: H1 = Z/2 so the report must not say trivial
+    cx = _subdivision(_rp2())
     rep = pi1_report(cx, reduced_homology(cx, 1))
     assert rep["status"] == "nontrivial"
     assert rep["h1_torsion"] == [2]
@@ -1126,12 +1143,10 @@ def _spy_presentations(cx, budgets):
 
 
 def test_pi1_orients_edges_by_vertex_order():
-    # the 2-sphere relabelled v -> 3 - v, so every tuple runs down the labels
-    # as an order complex lists its chains: the same bitmasks, so the same
-    # presentation as the ascending one
-    up = [list(combinations(range(4), k)) for k in (1, 2, 3)]
-    down = [[tuple(3 - v for v in s) for s in cells] for cells in up]
-    cx_up, cx_down = complex_from_simplices(up), complex_from_simplices(down)
+    # the 2-sphere with its labels running down, as an order complex lists its chains: the
+    # same bitmasks, so the same presentation as the ascending one
+    cx_up = _k4(2)
+    cx_down = flag_complex((3, 2, 1, 0), cx_up.neighbours, 2)
     assert cx_down.vertices == (3, 2, 1, 0) and cx_down.cells == cx_up.cells
     assert _spy_presentations(cx_down, [5000]) == _spy_presentations(cx_up, [5000])
 
@@ -1142,12 +1157,33 @@ def test_pi1_unknown_with_tiny_budget():
         list(combinations(range(4), 2)),
         list(combinations(range(4), 3)),
     ]
-    cx = complex_from_simplices(simps)
     # budget 0 never enters the search; 3 is the oracle's smallest budget that
-    # eliminates all three generators, one unit each
-    statuses, (ngens, rels) = _spy_presentations(cx, [0, 2, 3])
-    assert statuses == ["unknown", "unknown", "trivial"]
+    # eliminates all three generators, one unit each, on the explicit presentation
+    ngens, rels, _ = pi1_presentation_oracle(complex_from_simplices(simps))
     assert [tietze_trivializes_oracle(ngens, rels, b) for b in (2, 3)] == [False, True]
+    assert [_search(ngens, rels, b) for b in (2, 3)] == [False, True]
+    # the same complex as a flag complex: K4 truncated above dimension 2
+    statuses, presentation = _spy_presentations(_k4(2), [0, 2, 3])
+    assert statuses == ["unknown", "unknown", "trivial"]
+    assert presentation == (ngens, rels)
+
+
+def test_pi1_octahedron_budget_pins():
+    # the octahedron, a flag 2-sphere: 7 generators, one unit each
+    cx = _cross_polytope(3)
+    h1 = reduced_homology(cx, 1)
+    statuses, (ngens, rels) = _spy_presentations(cx, [6, 7])
+    assert statuses == ["unknown", "trivial"] and ngens == 7
+    assert [tietze_trivializes_oracle(ngens, rels, b) for b in (6, 7)] == [False, True]
+    assert [pi1_report_oracle(cx, h1, b)["status"] for b in (6, 7)] == ["unknown", "trivial"]
+
+
+def test_pi1_reads_no_triangle_without_two_cells():
+    # K4 truncated above dimension 1 is a graph: its triangles are not 2-cells, so nothing
+    # kills its three generators; at dimension 2 it is a 2-sphere
+    for report in (pi1_report, pi1_report_oracle):
+        assert report(_k4(1), NO_H1, 5000)["status"] == "unknown"
+        assert report(_k4(2), NO_H1, 5000)["status"] == "trivial"
 
 
 def _random_presentation(rng):
@@ -1247,18 +1283,6 @@ def _count_outcomes(counts, runs):
         counts.update(rep["status"] for rep, _ in runs)
 
 
-def _pruned_relabelled(rng, cx):
-    """cx's 2-skeleton with each triangle kept with a random probability, its vertices shuffled."""
-    perm = list(range(cx.n_cells(0)))
-    rng.shuffle(perm)
-    label, keep = dict(zip(cx.vertices, perm)), rng.uniform(0.05, 1)
-    simps = [[tuple(label[v] for v in s) for s in cells] for cells in cx.basis[:3]]
-    if len(simps) > 2:
-        simps[2] = [t for t in simps[2] if rng.random() < keep]
-    simps[0].sort()  # the 0-cells in label order: bit i is label i
-    return complex_from_simplices(simps)
-
-
 def test_pi1_matches_oracle_on_grid_complexes():
     # every budget on the grid complexes: reports and eliminations as the whole
     # presentation and the incremental search gave them
@@ -1280,9 +1304,8 @@ def test_pi1_matches_oracle_on_grid_complexes():
 NO_H1 = HomologyResult((0, 0), ((), ()))
 
 
-def test_pi1_matches_oracle_on_pruned_relabelled_complexes():
-    # deleted triangles exercise the 2-cell test on each candidate coface; the
-    # shuffled vertices change cells[2]'s order and so the position tie-break
+def test_pi1_matches_oracle_on_relabelled_complexes():
+    # the shuffled vertices change cells[2]'s order and so the position tie-break
     rng = Random(20261019)
     grid = [build_complex(Config.make(2, 1, d), n).chain_complex(2)
             for d, n in (("sym", 7), ("sym", 8), ("triv", 6), ("triv", 7))]
@@ -1295,7 +1318,7 @@ def test_pi1_matches_oracle_on_pruned_relabelled_complexes():
                                                           if rng.random() < 0.7]), 2)
         else:
             cx = rng.choice(grid)
-        cx = _pruned_relabelled(rng, cx)
+        cx = _relabelled(cx, rng)
         for h1 in (reduced_homology(cx, 1), NO_H1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(homology._Triangles, "take", lambda self: taken.append(1) or take(self))
