@@ -33,8 +33,8 @@ def main() -> int:
             by_k: dict[int, int] = {}
             for r in records:
                 by_k[r.k] = by_k.get(r.k, 0) + 1
-            full = split_class_poset(config, n, cap=args.cap, records=records)
-            star, _ = elementary_split_poset(config, n, cap=args.cap, records=records, full=full)
+            full = split_class_poset(records)
+            star, _ = elementary_split_poset(full, records)
             # split posets are honest (every arrow adds blocks), so no quotient is taken
             hf = reduced_homology(order_complex(full), 2)
             hs = reduced_homology(order_complex(star), 2)

@@ -203,17 +203,15 @@ def cmd_desclink(args) -> int:
     try:
         payload = {}
         rows = []
-        res_full = res_star = full = None
-        records = split_records(config, args.n, cap=args.cap) if args.n > 1 else []
+        records = split_records(config, args.n, cap=args.cap)
+        full = split_class_poset(records)
         if want_full:
-            full = split_class_poset(config, args.n, cap=args.cap, records=records)
             payload["full_poset"] = full.to_json()
             frows, res_full = _poset_homology_rows(full)
             rows += [["full"] + r for r in frows]
             payload["full_components"] = len(full.components())
         if want_star:
-            star, inclusion = elementary_split_poset(config, args.n, cap=args.cap,
-                                                     records=records, full=full)
+            star, inclusion = elementary_split_poset(full, records)
             payload["star_poset"] = star.to_json()
             payload["inclusion"] = inclusion
             srows, res_star = _poset_homology_rows(star)
@@ -299,15 +297,15 @@ def cmd_trade(args) -> int:
 # parser
 
 
-def _budget(text: str) -> int:
-    """A --pi1-budget value: an integer, 0 or more."""
+def _count(text: str) -> int:
+    """A count or bound given on the command line: an integer, 0 or more."""
     try:
-        budget = int(text)
+        count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, not {budget}")
-    return budget
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,16 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--format", choices=("json", "csv"), default="json")
     b.add_argument("--dump-matrices", default=None, dest="dump_matrices",
                    help="also write the boundary matrices to this file")
-    b.add_argument("--max-dim", type=int, default=2, dest="max_dim")
+    b.add_argument("--max-dim", type=_count, default=2, dest="max_dim")
     b.set_defaults(cmd="cmd_build_cn")
 
     v = sub.add_parser("verify-nu", help="certify the connectivity bound grid")
     v.add_argument("--q", type=int, required=True)
     v.add_argument("--subgroup", default="sym")
-    v.add_argument("--nmax", type=int, required=True)
-    v.add_argument("--pi1-budget", type=_budget, default=0, dest="pi1_budget",
+    v.add_argument("--nmax", type=_count, required=True)
+    v.add_argument("--pi1-budget", type=_count, default=0, dest="pi1_budget",
                    help="Tietze work units per pi1 search; 0 skips the search")
-    v.add_argument("--guard", type=int, default=None, help="override the nmax resource guard")
+    v.add_argument("--guard", type=_count, default=None, help="override the nmax resource guard")
     v.add_argument("--out", default=None)
     v.set_defaults(cmd="cmd_verify_nu")
 
@@ -340,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--q", type=int, required=True)
     d.add_argument("--subgroup", default="sym")
     d.add_argument("--r", type=int, default=1)
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--n", type=_count, required=True)
     d.add_argument("--star", action="store_true")
     d.add_argument("--full", action="store_true")
-    d.add_argument("--cap", type=int, default=6)
+    d.add_argument("--cap", type=_count, default=6)
     d.add_argument("--out", default=None)
     d.add_argument("--homology-csv", default=None, dest="homology_csv")
     d.set_defaults(cmd="cmd_desclink")

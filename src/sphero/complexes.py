@@ -412,14 +412,13 @@ def has_arrow(r1: SplitRecord, r2: SplitRecord) -> bool:
     return True
 
 
-def split_class_poset(config: Config, n: int, cap: int = 6, *,
-                      records: list[SplitRecord] | None = None) -> GenPoset:
+def split_class_poset(records: list[SplitRecord]) -> GenPoset:
     """Poset of splitting classes below a level-n vertex, arrows by factorization.
 
+    ``records`` is ``split_records(config, n)``, one object per record.
     Arrows are generated from the coarser record: every choice of one cut per
     block induces a finer set of blocks, which is a record unless it is the
     all-singletons partition.  This is the condition of ``has_arrow``.
-    ``records``, if given, is ``split_records(config, n, cap)``.
 
     Record blocks are canonical, and so is every subtree of one, so a cut
     induces its blocks without ``canonical_block``: the tiles below a cut word
@@ -427,10 +426,6 @@ def split_class_poset(config: Config, n: int, cap: int = 6, *,
     and their runs depend only on the block's words, so they are found once
     per shape, and each block zips its targets into them.
     """
-    if n <= 1:
-        return GenPoset.make([], [])
-    if records is None:
-        records = split_records(config, n, cap)
     ids = {r.blocks: r.object_id() for r in records}
     shapes: dict[tuple[Word, ...], list[list[tuple[int, tuple[Word, ...]]]]] = {}
     arrows = []
@@ -439,7 +434,7 @@ def split_class_poset(config: Config, n: int, cap: int = 6, *,
         for b in r2.blocks:
             words, targets = zip(*b)
             if words not in shapes:
-                shapes[words] = [_cut_runs(words, cut) for cut in block_cuts(config, b)]
+                shapes[words] = [_cut_runs(words, cut) for cut in block_cuts(r2.config, b)]
             per_block.append([[tuple(zip(run, targets[lo:])) for lo, run in runs]
                               for runs in shapes[words]])
         k, target = r2.k, ids[r2.blocks]
@@ -463,18 +458,12 @@ def _cut_runs(words: tuple[Word, ...], cut: tuple[Word, ...]) -> list[tuple[int,
     return runs
 
 
-def elementary_split_poset(config: Config, n: int, cap: int = 6, *,
-                           records: list[SplitRecord] | None = None,
-                           full: GenPoset | None = None) -> tuple[GenPoset, dict[str, str]]:
+def elementary_split_poset(full: GenPoset, records: list[SplitRecord]) -> tuple[GenPoset, dict[str, str]]:
     """Subposet of very elementary splitting classes, with its inclusion map.
 
-    ``records`` and ``full``, if given, are ``split_records(config, n, cap)``
-    and ``split_class_poset(config, n, cap)``; each is built here otherwise.
+    ``full`` is ``split_class_poset(records)``; the subposet is its full
+    subcategory on the very elementary records.
     """
-    if records is None:
-        records = split_records(config, n, cap) if n > 1 else []
-    if full is None:
-        full = split_class_poset(config, n, cap, records=records)
     keep = {r.object_id() for r in records if r.is_very_elementary}
     sub = full.full_subcategory(keep)
     inclusion = {o: o for o in sub.objects}
@@ -605,11 +594,11 @@ def _forest_tilings(config: Config, n_summands: int, total_tiles: int,
     return out
 
 
-def strict_class_poset(config: Config, max_level: int, max_depth: int = 2) -> tuple[GenPoset, dict[str, TreePair]]:
+def strict_class_poset(config: Config, max_level: int) -> tuple[GenPoset, dict[str, TreePair]]:
     """Truncation of the level-filtered vertex category modulo strict transformations.
 
     Objects are ordered tilings of the codomain forest with at most max_level
-    tiles of depth at most max_depth; arrows are refinements (merges) and
+    tiles of depth at most 2; arrows are refinements (merges) and
     reorderings (transformations).  Returns the poset and a representative
     tree pair per object.
     """
@@ -617,7 +606,7 @@ def strict_class_poset(config: Config, max_level: int, max_depth: int = 2) -> tu
     for m in range(1, max_level + 1):
         if (m - config.r) % (config.q - 1) != 0:
             continue
-        for tiling in _forest_tilings(config, config.r, m, max_depth):
+        for tiling in _forest_tilings(config, config.r, m, max_depth=2):
             for order in permutations(tiling):
                 oid = tiling_id(order)
                 objects[oid] = order
@@ -713,8 +702,10 @@ def _chain_orbit(config: Config, chain: tuple) -> set[tuple]:
     return seen
 
 
-def count_cell_orbits(config: Config, k: int, d: int, max_level: int = 3) -> int:
+def count_cell_orbits(config: Config, k: int, d: int) -> int:
     """Orbits of nondegenerate d-chains in the nerve of the level-k truncation.
+
+    Chains (d >= 1) are enumerated through k = 3; levels (d = 0) are counted for any k.
 
     Only the levels m = r + j(q-1), j >= 0, are populated: these are the leaf
     counts of the complete prefix codes of a forest of r rooted q-ary trees.
@@ -737,8 +728,8 @@ def count_cell_orbits(config: Config, k: int, d: int, max_level: int = 3) -> int
     """
     if k < 1 or d < 0:
         raise ValueError("need k >= 1 and d >= 0")
-    if d >= 1 and k > max_level:
-        raise EnumerationCap(f"k={k} exceeds the enumeration cap {max_level}")
+    if d >= 1 and k > 3:
+        raise EnumerationCap(f"k={k} exceeds the enumeration cap 3")
     populated = list(range(config.r, k + 1, config.q - 1))
     if d == 0:
         return len(populated)

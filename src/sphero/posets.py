@@ -172,8 +172,9 @@ def join(c: GenPoset, d: GenPoset) -> GenPoset:
     return GenPoset.make(c.objects + d.objects, arrows).require_valid()
 
 
-def coone(c: GenPoset, d: GenPoset, tip: ObjId = "tip") -> GenPoset:
-    """join(c, d) with an extra object receiving from c and mapping into d."""
+def coone(c: GenPoset, d: GenPoset) -> GenPoset:
+    """join(c, d) with an extra object "tip" receiving from c and mapping into d."""
+    tip = "tip"
     if tip in c.objects or tip in d.objects:
         raise PosetError(f"tip id {tip!r} collides with an existing object")
     base = join(c, d)

@@ -140,8 +140,9 @@ def test_criterion_05_lk_star_vs_lk():
     for sub, nmax in (("sym", 6), ("triv", 5)):
         config = Config.make(2, 1, sub)
         for n in range(2, nmax + 1):
-            full = split_class_poset(config, n)
-            star, inclusion = elementary_split_poset(config, n)
+            records = split_records(config, n)
+            full = split_class_poset(records)
+            star, inclusion = elementary_split_poset(full, records)
             assert set(inclusion) <= set(full.objects)
             if not full.objects:
                 assert not star.objects
@@ -160,8 +161,9 @@ def test_criterion_05_lk_star_vs_lk():
         assert all(not t for t in h_top[key].torsion), key
     # exact pins for n=3, Sym(2)
     config = Config.make(2, 1, "sym")
-    full = split_class_poset(config, 3)
-    star, _ = elementary_split_poset(config, 3)
+    records = split_records(config, 3)
+    full = split_class_poset(records)
+    star, _ = elementary_split_poset(full, records)
     assert len(full.objects) == 6 and len(star.objects) == 3
     for poset in (full, star):
         comps = poset.components()
@@ -327,7 +329,7 @@ def test_criterion_09_stabilizers_and_fixed_sets():
     checked_groups = 0
     for sub in ("sym", "triv"):
         cfg = Config.make(2, 1, sub)
-        poset, reps = strict_class_poset(cfg, max_level=4, max_depth=2)
+        poset, reps = strict_class_poset(cfg, max_level=4)
         tilings = {oid: parse_tiling_id(oid) for oid in poset.objects}
         verts = _words_of_length(2, 0) + _words_of_length(2, 1) + _words_of_length(2, 2)
         gens = [p for p in cfg.sorted_group() if p != (0, 1)]
@@ -418,15 +420,15 @@ def test_criterion_11_orbit_count_pin():
     codes grown leaf by leaf from the root.
     """
     for k in range(1, 6):
-        assert count_cell_orbits(Config.make(2, 1, "sym"), k, 0, max_level=5) == k
-        assert count_cell_orbits(Config.make(2, 1, "triv"), k, 0, max_level=5) == k
+        assert count_cell_orbits(Config.make(2, 1, "sym"), k, 0) == k
+        assert count_cell_orbits(Config.make(2, 1, "triv"), k, 0) == k
     # q=3: codes of one ternary tree have 1, 3, 5, ... leaves, so only odd levels
-    q3 = [count_cell_orbits(Config.make(3, 1, "sym"), k, 0, max_level=5) for k in range(1, 6)]
+    q3 = [count_cell_orbits(Config.make(3, 1, "sym"), k, 0) for k in range(1, 6)]
     assert q3 == [1, 1, 2, 2, 3]
     for q, subgroup in ((2, "sym"), (2, "triv"), (3, "sym")):
         levels = _prefix_code_levels(q, 5)
         for k in range(1, 6):
-            got = count_cell_orbits(Config.make(q, 1, subgroup), k, 0, max_level=5)
+            got = count_cell_orbits(Config.make(q, 1, subgroup), k, 0)
             assert got == sum(m <= k for m in levels), (q, subgroup, k)
     report("11 (orbit count pin, q=2 half)")
     report("11 (orbit count pin, q=3 half)", str(q3))

@@ -115,6 +115,23 @@ def test_verify_nu_rejects_negative_budget(tmp_path, capsys):
     assert run(["verify-nu", "--q", "2", "--nmax", "8", "--pi1-budget", "0", "--out", str(out)]) == 0
 
 
+NEGATIVE_COUNTS = {
+    "max-dim": ["build-cn", "--q", "2", "--n", "4", "--max-dim", "-1", "--dump-matrices"],
+    "nmax": ["verify-nu", "--q", "2", "--nmax", "-1", "--out"],
+    "guard": ["verify-nu", "--q", "2", "--nmax", "2", "--guard", "-1", "--out"],
+    "n": ["desclink", "--q", "2", "--n", "-2", "--out"],
+    "cap": ["desclink", "--q", "2", "--n", "2", "--cap", "-1", "--out"],
+}
+
+
+@pytest.mark.parametrize("flag", NEGATIVE_COUNTS)
+def test_negative_count_is_a_usage_error(tmp_path, capsys, flag):
+    # refused by the parser: no resource guard is consulted and no file is written
+    assert run(NEGATIVE_COUNTS[flag] + [str(tmp_path / "out")]) == 2
+    assert f"--{flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parser_is_built_once_and_commands_dispatch_by_name(tmp_path, monkeypatch):
     assert run(["desclink", "--q", "2", "--n", "1", "--out", str(tmp_path / "a.json")]) == 0
     rebuilt = []

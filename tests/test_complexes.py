@@ -234,7 +234,7 @@ def test_split_record_counts_n3(sym2, triv2):
 
 
 def test_split_poset_n3(sym2):
-    poset = split_class_poset(sym2, 3)
+    poset = split_class_poset(split_records(sym2, 3))
     assert len(poset.objects) == 6
     assert len(poset.arrows) == 3
     comps = poset.components()
@@ -247,13 +247,14 @@ def test_split_poset_n3(sym2):
 
 
 def test_split_poset_trivial_cases(sym2):
-    assert split_class_poset(sym2, 1).objects == ()
+    assert split_class_poset(split_records(sym2, 1)).objects == ()
     with pytest.raises(EnumerationCap):
-        split_class_poset(sym2, 9, cap=6)
+        split_class_poset(split_records(sym2, 9, cap=6))
 
 
 def test_star_poset_n3(sym2):
-    star, inclusion = elementary_split_poset(sym2, 3)
+    records = split_records(sym2, 3)
+    star, inclusion = elementary_split_poset(split_class_poset(records), records)
     assert len(star.objects) == 3
     assert len(star.arrows) == 0
     assert set(inclusion) == set(star.objects)
@@ -261,9 +262,10 @@ def test_star_poset_n3(sym2):
 
 def test_star_poset_empty_below_q(sym3):
     # a size-q block needs q targets, so nothing splits below n = q
-    star, _ = elementary_split_poset(sym3, 2)
+    records = split_records(sym3, 2)
+    full = split_class_poset(records)
+    star, _ = elementary_split_poset(full, records)
     assert star.objects == ()
-    full = split_class_poset(sym3, 2)
     assert full.objects == ()
 
 
@@ -271,9 +273,10 @@ def test_star_poset_matches_complex(sym2, triv2):
     # barycentric model: records <-> simplices, cut relation <-> face relation
     for config in (sym2, triv2):
         for n in (3, 4):
-            star, _ = elementary_split_poset(config, n)
+            recs = split_records(config, n)
+            star, _ = elementary_split_poset(split_class_poset(recs), recs)
             cx = build_complex(config, n)
-            records = {r.object_id(): r for r in split_records(config, n)}
+            records = {r.object_id(): r for r in recs}
             simplex_of = {oid: elementary_record_to_simplex(records[oid])
                           for oid in star.objects}
             assert len(set(simplex_of.values())) == len(star.objects)
@@ -287,7 +290,8 @@ def test_star_poset_matches_complex(sym2, triv2):
 def test_lk_star_homology_matches_complex(sym2, triv2):
     for config in (sym2, triv2):
         for n in (3, 4):
-            star, _ = elementary_split_poset(config, n)
+            records = split_records(config, n)
+            star, _ = elementary_split_poset(split_class_poset(records), records)
             honest, _ = underlying_poset(star)
             res_star = reduced_homology(order_complex(honest), 2)
             res_cx = reduced_homology(build_complex(config, n).chain_complex(3), 2)
@@ -300,8 +304,8 @@ def test_split_posets_are_honest(q, d, n):
     # every arrow adds blocks, so desclink takes order complexes with no quotient
     config = Config.make(q, 1, d)
     records = split_records(config, n)
-    full = split_class_poset(config, n, records=records)
-    star, _ = elementary_split_poset(config, n, records=records, full=full)
+    full = split_class_poset(records)
+    star, _ = elementary_split_poset(full, records)
     for poset in (full, star):
         assert poset.objects and not poset.iso_pairs()
         assert underlying_poset(poset)[0] == poset
@@ -383,7 +387,7 @@ def _arrows_by_pairs(config, n):
 def test_split_poset_arrows_match_pairwise_has_arrow(q, sub, n):
     """Arrows generated from cuts are exactly the pairs that has_arrow accepts."""
     config = Config.make(q, 1, sub)
-    poset = split_class_poset(config, n)
+    poset = split_class_poset(split_records(config, n))
     assert poset.arrows or n == 2  # at n = 2 the only refinement is all singletons
     assert poset.arrows == _arrows_by_pairs(config, n)
 
@@ -447,14 +451,14 @@ def test_all_cut_posets_acyclic_n4(sym2, triv2):
 
 def test_orbit_counts_level_only(sym2, sym3):
     for k in range(1, 6):
-        assert count_cell_orbits(sym2, k, 0, max_level=5) == k
+        assert count_cell_orbits(sym2, k, 0) == k
     # only levels congruent to r mod (q-1) are populated
-    assert count_cell_orbits(sym3, 2, 0, max_level=5) == 1
-    assert count_cell_orbits(sym3, 5, 0, max_level=5) == 3
+    assert count_cell_orbits(sym3, 2, 0) == 1
+    assert count_cell_orbits(sym3, 5, 0) == 3
     # a forest of r trees has no level below r: levels r, r+(q-1), ...
     sym2_r2, sym3_r3 = Config.make(2, 2, "sym"), Config.make(3, 3, "sym")
-    assert [count_cell_orbits(sym2_r2, k, 0, max_level=5) for k in range(1, 6)] == [0, 1, 2, 3, 4]
-    assert [count_cell_orbits(sym3_r3, k, 0, max_level=5) for k in range(1, 6)] == [0, 0, 1, 1, 2]
+    assert [count_cell_orbits(sym2_r2, k, 0) for k in range(1, 6)] == [0, 1, 2, 3, 4]
+    assert [count_cell_orbits(sym3_r3, k, 0) for k in range(1, 6)] == [0, 0, 1, 1, 2]
     # with r=2 and k=2 the only nondegenerate 1-chain is the swap of the two roots
     assert count_cell_orbits(sym2_r2, 2, 1) == 1
 
@@ -469,7 +473,7 @@ def test_orbit_counts_chains(sym2, triv2):
 
 def test_orbit_counts_cap(sym2):
     with pytest.raises(EnumerationCap):
-        count_cell_orbits(sym2, 4, 1, max_level=3)
+        count_cell_orbits(sym2, 4, 1)
 
 
 ORBIT_CONFIGS = [(2, 1, "sym"), (2, 1, "triv"), (2, 2, "sym"), (2, 3, "sym"), (3, 1, "sym"),
@@ -532,8 +536,9 @@ def test_morse_method_on_split_poset(sym2, triv2):
 
     for config in (sym2, triv2):
         n = 4
-        full = split_class_poset(config, n)
-        records = {r.object_id(): r for r in split_records(config, n)}
+        recs = split_records(config, n)
+        full = split_class_poset(recs)
+        records = {r.object_id(): r for r in recs}
         base = {oid for oid, r in records.items() if r.is_very_elementary}
         heights = {oid: n - r.k for oid, r in records.items() if oid not in base}
         rep = check_morse(full, heights, base=base)
@@ -553,7 +558,7 @@ def test_morse_method_on_split_poset(sym2, triv2):
 
 
 def test_strict_class_poset_basics(sym2):
-    poset, reps = strict_class_poset(sym2, max_level=3, max_depth=2)
+    poset, reps = strict_class_poset(sym2, max_level=3)
     assert poset.validate() is None
     # objects: 1 root tiling, 2 orders of {0,1}, 6+6 orders of the 3-tilings
     assert len(poset.objects) == 15
@@ -563,7 +568,7 @@ def test_strict_class_poset_basics(sym2):
 
 
 def test_strict_class_poset_action_and_fixed_sets(sym2):
-    poset, reps = strict_class_poset(sym2, max_level=4, max_depth=2)
+    poset, reps = strict_class_poset(sym2, max_level=4)
     tiling = {oid: parse_tiling_id(oid) for oid in poset.objects}
     swap_root = LabeledIsometry.make(2, {(): (1, 0)})
     mapping = {oid: tiling_id(act_on_tiling_object([swap_root], t)) for oid, t in tiling.items()}

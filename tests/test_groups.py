@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -657,3 +661,13 @@ def test_subgroup_closure_matches_naive_oracle():
         gens = [tuple(rng.sample(range(q), q)) for _ in range(rng.randint(0, 3))]
         assert close_under_group_ops(gens, q) == oracle.close_under_group_ops(gens, q), gens
     assert Config.make(7, 1, "sym").group_order == 5040
+
+
+def test_importing_groups_loads_only_its_own_layers():
+    # the package re-exports nothing, so a layer loads just the layers it imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, sphero.groups; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'sphero'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["sphero", "sphero.groups", "sphero.perms"]
