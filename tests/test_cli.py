@@ -398,3 +398,18 @@ def test_trade_rejects_non_integer_cells(tmp_path):
     for bad in ([0, "H", 1.5], [True, "H", 1]):
         stages = [{"cells": cells + [bad], "connectivity": 0}, {"cells": cells}]
         assert run(["trade", "--schedule", _schedule(tmp_path, stages), "--prefix", "2"]) == 2, bad
+
+
+@pytest.mark.parametrize("content", [None, "{"], ids=["missing", "not-json"])
+@pytest.mark.parametrize("command", ["group", "trade"])
+def test_unusable_input_file_is_a_usage_error(tmp_path, capsys, command, content):
+    # a missing file or one that is not JSON: exit 2 on one stderr line, nothing written
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    argv = {"group": ["group", "canon", "--input", str(path)],
+            "trade": ["trade", "--schedule", str(path), "--prefix", "1"]}[command]
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
