@@ -73,19 +73,14 @@ def _manifest(command: str, params: dict, seed: int | None) -> dict:
     }
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get("SPHERO_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _write_atomic(path: str | None, text: str) -> None:
+    """Write to path, or to stdout if there is none; SPHERO_OUT_DIR prefixes a relative path."""
     if path is None:
         sys.stdout.write(text)
         return
+    base = os.environ.get("SPHERO_OUT_DIR")
+    if base and not os.path.isabs(path):
+        path = os.path.join(base, path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sphero-")
@@ -114,7 +109,7 @@ def _csv_text(manifest: dict, header: list[str], rows: list[list]) -> str:
 
 
 def _config_from_args(args) -> Config:
-    return Config.make(args.q, getattr(args, "r", 1), args.subgroup)
+    return Config.make(args.q, 1, args.subgroup)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +128,10 @@ def cmd_build_cn(args) -> int:
     else:
         rows = [[i, j] for i, j in cx.edges]
         text = _csv_text(manifest, ["vertex_i", "vertex_j"], rows)
-    _write_atomic(_resolve_out(args.out), text)
+    _write_atomic(args.out, text)
     if args.dump_matrices:
         cc = cx.chain_complex(args.max_dim)
-        _write_atomic(_resolve_out(args.dump_matrices), cc.dump_matrices())
+        _write_atomic(args.dump_matrices, cc.dump_matrices())
     return EXIT_OK
 
 
@@ -175,28 +170,30 @@ def cmd_verify_nu(args) -> int:
         "pi1_budget": args.pi1_budget, "group_order": config.group_order,
     }, args.seed)
     text = _csv_text(manifest, ["n", "nu", "betti", "torsion", "verdict", "pi1"], rows)
-    _write_atomic(_resolve_out(args.out), text)
+    _write_atomic(args.out, text)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
 def _poset_homology_rows(poset):
+    """[dim, betti, torsion] of each reduced homology group of the order complex."""
     if not poset.objects:
-        return [], None
+        return []
     chains = chain_count(poset)
     if chains * len(poset.objects) > ORDER_COMPLEX_BITS:
         raise EnumerationCap(f"the order complex has {chains} chains on {len(poset.objects)} objects, "
                              f"over the guard of {ORDER_COMPLEX_BITS:,} chain-object bits")
     cc = order_complex(poset)  # split posets are honest: every arrow adds blocks
     res = reduced_homology(cc, max(cc.dim, 0))
-    return [[d, res.betti[d], "+".join(map(str, res.torsion[d]))] for d in range(len(res.betti))], res
+    return [[d, res.betti[d], "+".join(map(str, res.torsion[d]))] for d in range(len(res.betti))]
 
 
 def cmd_desclink(args) -> int:
     config = _config_from_args(args)
     want_full = args.full or not args.star
     want_star = args.star
+    # splitting posets do not depend on r; the manifest keeps it at 1
     manifest = _manifest("desclink", {
-        "q": args.q, "subgroup": args.subgroup, "r": args.r, "n": args.n,
+        "q": args.q, "subgroup": args.subgroup, "r": 1, "n": args.n,
         "star": want_star, "full": want_full, "cap": args.cap,
         "group_order": config.group_order,
     }, args.seed)
@@ -207,31 +204,27 @@ def cmd_desclink(args) -> int:
         full = split_class_poset(records)
         if want_full:
             payload["full_poset"] = full.to_json()
-            frows, res_full = _poset_homology_rows(full)
+            frows = _poset_homology_rows(full)
             rows += [["full"] + r for r in frows]
             payload["full_components"] = len(full.components())
         if want_star:
             star, inclusion = elementary_split_poset(full, records)
             payload["star_poset"] = star.to_json()
             payload["inclusion"] = inclusion
-            srows, res_star = _poset_homology_rows(star)
+            srows = _poset_homology_rows(star)
             rows += [["star"] + r for r in srows]
             payload["star_components"] = len(star.components())
         if want_full and want_star:
-            def table(res):
-                if res is None:
-                    return []
-                return [(b, t) for b, t in zip(res.betti, res.torsion) if b or t]
-            payload["homology_equal"] = table(res_full) == table(res_star)
+            def nonzero(model_rows):
+                return [r for r in model_rows if r[1] or r[2]]
+            payload["homology_equal"] = nonzero(frows) == nonzero(srows)  # degree by degree
     except EnumerationCap as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RESOURCE
-    text = _json_text(manifest, payload)
-    _write_atomic(_resolve_out(args.out), text)
-    csv_out = args.homology_csv
-    if csv_out:
+    _write_atomic(args.out, _json_text(manifest, payload))
+    if args.homology_csv:
         text = _csv_text(manifest, ["model", "dim", "betti", "torsion"], rows)
-        _write_atomic(_resolve_out(csv_out), text)
+        _write_atomic(args.homology_csv, text)
     return EXIT_OK
 
 
@@ -240,39 +233,30 @@ def _load_element(path: str) -> TreePair:
         return element_from_json(json.load(fh))
 
 
+# Each group op: the element files it reads, in order, then its integer flags,
+# both passed to its function in that order, and the key of the answer.
+GROUP_OPS = {
+    "compose": (("lhs", "rhs"), (), compose, "element"),
+    "inverse": (("input",), (), inverse, "element"),
+    "canon": (("input",), (), canonical_form, "element"),
+    "stab": (("gamma", "phi"), (), stabilizer_test, "stabilizes"),
+    "subnormal": (("phi",), ("k",), subnormal_depth, "kprime"),
+}
+
+
 def cmd_group(args) -> int:
-    try:
-        if args.op == "compose":
-            result = compose(_load_element(args.lhs), _load_element(args.rhs))
-            payload = {"element": element_to_json(result)}
-        elif args.op == "inverse":
-            payload = {"element": element_to_json(inverse(_load_element(args.input)))}
-        elif args.op == "canon":
-            payload = {"element": element_to_json(canonical_form(_load_element(args.input)))}
-        elif args.op == "stab":
-            gamma = _load_element(args.gamma)
-            phi = _load_element(args.phi)
-            payload = {"stabilizes": stabilizer_test(gamma, phi)}
-        elif args.op == "subnormal":
-            phi = _load_element(args.phi)
-            payload = {"kprime": subnormal_depth(phi, args.k)}
-        else:  # pragma: no cover
-            raise ValueError(f"unknown group op {args.op}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    files, ints, fn, key = GROUP_OPS[args.op]
+    answer = fn(*[_load_element(getattr(args, f)) for f in files], *[getattr(args, i) for i in ints])
+    if key == "element":
+        answer = element_to_json(answer)
     manifest = _manifest(f"group-{args.op}", {"op": args.op}, args.seed)
-    _write_atomic(_resolve_out(args.out), _json_text(manifest, payload))
+    _write_atomic(args.out, _json_text(manifest, {key: answer}))
     return EXIT_OK
 
 
 def cmd_trade(args) -> int:
-    try:
-        with open(args.schedule) as fh:
-            schedule = FiltrationSchedule.from_json(json.load(fh))
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"schedule error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.schedule) as fh:
+        schedule = FiltrationSchedule.from_json(json.load(fh))
     try:
         sparsified, index_map = sparsify(schedule, require=args.prefix)
         final, log = run_staircase(sparsified, args.prefix)
@@ -289,7 +273,7 @@ def cmd_trade(args) -> int:
         "chi_before": euler_characteristic(before),
         "chi_after": euler_characteristic(final),
     }
-    _write_atomic(_resolve_out(args.out), _json_text(manifest, payload))
+    _write_atomic(args.out, _json_text(manifest, payload))
     return EXIT_OK
 
 
@@ -312,63 +296,48 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sphero", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="seed recorded in manifests")
     sub = p.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    config = argparse.ArgumentParser(add_help=False, parents=[out])
+    config.add_argument("--q", type=int, required=True)
+    config.add_argument("--subgroup", default="sym", help='"sym", "triv", or comma-separated words like "21"')
 
-    b = sub.add_parser("build-cn", help="build the decorated disjoint-support complex")
-    b.add_argument("--q", type=int, required=True)
-    b.add_argument("--subgroup", default="sym", help='"sym", "triv", or comma-separated words like "21"')
+    b = sub.add_parser("build-cn", parents=[config], help="build the decorated disjoint-support complex")
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--out", default=None)
     b.add_argument("--format", choices=("json", "csv"), default="json")
     b.add_argument("--dump-matrices", default=None, dest="dump_matrices",
                    help="also write the boundary matrices to this file")
     b.add_argument("--max-dim", type=_count, default=2, dest="max_dim")
     b.set_defaults(cmd="cmd_build_cn")
 
-    v = sub.add_parser("verify-nu", help="certify the connectivity bound grid")
-    v.add_argument("--q", type=int, required=True)
-    v.add_argument("--subgroup", default="sym")
+    v = sub.add_parser("verify-nu", parents=[config], help="certify the connectivity bound grid")
     v.add_argument("--nmax", type=_count, required=True)
     v.add_argument("--pi1-budget", type=_count, default=0, dest="pi1_budget",
                    help="Tietze work units per pi1 search; 0 skips the search")
     v.add_argument("--guard", type=_count, default=None, help="override the nmax resource guard")
-    v.add_argument("--out", default=None)
     v.set_defaults(cmd="cmd_verify_nu")
 
-    d = sub.add_parser("desclink", help="enumerate splitting-class posets")
-    d.add_argument("--q", type=int, required=True)
-    d.add_argument("--subgroup", default="sym")
-    d.add_argument("--r", type=int, default=1)
+    d = sub.add_parser("desclink", parents=[config], help="enumerate splitting-class posets")
     d.add_argument("--n", type=_count, required=True)
     d.add_argument("--star", action="store_true")
     d.add_argument("--full", action="store_true")
     d.add_argument("--cap", type=_count, default=6)
-    d.add_argument("--out", default=None)
     d.add_argument("--homology-csv", default=None, dest="homology_csv")
     d.set_defaults(cmd="cmd_desclink")
 
     g = sub.add_parser("group", help="tree pair arithmetic on JSON elements")
     gs = g.add_subparsers(dest="op", required=True)
-    gc = gs.add_parser("compose")
-    gc.add_argument("--lhs", required=True)
-    gc.add_argument("--rhs", required=True)
-    gi = gs.add_parser("inverse")
-    gi.add_argument("--input", required=True)
-    gn = gs.add_parser("canon")
-    gn.add_argument("--input", required=True)
-    gt = gs.add_parser("stab")
-    gt.add_argument("--gamma", required=True)
-    gt.add_argument("--phi", required=True)
-    gu = gs.add_parser("subnormal")
-    gu.add_argument("--phi", required=True)
-    gu.add_argument("--k", type=int, required=True)
-    for sp in (gc, gi, gn, gt, gu):
-        sp.add_argument("--out", default=None)
-        sp.set_defaults(cmd="cmd_group")
+    for op, (files, ints, _fn, _key) in GROUP_OPS.items():
+        o = gs.add_parser(op, parents=[out])
+        for flag in files:
+            o.add_argument(f"--{flag}", required=True)
+        for flag in ints:
+            o.add_argument(f"--{flag}", type=int, required=True)
+        o.set_defaults(cmd="cmd_group")
 
-    t = sub.add_parser("trade", help="sparsify a schedule and run the staircase")
+    t = sub.add_parser("trade", parents=[out], help="sparsify a schedule and run the staircase")
     t.add_argument("--schedule", required=True)
     t.add_argument("--prefix", type=int, required=True)
-    t.add_argument("--out", default=None)
     t.set_defaults(cmd="cmd_trade")
     return p
 
@@ -387,7 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # commands are looked up by name at call time, so a replaced cmd_* runs
         return globals()[args.cmd](args)
-    except (ValueError, OSError) as exc:  # an OSError is an unusable path, not a failed check
+    except (ValueError, OSError) as exc:
+        # the one input boundary: malformed input (JSONDecodeError too) or an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

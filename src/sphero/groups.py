@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from random import Random
@@ -47,22 +47,22 @@ INFINITE_DISTANCE = float("-inf")
 
 @dataclass(frozen=True)
 class Config:
-    """Branching degree q, number of boundary copies r, and the label group D."""
+    """Branching degree q, number of boundary copies r, and the label group D.
+
+    Configs compare by (q, r, D): generators that close to the same group give equal configs.
+    """
 
     q: int
     r: int
-    generators: tuple[Perm, ...]
+    generators: tuple[Perm, ...] = field(compare=False)
+    group: frozenset[Perm] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("q must be at least 2")
         if self.r < 1:
             raise ValueError("r must be at least 1")
-        object.__setattr__(self, "_elements", close_under_group_ops(self.generators, self.q))
-
-    @property
-    def group(self) -> frozenset[Perm]:
-        return self._elements  # type: ignore[attr-defined]
+        object.__setattr__(self, "group", close_under_group_ops(self.generators, self.q))
 
     @property
     def group_order(self) -> int:

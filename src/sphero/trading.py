@@ -133,7 +133,7 @@ class FiltrationSchedule:
                 stages.append(CellInventory.from_json(entry["cells"]))
                 c = entry.get("connectivity")
                 conn.append(None if c is None else _json_int(c, "connectivity"))
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed schedule JSON: {exc}") from exc
         return FiltrationSchedule.make(stages, conn)
 

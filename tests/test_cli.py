@@ -1,10 +1,12 @@
 import json
 import sys
+from random import Random
+from types import SimpleNamespace
 
 import pytest
 from sphero import cli
 from sphero.cli import main
-from sphero.groups import Config, element_to_json, identity_element, inverse
+from sphero.groups import Config, compose, element_to_json, identity_element, inverse, random_element
 
 from conftest import make_x0
 
@@ -163,9 +165,11 @@ def test_verify_nu_q3(tmp_path):
 def test_desclink_full_and_star(tmp_path):
     out = tmp_path / "dl.json"
     csv_out = tmp_path / "dl.csv"
-    code = run(["desclink", "--q", "2", "--subgroup", "sym", "--r", "1", "--n", "3",
-                "--star", "--full", "--out", str(out), "--homology-csv", str(csv_out)])
-    assert code == 0
+    argv = ["desclink", "--q", "2", "--subgroup", "sym", "--n", "3",
+            "--star", "--full", "--out", str(out), "--homology-csv", str(csv_out)]
+    assert run(argv + ["--r", "1"]) == 2  # splitting posets take no r
+    assert not out.exists()
+    assert run(argv) == 0
     doc = json.loads(out.read_text())
     assert len(doc["full_poset"]["objects"]) == 6
     assert len(doc["star_poset"]["objects"]) == 3
@@ -241,6 +245,16 @@ def test_desclink_takes_no_isomorphism_quotient(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_desclink_homology_equal_compares_degree_by_degree(tmp_path, monkeypatch):
+    # H~1 = Z for the full poset and H~2 = Z for the star poset: the same groups in other degrees
+    results = iter([SimpleNamespace(betti=[0, 1], torsion=[(), ()]),
+                    SimpleNamespace(betti=[0, 0, 1], torsion=[(), (), ()])])
+    monkeypatch.setattr(cli, "reduced_homology", lambda cc, through: next(results))
+    out = tmp_path / "dl.json"
+    assert run(["desclink", "--q", "2", "--n", "3", "--full", "--star", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["homology_equal"] is False
+
+
 def test_desclink_n1_empty(tmp_path):
     out = tmp_path / "dl1.json"
     assert run(["desclink", "--q", "2", "--n", "1", "--out", str(out)]) == 0
@@ -305,6 +319,18 @@ def test_group_stab_and_subnormal(tmp_path, sym2):
     assert run(["group", "subnormal", "--phi", str(ident), "--k", "3",
                 "--out", str(out2)]) == 0
     assert json.loads(out2.read_text())["kprime"] == 3
+
+
+def test_group_compose_reads_the_label_group_however_listed(tmp_path):
+    a = random_element(Random(1), Config.make(3, 1, "213"))
+    doc = element_to_json(a)
+    assert doc["D"] == ["123", "213"]
+    lhs, rhs = tmp_path / "a.json", tmp_path / "a-reordered.json"
+    lhs.write_text(json.dumps(doc))
+    rhs.write_text(json.dumps(dict(doc, D=["213", "123"])))
+    out = tmp_path / "aa.json"
+    assert run(["group", "compose", "--lhs", str(lhs), "--rhs", str(rhs), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["element"] == element_to_json(compose(a, a))
 
 
 def test_group_schema_error(tmp_path):

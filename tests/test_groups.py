@@ -654,6 +654,16 @@ def test_config_validation():
     assert Config.make(3, 1, "213,132").group_order == 6
 
 
+def test_config_is_identified_by_its_label_group():
+    # element JSON lists D as the sorted group, not the generators the config was made from
+    a = random_element(Random(1), Config.make(3, 1, "213"))
+    b = element_from_json(element_to_json(a))
+    assert b.config.generators != a.config.generators
+    assert b == a and hash(b.config) == hash(a.config)
+    assert compose(a, b) == compose(a, a)
+    assert Config.make(3, 1, "213,132") == Config.make(3, 1, "sym") != Config.make(3, 1, "213")
+
+
 def test_subgroup_closure_matches_naive_oracle():
     rng = Random(20261018)
     for _ in range(800):
