@@ -10,18 +10,26 @@ functions here call it and each other instead of the library's.
 validate_partition is LeafPartition.validate with the recursive complete
 prefix code check, and close_under_group_ops is the naive subgroup closure
 that multiplies every new element by every known one.  subnormal_depth is the
-upward search that calls the library's conjugates_into for k' = 0, 1, ...
+upward search that calls the library's conjugates_into for k' = 0, 1, ...,
+or the conjugates_into it is given.  stabilizer_test and conjugates_into build
+every conjugate as a full pair, composed and inverted here and reduced by
+canonical_form, and read their answers off it with the library's
+_classify_reduced and _reduced_portraits.
 """
 
 from __future__ import annotations
 
+from sphero import groups as lib
 from sphero.groups import (
     Address,
+    ArrowKind,
     LabeledIsometry,
     LeafPartition,
     TreePair,
     Word,
-    conjugates_into,
+    _classify_reduced,
+    _reduced_portraits,
+    isometry_element,
 )
 from sphero.perms import Perm, compose_perms, identity_perm, invert_perm, is_perm
 
@@ -295,8 +303,46 @@ def close_under_group_ops(gens: list[Perm] | tuple[Perm, ...], q: int) -> frozen
     return frozenset(elems)
 
 
-def subnormal_depth(phi: TreePair, k: int) -> int:
-    """Minimal k' with conjugates_into(phi, k', k), searched upward from 0.
+def stabilizer_test(gamma: TreePair, phi: TreePair) -> bool:
+    """Whether gamma fixes the class of phi: phi^-1 gamma phi is a strict transformation."""
+    if gamma.config != phi.config:
+        raise ValueError("config mismatch")
+    if phi.codomain.n != phi.config.r or gamma.domain.n != phi.config.r:
+        raise ValueError("gamma must act on the codomain forest of phi")
+    conj = compose(inverse(phi), compose(gamma, phi))  # compose reduces it
+    return _classify_reduced(conj) == ArrowKind.STRICT_TRANSFORMATION
+
+
+def labels_conjugate_into(phi: TreePair, v: Address, k: int) -> bool:
+    """Whether phi nu phi^-1 is depth-k-trivial for each single-label isometry nu
+    with a non-identity label at the internal domain vertex v."""
+    config = phi.config
+    ident = identity_perm(config.q)
+    for p in config.sorted_group():
+        if p == ident:
+            continue
+        portraits = [LabeledIsometry.identity(config.q)] * phi.domain.n
+        portraits[v[0] - 1] = LabeledIsometry.make(config.q, {v[1]: p})
+        nu = isometry_element(config, portraits, phi.domain.n)
+        found = _reduced_portraits(compose(phi, compose(nu, inverse(phi))))
+        if found is None or any(iso.min_support_depth() < k for iso in found):
+            return False
+    return True
+
+
+def conjugates_into(phi: TreePair, kprime: int, k: int) -> bool:
+    """Whether conjugation by phi carries depth-kprime-trivial strict transformations
+    into depth-k-trivial ones: labels below the leaves by their depths, labels at
+    the internal vertices by explicit conjugates."""
+    for i, (s, w) in enumerate(phi.domain.leaves):
+        if len(phi.image_leaf(i)[1]) + max(0, kprime - len(w)) < k:
+            return False
+    internal = {(s, w[:i]) for s, w in phi.domain.leaves for i in range(len(w))}
+    return all(labels_conjugate_into(phi, v, k) for v in sorted(internal) if len(v[1]) >= kprime)
+
+
+def subnormal_depth(phi: TreePair, k: int, conjugates=lib.conjugates_into) -> int:
+    """Minimal k' with conjugates(phi, k', k), searched upward from 0.
 
     The leaf depth offsets of phi give a guaranteed sufficient upper bound,
     so the search terminates.
@@ -308,6 +354,6 @@ def subnormal_depth(phi: TreePair, k: int) -> int:
         dm = len(phi.image_leaf(i)[1])
         bound = max(bound, len(w), k - dm + len(w))
     for kprime in range(0, bound + 1):
-        if conjugates_into(phi, kprime, k):
+        if conjugates(phi, kprime, k):
             return kprime
     return bound  # unreachable: the bound always satisfies the containment

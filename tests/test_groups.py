@@ -27,6 +27,7 @@ from sphero.groups import (
     common_prefix_length,
     common_refinement,
     compose,
+    conjugates_into,
     depth_triviality,
     element_from_json,
     element_to_json,
@@ -610,6 +611,84 @@ def test_subnormal_depth_matches_upward_search(rng):
                     got = subnormal_depth(phi, k)
                     assert got == oracle.subnormal_depth(phi, k), (q, d, r, j, depth, k)
                     answers.add(got - k)
+    assert len(answers) > 3  # k' above, at and below k
+
+
+DECISION_CONFIGS = [(q, d, r) for q in (2, 3) for d in ("sym", "triv") for r in (1, 2)]
+
+
+def _non_isometry(rng, config, n):
+    """An element of the n-summand forest that scales one cone: in one summand
+    the domain splits root child a, the codomain root child b != a, leaves in order."""
+    q = config.q
+    s0 = rng.randint(1, n)
+    a, b = rng.sample(range(q), 2)
+
+    def leaves(split):
+        out = [(s, ()) for s in range(1, n + 1) if s != s0]
+        for d in range(q):
+            out += [(s0, (d, e)) for e in range(q)] if d == split else [(s0, (d,))]
+        return LeafPartition(n, tuple(sorted(out)))
+
+    dom = leaves(a)
+    return TreePair(config, dom, leaves(b), tuple(range(len(dom.leaves))),
+                    (LabeledIsometry.identity(q),) * len(dom.leaves))
+
+
+def _vertex(rng, config, depth):
+    """A reduced pair onto config.r summands from r or r + q - 1 summands."""
+    q, r = config.q, config.r
+    return random_element(rng, config, depth, n=r + (q - 1) * rng.randint(0, 1), m=r)
+
+
+def test_stabilizer_test_matches_oracle(rng):
+    # gamma = phi nu phi^-1, half with nu a strict transformation and half a
+    # non-isometry, as the benchmark builds them; then unrelated gammas
+    answers = {True: 0, False: 0}
+    for q, d, r in DECISION_CONFIGS:
+        config = Config.make(q, r, d)
+        for i in range(24):
+            phi = _vertex(rng, config, rng.randint(2, 4))
+            n = phi.domain.n
+            if i % 2:
+                nu = isometry_element(config, [random_labeled_isometry(rng, config, 2)
+                                               for _ in range(n)], n)
+            else:
+                nu = _non_isometry(rng, config, n)
+            gammas = [compose(phi, compose(nu, inverse(phi))), random_element(rng, config, 3)]
+            for gamma in gammas + [_expanded(rng, g, 2) for g in gammas]:
+                got = stabilizer_test(gamma, phi)
+                assert got == oracle.stabilizer_test(gamma, phi), (q, d, r, i)
+                answers[got] += 1
+    assert answers[True] > 100 and answers[False] > 100
+
+
+def test_conjugates_into_matches_oracle(rng):
+    # vertices of r and r + q - 1 domain summands over r, every k' and k up to 4
+    answers = {True: 0, False: 0}
+    for q, d, r in DECISION_CONFIGS:
+        config = Config.make(q, r, d)
+        for _ in range(10):
+            phi = _vertex(rng, config, rng.randint(2, 4))
+            for kprime in range(5):
+                for k in range(5):
+                    got = conjugates_into(phi, kprime, k)
+                    assert got == oracle.conjugates_into(phi, kprime, k), (q, d, r, kprime, k)
+                    answers[got] += 1
+    assert answers[True] > 100 and answers[False] > 100
+
+
+def test_subnormal_depth_matches_oracle_conjugation(rng):
+    # the upward k' search on the oracle's explicit conjugates, not the library's
+    answers = set()
+    for q, d, r in DECISION_CONFIGS:
+        config = Config.make(q, r, d)
+        for _ in range(12):
+            phi = _vertex(rng, config, rng.randint(2, 5))
+            for k in range(4):
+                got = subnormal_depth(phi, k)
+                assert got == oracle.subnormal_depth(phi, k, oracle.conjugates_into), (q, d, r, k)
+                answers.add(got - k)
     assert len(answers) > 3  # k' above, at and below k
 
 
