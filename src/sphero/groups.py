@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -146,25 +147,51 @@ class LeafPartition:
     def validate(self, q: int) -> None:
         """Raise ValueError unless each summand's leaves are a complete prefix code.
 
-        One scan of the sorted leaves: a prefix sorts right before its
-        extensions, so a code is prefix-free iff no leaf is a prefix of its
-        successor, and a prefix-free code is complete iff its Kraft sum, of
-        q^(D - |w|) over its leaves w with D the deepest leaf's depth, is q^D.
+        One scan of the sorted leaves: the leaves of a complete prefix code
+        are its successive depth-first leaves.  The first is all zeros; each
+        later one is its predecessor with the trailing q-1 digits stripped,
+        the last digit raised by one, and then only zeros; the last is all
+        q-1 digits.  Summands 1..n follow one another.  Such a scan reads no
+        digit or summand out of range, so on a pass there is nothing else to
+        check.  On a failure the leaves are scanned again in order for a
+        summand or digit out of range, which is reported first, as by a
+        check of every leaf before the codes.
         """
-        depth = self.max_depth()
-        kraft = [0] * (self.n + 1)
-        bad = set()
-        for (s, w), (t, x) in zip(self.leaves, self.leaves[1:] + ((0, ()),)):
+        top = q - 1
+        bad = self._first_bad_summand(top)
+        if bad is None:
+            return
+        for s, w in self.leaves:
             if not 1 <= s <= self.n:
                 raise ValueError(f"summand {s} out of range 1..{self.n}")
             if any(d < 0 or d >= q for d in w):
                 raise ValueError(f"digit out of range in {w}")
-            kraft[s] += q ** (depth - len(w))
-            if t == s and x[:len(w)] == w:  # (t, x) is the next leaf
-                bad.add(s)
-        for s in range(1, self.n + 1):
-            if s in bad or kraft[s] != q ** depth:
-                raise ValueError(f"summand {s}: leaves are not a complete prefix code")
+        raise ValueError(f"summand {bad}: leaves are not a complete prefix code")
+
+    def _first_bad_summand(self, top: int) -> int | None:
+        """The first summand that fails the successor scan of validate, None if none does."""
+        cur, prev = 0, None  # prev: the last leaf of summand cur, None once it ended on all top digits
+        for s, w in self.leaves:
+            if s != cur:
+                if prev is not None:
+                    return cur
+                if s != cur + 1:
+                    return cur + 1
+                if any(w):
+                    return s
+                cur = s
+            elif prev is None:
+                return s
+            else:
+                i = len(prev)
+                while prev[i - 1] == top:
+                    i -= 1
+                if len(w) < i or w[i - 1] != prev[i - 1] + 1 or w[:i - 1] != prev[:i - 1] or any(w[i:]):
+                    return s
+            prev = None if w.count(top) == len(w) else w
+        if prev is not None:
+            return cur
+        return None if cur == self.n else cur + 1
 
     @staticmethod
     def roots(n: int) -> "LeafPartition":
@@ -180,20 +207,16 @@ class LeafPartition:
                 return i
         raise KeyError(f"no leaf above {format_address(a)}")
 
-    def max_depth(self) -> int:
-        return max((len(w) for _, w in self.leaves), default=0)
 
-
-def _refinement_walk(p1: LeafPartition, p2: LeafPartition):
+def _refinement_walk(l1: Sequence[Address], l2: Sequence[Address]):
     """Yield (b, i, j) for each leaf b of the common refinement, in sorted order,
-    with i and j the indices of the leaves of p1 and p2 that are prefixes of b.
+    with i and j the indices of the leaves of l1 and l2 that are prefixes of b.
 
-    p1 and p2 must be complete prefix codes on the same summands.  Their
-    current leaves are then always nested, so the deeper one is the next leaf
-    of the refinement; a side moves on once its leaf has no further leaf of
-    the other side below it.
+    l1 and l2 must be the sorted leaves of complete prefix codes on the same
+    summands.  Their current leaves are then always nested, so the deeper one
+    is the next leaf of the refinement; a side moves on once its leaf has no
+    further leaf of the other side below it.
     """
-    l1, l2 = p1.leaves, p2.leaves
     n1, n2 = len(l1), len(l2)
     i = j = 0
     while i < n1 and j < n2:
@@ -215,7 +238,7 @@ def common_refinement(p1: LeafPartition, p2: LeafPartition) -> LeafPartition:
     that lie in a ball of the other."""
     if p1.n != p2.n:
         raise ValueError("partitions live on different summand counts")
-    return LeafPartition(p1.n, tuple(b for b, _, _ in _refinement_walk(p1, p2)))
+    return LeafPartition(p1.n, tuple(b for b, _, _ in _refinement_walk(p1.leaves, p2.leaves)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,36 +483,74 @@ def inverse(g: TreePair) -> TreePair:
     return _pair(g.config, g.codomain.n, g.domain.n, _reduce(g.config, entries))
 
 
-def compose(g: TreePair, h: TreePair) -> TreePair:
-    """The element g∘h (h applied first), in canonical form.
+# A tree pair read along one of its partitions: the sorted leaves, the leaf
+# each is matched with on the other side, and the decoration of each match,
+# a map from the domain ball to the image ball.
+Side = tuple[Sequence[Address], Sequence[Address], Sequence[LabeledIsometry]]
 
-    Each leaf b of the common refinement of h's codomain and g's domain lies
-    below an image leaf j of h and below a domain leaf k of g.  Its preimage
-    under h, its image under g and the composite decoration on it make one
-    leaf of the result.  The refinement walk yields the leaves below one
-    image leaf of h in a row, so each decoration of h is inverted once.
+
+def _domain_side(g: TreePair) -> Side:
+    cod = g.codomain.leaves
+    return g.domain.leaves, [cod[j] for j in g.leaf_map], g.decorations
+
+
+def _codomain_side(g: TreePair) -> Side:
+    pre = [0] * len(g.leaf_map)  # image leaf -> its domain leaf
+    for i, j in enumerate(g.leaf_map):
+        pre[j] = i
+    dom, decs = g.domain.leaves, g.decorations
+    return g.codomain.leaves, [dom[i] for i in pre], [decs[i] for i in pre]
+
+
+def _entries_side(entries: Entries, by_image: bool) -> Side:
+    """The domain side of entries, or their codomain side if by_image."""
+    rows = sorted((img, a, dec) if by_image else (a, img, dec) for a, (img, dec) in entries.items())
+    return tuple(zip(*rows))
+
+
+def _walk(front: Side, back: Side, front_inverse: bool = False, back_inverse: bool = False) -> Entries:
+    """The entries of G∘H (H applied first), not yet reduced.
+
+    front reads G along its domain and back reads H along its codomain.  A
+    side flagged as inverse is read as its pair's inverse: the domain side of
+    P^-1 is the codomain side of P, and the codomain side of P^-1 the domain
+    side of P, each decoration inverted where the walk reaches it, so
+    inverse(P) is never built.  Each leaf b of the common refinement of H's
+    codomain and G's domain lies below an image leaf of H and below a domain
+    leaf of G.  Its preimage under H, its image under G and the composite
+    decoration on it make one entry.  The walk yields the leaves below one
+    leaf of either side in a row, so each decoration is inverted once.
     """
+    gl, gimg, gdecs = front
+    hl, hpre, hdecs = back
+    entries: Entries = {}
+    last_j = last_k = -1
+    for b, j, k in _refinement_walk(hl, gl):
+        if j != last_j:
+            last_j = j
+            (s, w), hd = hpre[j], hdecs[j]
+            hd, hd_inv = (hd.inverse(), hd) if back_inverse else (hd, hd.inverse())
+            cut = len(hl[j][1])
+        if k != last_k:
+            last_k = k
+            (ms, mw), gd = gimg[k], gdecs[k]
+            if front_inverse:
+                gd = gd.inverse()
+            gcut = len(gl[k][1])
+        u = hd_inv.apply_word(b[1][cut:])
+        v = b[1][gcut:]
+        entries[(s, w + u)] = ((ms, mw + gd.apply_word(v)), gd.restrict(v).compose(hd.restrict(u)))
+    return entries
+
+
+def compose(g: TreePair, h: TreePair) -> TreePair:
+    """The element g∘h (h applied first), in canonical form: the reduced walk of _walk."""
     if g.config != h.config:
         raise ValueError("config mismatch")
     if g.domain.n != h.codomain.n:
         raise ValueError("summand counts do not compose")
-    pre = [0] * len(h.leaf_map)  # image leaf of h -> its domain leaf
-    for i, j in enumerate(h.leaf_map):
-        pre[j] = i
-    entries: Entries = {}
-    last = -1
-    for b, j, k in _refinement_walk(h.codomain, g.domain):
-        if j != last:
-            last = j
-            i = pre[j]
-            (s, w), hd = h.domain.leaves[i], h.decorations[i]
-            hd_inv, cut = hd.inverse(), len(h.codomain.leaves[j][1])
-        u = hd_inv.apply_word(b[1][cut:])
-        v = b[1][len(g.domain.leaves[k][1]):]
-        gd = g.decorations[k]
-        ms, mw = g.image_leaf(k)
-        entries[(s, w + u)] = ((ms, mw + gd.apply_word(v)), gd.restrict(v).compose(hd.restrict(u)))
-    return _pair(g.config, h.domain.n, g.codomain.n, _reduce(g.config, entries))
+    entries = _reduce(g.config, _walk(_domain_side(g), _codomain_side(h)))
+    return _pair(g.config, h.domain.n, g.codomain.n, entries)
 
 
 def expand_leaf(g: TreePair, leaf_index: int) -> TreePair:
@@ -577,15 +638,20 @@ def stabilizer_test(gamma: TreePair, phi: TreePair) -> bool:
     """Whether gamma fixes the class of phi under postcomposition.
 
     The stabilizer consists exactly of the conjugates of strict
-    transformations, so the test conjugates gamma back through phi and
-    classifies the result.
+    transformations, so the test conjugates gamma back through phi, as
+    phi^-1 ∘ (gamma ∘ phi) on two walks with phi^-1 read in place, and
+    reads the answer off the reduced entries; no pair is built.  Only the
+    conjugate is reduced: reduced entries are unique whatever the
+    partitions they were walked on.
     """
     if gamma.config != phi.config:
         raise ValueError("config mismatch")
     if phi.codomain.n != phi.config.r or gamma.domain.n != phi.config.r:
         raise ValueError("gamma must act on the codomain forest of phi")
-    conj = compose(inverse(phi), compose(gamma, phi))  # compose reduces it
-    return _classify_reduced(conj) == ArrowKind.STRICT_TRANSFORMATION
+    phi_cod = _codomain_side(phi)
+    moved = _walk(_domain_side(gamma), phi_cod)  # gamma ∘ phi, left unreduced
+    conj = _reduce(phi.config, _walk(phi_cod, _entries_side(moved, True), front_inverse=True))
+    return all(not a[1] and img == a for a, (img, _) in conj.items())  # roots onto themselves
 
 
 def _internal_vertices(part: LeafPartition) -> list[Address]:
@@ -597,41 +663,48 @@ def _internal_vertices(part: LeafPartition) -> list[Address]:
     return sorted(out)
 
 
-def _single_label_isometry(config: Config, n: int, vertex: Address, label: Perm) -> TreePair:
-    portraits = [LabeledIsometry.identity(config.q) for _ in range(n)]
-    portraits[vertex[0] - 1] = LabeledIsometry.make(config.q, {vertex[1]: label})
-    return isometry_element(config, portraits, n)
-
-
 def conjugates_into(phi: TreePair, kprime: int, k: int) -> bool:
     """Whether phi carries every depth-kprime-trivial strict transformation of
     its domain forest into a depth-k-trivial one of its codomain forest.
 
     Labels strictly below a domain leaf conjugate to labels at a computable
     depth, so only those cases are checked analytically; the finitely many
-    labels above the leaves are conjugated explicitly.
+    labels above the leaves are conjugated explicitly, by
+    _labels_conjugate_into, which builds no pair.
     """
-    phi_inv = inverse(phi)
     for i, (s, w) in enumerate(phi.domain.leaves):
         dm = len(phi.image_leaf(i)[1])
         # a label at relative depth t >= max(0, kprime - len(w)) below this leaf
         # lands at depth dm + t in the codomain
         if dm + max(0, kprime - len(w)) < k:
             return False
-    return all(_labels_conjugate_into(phi, phi_inv, v, k)
+    phi_dom = _domain_side(phi)
+    return all(_labels_conjugate_into(phi, phi_dom, v, k)
                for v in _internal_vertices(phi.domain) if len(v[1]) >= kprime)
 
 
-def _labels_conjugate_into(phi: TreePair, phi_inv: TreePair, v: Address, k: int) -> bool:
+def _labels_conjugate_into(phi: TreePair, phi_dom: Side, v: Address, k: int) -> bool:
     """Whether phi carries each single non-identity label at the internal
-    domain vertex v into a depth-k-trivial strict transformation."""
-    ident = identity_perm(phi.config.q)
-    for p in phi.config.sorted_group():
+    domain vertex v into a depth-k-trivial strict transformation.
+
+    phi_dom is _domain_side(phi).  Each conjugate phi nu phi^-1 is read as
+    (phi ∘ nu) ∘ phi^-1 on two walks, with nu read off its one label and
+    phi^-1 in place, and no pair is built.  It is depth-k-trivial and strict
+    iff its reduced entries send each summand root to itself with portraits,
+    their decorations, that have no label shallower than k.
+    """
+    config = phi.config
+    q, n = config.q, phi.domain.n
+    roots = [(s, ()) for s in range(1, n + 1)]
+    ident = identity_perm(q)
+    for p in config.sorted_group():
         if p != ident:
-            nu = _single_label_isometry(phi.config, phi.domain.n, v, p)
-            # compose reduces; depth_triviality < k iff some portrait has a label shallower than k
-            portraits = _reduced_portraits(compose(phi, compose(nu, phi_inv)))
-            if portraits is None or any(iso.min_support_depth() < k for iso in portraits):
+            portraits = [LabeledIsometry.identity(q)] * n
+            portraits[v[0] - 1] = LabeledIsometry(q, ((v[1], p),))
+            moved = _walk(phi_dom, (roots, roots, portraits))  # phi ∘ nu
+            conj = _reduce(config, _walk(_entries_side(moved, False), phi_dom, back_inverse=True))
+            if any(a[1] or img != a or dec.min_support_depth() < k
+                   for a, (img, dec) in conj.items()):
                 return False
     return True
 
@@ -651,8 +724,8 @@ def subnormal_depth(phi: TreePair, k: int) -> int:
 
     The answer is max(kA, kB), found by scanning the internal vertices of depth
     >= kA deepest first: the first failure at depth d gives d + 1 > kA, and
-    no failure gives kA.  phi^-1 is computed once, and only if a conjugation
-    is tried.  The answer never exceeds bound = max over the leaves of
+    no failure gives kA.  phi is read along its domain once, and only if a
+    conjugation is tried.  The answer never exceeds bound = max over the leaves of
     max(|w|, |w| + k - dm), at which an upward search over k' = 0, 1, ...
     always stops: kA <= bound, and every internal vertex lies strictly above
     a leaf, so kB <= the depth of the deepest leaf <= bound.
@@ -668,9 +741,9 @@ def subnormal_depth(phi: TreePair, k: int) -> int:
                   key=lambda v: -len(v[1]))
     if phi.config.group_order == 1 or not scan:
         return ka
-    phi_inv = inverse(phi)
+    phi_dom = _domain_side(phi)
     for v in scan:
-        if not _labels_conjugate_into(phi, phi_inv, v, k):
+        if not _labels_conjugate_into(phi, phi_dom, v, k):
             return len(v[1]) + 1
     return ka
 

@@ -291,7 +291,7 @@ def test_criterion_09_stabilizers_and_fixed_sets():
     def strictness_oracle(psi: TreePair) -> bool:
         # action-based: summand- and depth-preserving with every induced
         # child permutation in D, read off the boundary action alone
-        depth = max(psi.domain.max_depth(), psi.codomain.max_depth()) + 1
+        depth = max(len(w) for _, w in psi.domain.leaves + psi.codomain.leaves) + 1
         act = psi.act_on_depth(depth)
         for (s, w), (s2, w2) in act.items():
             if s2 != s or len(w2) != len(w):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -20,8 +21,11 @@ from sphero.groups import (
     LeafPartition,
     TreePair,
     _entries,
+    _codomain_side,
+    _domain_side,
     _reduce,
     _refinement_walk,
+    _walk,
     canonical_form,
     classify_arrow,
     common_prefix_length,
@@ -135,6 +139,21 @@ def test_partition_validation_matches_prefix_code_oracle(rng):
                 assert got == _verdict(oracle.validate_partition, p, q), leaves
                 verdicts.add(got and ("code" if "prefix code" in got else got.split()[0]))
     assert verdicts == {None, "code", "summand", "digit"}  # every outcome was reached
+
+
+def test_partition_validation_matches_oracle_on_every_small_leaf_set():
+    # every set of words up to depth 3 at q=2 and depth 2 at q=3 on one
+    # summand, and up to depth 1 at q=2 on two, as leaves
+    valid = 0
+    for q, n, depth in ((2, 1, 3), (3, 1, 2), (2, 2, 1)):
+        words = [w for d in range(depth + 1) for w in product(range(q), repeat=d)]
+        addresses = [(s, w) for s in range(1, n + 1) for w in words]
+        for mask in range(1 << len(addresses)):
+            p = LeafPartition(n, tuple(sorted(a for i, a in enumerate(addresses) if mask >> i & 1)))
+            got = _verdict(LeafPartition.validate, p, q)
+            assert got == _verdict(oracle.validate_partition, p, q), p.leaves
+            valid += got is None
+    assert valid == 26 + 9 + 2 * 2  # complete codes: c(d) = 1 + c(d - 1)^q, c(0) = 1
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +422,27 @@ def test_refinement_walk_indexes_the_leaves_above(rng):
                 for a, b in ((p1, p2), (p2, p1), (p1, p1), (p1, finer), (finer, p1)):
                     want = [(c, a.leaf_index_of(c), b.leaf_index_of(c))
                             for c in oracle.common_refinement(a, b).leaves]
-                    assert list(_refinement_walk(a, b)) == want
+                    assert list(_refinement_walk(a.leaves, b.leaves)) == want
                     assert common_refinement(a, b).leaves == tuple(c for c, _, _ in want)
                     walked += len(want)
     assert walked > 2000
+
+
+def test_walk_reads_either_factor_as_its_inverse(rng):
+    # the reduced walk with a side read as its inverse is the composite with
+    # that factor inverted, against the oracle's built inverses and composites
+    for q, d, r in ORACLE_CONFIGS:
+        config = Config.make(q, r, d)
+        for _ in range(8):
+            g, h = (_expanded(rng, random_element(rng, config, 3), rng.randint(0, 2)) for _ in range(2))
+            cases = [
+                (_codomain_side(g), _codomain_side(h), True, False, oracle.inverse(g), h),
+                (_domain_side(g), _domain_side(h), False, True, g, oracle.inverse(h)),
+                (_codomain_side(g), _domain_side(h), True, True, oracle.inverse(g), oracle.inverse(h)),
+            ]
+            for front, back, front_inverse, back_inverse, a, b in cases:
+                entries = _reduce(config, _walk(front, back, front_inverse, back_inverse))
+                assert entries == _entries(oracle.compose(a, b))
 
 
 def test_compose_and_inverse_build_one_pair(rng, monkeypatch):
@@ -443,6 +479,27 @@ def test_forest_portraits_builds_no_pair_on_a_reduced_strict_transformation(rng,
     monkeypatch.setattr(TreePair, "__post_init__", counted)
     assert forest_portraits(nu) is not None and forest_portraits(strict) is not None
     forest_portraits(conj)
+    assert built == []
+
+
+def test_group_decisions_build_no_pair(rng, monkeypatch):
+    # stabilizer_test, conjugates_into and subnormal_depth return no pair, so they build none
+    config = Config.make(3, 1, "sym")
+    phi = random_element(rng, config, 3, n=3, m=1)
+    nu = isometry_element(config, [random_labeled_isometry(rng, config) for _ in range(3)], 3)
+    gamma = compose(phi, compose(nu, inverse(phi)))
+    scaled = compose(phi, compose(_non_isometry(rng, config, 3), inverse(phi)))
+    built = []
+    init = TreePair.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(TreePair, "__post_init__", counted)
+    assert stabilizer_test(gamma, phi) and not stabilizer_test(scaled, phi)
+    conjugates_into(phi, 1, 2)
+    subnormal_depth(phi, 2)
     assert built == []
 
 
@@ -636,9 +693,16 @@ def _non_isometry(rng, config, n):
 
 
 def _vertex(rng, config, depth):
-    """A reduced pair onto config.r summands from r or r + q - 1 summands."""
+    """A pair onto config.r summands from r or r + q - 1 summands, reduced or expanded.
+
+    A label at an internal vertex of a reduced pair seldom conjugates to a
+    strict transformation: where the children's balls map to sibling balls
+    of one depth, the reduction has merged them.  Expanded leaves give
+    internal vertices inside such balls.
+    """
     q, r = config.q, config.r
-    return random_element(rng, config, depth, n=r + (q - 1) * rng.randint(0, 1), m=r)
+    phi = random_element(rng, config, depth, n=r + (q - 1) * rng.randint(0, 1), m=r)
+    return _expanded(rng, phi, rng.choice((0, 0, 1, 2, 3)))
 
 
 def test_stabilizer_test_matches_oracle(rng):
@@ -664,12 +728,17 @@ def test_stabilizer_test_matches_oracle(rng):
 
 
 def test_conjugates_into_matches_oracle(rng):
-    # vertices of r and r + q - 1 domain summands over r, every k' and k up to 4
+    # vertices of r and r + q - 1 domain summands over r, and splits of r
+    # summands onto r + q - 1, where a conjugate can permute the summands;
+    # every k' and k up to 4
     answers = {True: 0, False: 0}
     for q, d, r in DECISION_CONFIGS:
         config = Config.make(q, r, d)
-        for _ in range(10):
-            phi = _vertex(rng, config, rng.randint(2, 4))
+        for i in range(12):
+            if i % 3:
+                phi = _vertex(rng, config, rng.randint(2, 4))
+            else:
+                phi = _expanded(rng, random_element(rng, config, 3, n=r, m=r + q - 1), rng.randint(0, 2))
             for kprime in range(5):
                 for k in range(5):
                     got = conjugates_into(phi, kprime, k)
