@@ -195,24 +195,41 @@ def order_complex(p: GenPoset):
     if not p.is_honest:
         raise PosetError("order complex requires an honest poset; collapse isomorphisms first")
     p.require_valid()
-    return flag_complex(*neighbour_masks(p.objects, p.arrows), len(p.objects) - 1)
+    return flag_complex(*neighbour_masks(p.objects, p.arrows), _height(p))
+
+
+def _predecessors_in_order(p: GenPoset) -> dict[ObjId, list[ObjId]]:
+    """The predecessors of each object of an honest poset, keyed in a topological order.
+
+    In a composition-closed honest poset an arrow a -> b gives b every
+    predecessor of a, and a too, so sorting by the number of predecessors is
+    a topological order.
+    """
+    preds: dict[ObjId, list[ObjId]] = {o: [] for o in p.objects}
+    for a, b in p.arrows:
+        preds[b].append(a)
+    return {o: preds[o] for o in sorted(p.objects, key=lambda o: len(preds[o]))}
 
 
 def chain_count(p: GenPoset) -> int:
     """The number of chains of an honest poset, all lengths: the cells of its order complex.
 
     Each object ends one chain of its own and one more for each chain ending
-    at a predecessor, summed in a topological order.  In a composition-closed
-    honest poset an arrow a -> b gives b every predecessor of a, and a too, so
-    sorting by the number of predecessors is one.
+    at a predecessor.
     """
-    preds: dict[ObjId, list[ObjId]] = {o: [] for o in p.objects}
-    for a, b in p.arrows:
-        preds[b].append(a)
     ending: dict[ObjId, int] = {}
-    for o in sorted(p.objects, key=lambda o: len(preds[o])):
-        ending[o] = 1 + sum(ending[a] for a in preds[o])
+    for o, before in _predecessors_in_order(p).items():
+        ending[o] = 1 + sum(ending[a] for a in before)
     return sum(ending.values())
+
+
+def _height(p: GenPoset) -> int:
+    """The length of the longest chain of an honest poset (its objects less one; -1 if empty):
+    the dimension of its order complex."""
+    longest: dict[ObjId, int] = {}
+    for o, before in _predecessors_in_order(p).items():
+        longest[o] = 1 + max((longest[a] for a in before), default=0)
+    return max(longest.values(), default=0) - 1
 
 
 def descending_link(c: GenPoset, x: ObjId, lower) -> tuple[GenPoset, GenPoset]:

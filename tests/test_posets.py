@@ -7,6 +7,7 @@ from homology_oracle import (chains_oracle, complex_from_simplices, reduced_homo
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphero import posets
 from sphero.homology import reduced_homology
 from sphero.posets import (
     GenPoset,
@@ -215,6 +216,33 @@ def test_order_complex_matches_chains_oracle():
     # the cliques are the chains only for a relation closed under composition
     with pytest.raises(PosetError, match="missing composite"):
         order_complex(GenPoset.make(["a", "b", "c"], [("a", "b"), ("b", "c")]))
+
+
+def test_order_complex_dimension_is_the_height(monkeypatch):
+    # flag_complex is capped at the longest chain's length, not the object count
+    caps = []
+    real = posets.flag_complex
+    monkeypatch.setattr(posets, "flag_complex", lambda *args: caps.append(args[2]) or real(*args))
+    verts, edges = ["1", "2", "3"], ["12", "13", "23"]
+    samples = [
+        transitive_closure(["0", "1", "2", "3"], [("0", "1"), ("1", "2"), ("2", "3")]),
+        GenPoset.make(["a", "b", "c"], []),
+        GenPoset.make(verts + edges, [(v, e) for v in verts for e in edges if v in e]),
+        coone(GenPoset.make(["a", "b"], []), GenPoset.make(["c", "d"], [])),
+    ]
+    rng = Random(20261020)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        ids = [f"x{i}" for i in range(n)]
+        rng.shuffle(ids)
+        samples.append(transitive_closure(ids, [(ids[i], ids[j]) for i in range(n)
+                                                for j in range(i + 1, n) if rng.random() < 0.3]))
+    heights = set()
+    for p in samples:
+        height = len(chains_oracle(p)) - 1
+        assert order_complex(p).dim == height == caps[-1]
+        heights.add(height)
+    assert {0, 1, 2, 3} <= heights
 
 
 def test_descending_link_parts():
