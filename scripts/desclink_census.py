@@ -34,7 +34,7 @@ def main() -> int:
             for r in records:
                 by_k[r.k] = by_k.get(r.k, 0) + 1
             full = split_class_poset(records)
-            star, _ = elementary_split_poset(full, records)
+            star = elementary_split_poset(full, records)
             # split posets are honest (every arrow adds blocks), so no quotient is taken
             hf = reduced_homology(order_complex(full), 2)
             hs = reduced_homology(order_complex(star), 2)

@@ -208,9 +208,9 @@ def cmd_desclink(args) -> int:
             rows += [["full"] + r for r in frows]
             payload["full_components"] = len(full.components())
         if want_star:
-            star, inclusion = elementary_split_poset(full, records)
+            star = elementary_split_poset(full, records)
             payload["star_poset"] = star.to_json()
-            payload["inclusion"] = inclusion
+            payload["inclusion"] = {o: o for o in star.objects}  # a full subcategory keeps its ids
             srows = _poset_homology_rows(star)
             rows += [["star"] + r for r in srows]
             payload["star_components"] = len(star.components())

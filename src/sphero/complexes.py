@@ -458,16 +458,13 @@ def _cut_runs(words: tuple[Word, ...], cut: tuple[Word, ...]) -> list[tuple[int,
     return runs
 
 
-def elementary_split_poset(full: GenPoset, records: list[SplitRecord]) -> tuple[GenPoset, dict[str, str]]:
-    """Subposet of very elementary splitting classes, with its inclusion map.
+def elementary_split_poset(full: GenPoset, records: list[SplitRecord]) -> GenPoset:
+    """Subposet of very elementary splitting classes.
 
     ``full`` is ``split_class_poset(records)``; the subposet is its full
-    subcategory on the very elementary records.
+    subcategory on the very elementary records, so it keeps their object ids.
     """
-    keep = {r.object_id() for r in records if r.is_very_elementary}
-    sub = full.full_subcategory(keep)
-    inclusion = {o: o for o in sub.objects}
-    return sub, inclusion
+    return full.full_subcategory({r.object_id() for r in records if r.is_very_elementary})
 
 
 def elementary_record_to_simplex(record: SplitRecord) -> tuple[DecoratedVertex, ...]:

@@ -142,8 +142,8 @@ def test_criterion_05_lk_star_vs_lk():
         for n in range(2, nmax + 1):
             records = split_records(config, n)
             full = split_class_poset(records)
-            star, inclusion = elementary_split_poset(full, records)
-            assert set(inclusion) <= set(full.objects)
+            star = elementary_split_poset(full, records)
+            assert set(star.objects) <= set(full.objects)
             if not full.objects:
                 assert not star.objects
                 continue
@@ -163,7 +163,7 @@ def test_criterion_05_lk_star_vs_lk():
     config = Config.make(2, 1, "sym")
     records = split_records(config, 3)
     full = split_class_poset(records)
-    star, _ = elementary_split_poset(full, records)
+    star = elementary_split_poset(full, records)
     assert len(full.objects) == 6 and len(star.objects) == 3
     for poset in (full, star):
         comps = poset.components()
