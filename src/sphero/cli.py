@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -244,12 +245,23 @@ GROUP_OPS = {
 }
 
 
+def _element_sha256(g: TreePair) -> str:
+    """SHA-256 of an element's canonical JSON: element_to_json, sorted keys, no spaces."""
+    text = json.dumps(element_to_json(g), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def cmd_group(args) -> int:
     files, ints, fn, key = GROUP_OPS[args.op]
-    answer = fn(*[_load_element(getattr(args, f)) for f in files], *[getattr(args, i) for i in ints])
+    elements = [_load_element(getattr(args, f)) for f in files]
+    numbers = [getattr(args, i) for i in ints]
+    answer = fn(*elements, *numbers)
     if key == "element":
         answer = element_to_json(answer)
-    manifest = _manifest(f"group-{args.op}", {"op": args.op}, args.seed)
+    # the manifest records every input: the integer flags, and a digest per element file
+    params = {"op": args.op, **dict(zip(ints, numbers)),
+              **{f"{f}_sha256": _element_sha256(g) for f, g in zip(files, elements)}}
+    manifest = _manifest(f"group-{args.op}", params, args.seed)
     _write_atomic(args.out, _json_text(manifest, {key: answer}))
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from random import Random
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from sphero.cli import main
 from sphero.groups import Config, compose, element_to_json, identity_element, inverse, random_element
 
 from conftest import make_x0
+from golden_cases import GOLDEN
 
 
 def run(args):
@@ -319,6 +321,28 @@ def test_group_stab_and_subnormal(tmp_path, sym2):
     assert run(["group", "subnormal", "--phi", str(ident), "--k", "3",
                 "--out", str(out2)]) == 0
     assert json.loads(out2.read_text())["kprime"] == 3
+
+
+def test_group_manifest_records_its_inputs(tmp_path):
+    # --k and each element's digest are in the manifest, so runs that write
+    # different answers write different manifests
+    phi = os.path.join(GOLDEN, "inputs", "q2-sym-r1-a.json")
+    docs = {}
+    for k in ("0", "5"):
+        out = tmp_path / f"k{k}.json"
+        assert run(["group", "subnormal", "--phi", phi, "--k", k, "--out", str(out)]) == 0
+        docs[k] = json.loads(out.read_text())
+    assert docs["0"]["kprime"] != docs["5"]["kprime"]
+    assert docs["0"]["manifest"] != docs["5"]["manifest"]
+    assert [d["manifest"]["params"]["k"] for d in docs.values()] == [0, 5]
+    # the digest is of the element, not of the file's bytes
+    with open(phi) as fh:
+        element = json.load(fh)
+    respaced = tmp_path / "respaced.json"
+    respaced.write_text(json.dumps(element, indent=4))
+    out = tmp_path / "respaced-out.json"
+    assert run(["group", "subnormal", "--phi", str(respaced), "--k", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["manifest"] == docs["0"]["manifest"]
 
 
 def test_group_compose_reads_the_label_group_however_listed(tmp_path):
