@@ -202,16 +202,16 @@ def cmd_desclink(args) -> int:
         payload = {}
         rows = []
         records = split_records(config, args.n, cap=args.cap)
-        full = split_class_poset(records)
         if want_full:
+            full = split_class_poset(records)
             payload["full_poset"] = full.to_json()
             frows = _poset_homology_rows(full)
             rows += [["full"] + r for r in frows]
             payload["full_components"] = len(full.components())
         if want_star:
-            star = elementary_split_poset(full, records)
+            star = elementary_split_poset(records)
             payload["star_poset"] = star.to_json()
-            payload["inclusion"] = {o: o for o in star.objects}  # a full subcategory keeps its ids
+            payload["inclusion"] = {o: o for o in star.objects}  # both posets name objects by record id
             srows = _poset_homology_rows(star)
             rows += [["star"] + r for r in srows]
             payload["star_components"] = len(star.components())

@@ -415,7 +415,8 @@ def has_arrow(r1: SplitRecord, r2: SplitRecord) -> bool:
 def split_class_poset(records: list[SplitRecord]) -> GenPoset:
     """Poset of splitting classes below a level-n vertex, arrows by factorization.
 
-    ``records`` is ``split_records(config, n)``, one object per record.
+    ``records`` is ``split_records(config, n)``, or a part of it (see
+    ``elementary_split_poset``), one object per record.
     Arrows are generated from the coarser record: every choice of one cut per
     block induces a finer set of blocks, which is a record unless it is the
     all-singletons partition.  This is the condition of ``has_arrow``.
@@ -458,13 +459,17 @@ def _cut_runs(words: tuple[Word, ...], cut: tuple[Word, ...]) -> list[tuple[int,
     return runs
 
 
-def elementary_split_poset(full: GenPoset, records: list[SplitRecord]) -> GenPoset:
-    """Subposet of very elementary splitting classes.
+def elementary_split_poset(records: list[SplitRecord]) -> GenPoset:
+    """Subposet of very elementary splitting classes, built from those records alone.
 
-    ``full`` is ``split_class_poset(records)``; the subposet is its full
-    subcategory on the very elementary records, so it keeps their object ids.
+    ``split_class_poset`` generates each arrow from its coarser record, so
+    given the very elementary records it builds every arrow between them and
+    no other; a cut of a very elementary block is the block itself or its q
+    singletons, so each record has few cuts to try.  The result is the full
+    subcategory of ``split_class_poset(records)`` on those records, with the
+    same object ids.
     """
-    return full.full_subcategory({r.object_id() for r in records if r.is_very_elementary})
+    return split_class_poset([r for r in records if r.is_very_elementary])
 
 
 def elementary_record_to_simplex(record: SplitRecord) -> tuple[DecoratedVertex, ...]:

@@ -72,20 +72,12 @@ class GenPoset:
         return sorted(a for a, b in self.arrows if b == x)
 
     def full_subcategory(self, keep) -> "GenPoset":
-        """The objects in keep with every arrow between them.
-
-        A composite of two kept arrows joins kept objects, so the full
-        subcategory of a poset already found composition-closed is closed
-        too, and it is not scanned again.
-        """
+        """The objects in keep with every arrow between them."""
         keep = set(keep)
-        sub = GenPoset.make(
+        return GenPoset.make(
             [o for o in self.objects if o in keep],
             [(a, b) for a, b in self.arrows if a in keep and b in keep],
         )
-        if "_witness" in self.__dict__ and self._witness is None:
-            sub.__dict__["_witness"] = None
-        return sub
 
     def components(self) -> list[frozenset[ObjId]]:
         """Connected components of the underlying undirected graph."""

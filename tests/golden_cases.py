@@ -101,8 +101,10 @@ def _cases() -> list[tuple[str, list[str], Outputs]]:
         name = f"desclink-q{q}-{d}-n{n}"
         argv = ["desclink", "--q", str(q), "--subgroup", d, "--n", str(n), "--full", "--star"]
         cases.append((name, argv, _json_out(name) + (("--homology-csv", name + ".csv"),)))
-    # the star poset alone, the full poset alone (no model flag), and n=1, which has no split
+    # the star poset alone, the full poset alone (no model flag), and n=1, which has no split;
+    # at (2,triv,6) the star poset alone fits where the full poset's order complex does not
     for name, q, d, n, models in (("desclink-q2-sym-n4-star", 2, "sym", 4, ["--star"]),
+                                  ("desclink-q2-triv-n6-star", 2, "triv", 6, ["--star"]),
                                   ("desclink-q3-triv-n4-full", 3, "triv", 4, []),
                                   ("desclink-q2-sym-n1", 2, "sym", 1, ["--full", "--star"])):
         argv = ["desclink", "--q", str(q), "--subgroup", d, "--n", str(n)] + models

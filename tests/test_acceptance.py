@@ -142,7 +142,7 @@ def test_criterion_05_lk_star_vs_lk():
         for n in range(2, nmax + 1):
             records = split_records(config, n)
             full = split_class_poset(records)
-            star = elementary_split_poset(full, records)
+            star = elementary_split_poset(records)
             assert set(star.objects) <= set(full.objects)
             if not full.objects:
                 assert not star.objects
@@ -163,7 +163,7 @@ def test_criterion_05_lk_star_vs_lk():
     config = Config.make(2, 1, "sym")
     records = split_records(config, 3)
     full = split_class_poset(records)
-    star = elementary_split_poset(full, records)
+    star = elementary_split_poset(records)
     assert len(full.objects) == 6 and len(star.objects) == 3
     for poset in (full, star):
         comps = poset.components()

@@ -182,29 +182,6 @@ def test_desclink_full_and_star(tmp_path):
     assert lines[1] == "model,dim,betti,torsion"
 
 
-def test_desclink_full_and_star_enumerates_once(tmp_path, monkeypatch):
-    # the star poset is cut from the full poset and records the command built
-    from sphero import cli, complexes
-
-    calls = {"split_records": 0, "split_class_poset": 0}
-
-    def counted(name):
-        fn = getattr(complexes, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        wrapped = counted(name)
-        monkeypatch.setattr(complexes, name, wrapped)
-        monkeypatch.setattr(cli, name, wrapped, raising=False)
-    assert run(["desclink", "--q", "2", "--subgroup", "sym", "--n", "4", "--full", "--star",
-                "--out", str(tmp_path / "dl.json")]) == 0
-    assert calls == {"split_records": 1, "split_class_poset": 1}
-
-
 def _spy(monkeypatch, module, name):
     """Record the arguments of every call to module.name, in each sphero module that binds it."""
     calls = []
@@ -218,6 +195,33 @@ def _spy(monkeypatch, module, name):
         if (mod_name == "sphero" or mod_name.startswith("sphero.")) and vars(mod).get(name) is fn:
             monkeypatch.setattr(mod, name, wrapper)
     return calls
+
+
+def test_desclink_full_and_star_enumerates_once(tmp_path, monkeypatch):
+    # one enumeration of records, and each model's poset built from its own records
+    from sphero import complexes
+
+    enumerated = _spy(monkeypatch, complexes, "split_records")
+    built = _spy(monkeypatch, complexes, "split_class_poset")
+    assert run(["desclink", "--q", "2", "--subgroup", "sym", "--n", "4", "--full", "--star",
+                "--out", str(tmp_path / "dl.json")]) == 0
+    assert len(enumerated) == 1
+    [(records,), (elementary,)] = built
+    assert len(records) == 36
+    assert elementary == [r for r in records if r.is_very_elementary] and len(elementary) == 9
+
+
+def test_desclink_star_builds_only_the_very_elementary_poset(tmp_path, monkeypatch):
+    # the star model never builds the full poset's arrows
+    from sphero import complexes
+
+    built = _spy(monkeypatch, complexes, "split_class_poset")
+    out = tmp_path / "dl.json"
+    assert run(["desclink", "--q", "2", "--subgroup", "triv", "--n", "4", "--star",
+                "--out", str(out)]) == 0
+    [(records,)] = built
+    assert records and all(r.is_very_elementary for r in records)
+    assert len(records) == len(json.loads(out.read_text())["star_poset"]["objects"])
 
 
 def test_verify_nu_reduces_each_row_once(tmp_path, monkeypatch):

@@ -254,17 +254,30 @@ def test_split_poset_trivial_cases(sym2):
 
 def test_star_poset_n3(sym2):
     records = split_records(sym2, 3)
-    star = elementary_split_poset(split_class_poset(records), records)
+    star = elementary_split_poset(records)
     assert len(star.objects) == 3
     assert len(star.arrows) == 0
     assert set(star.objects) == {r.object_id() for r in records if r.is_very_elementary}
+
+
+@pytest.mark.parametrize("q,d,nmax", [(2, "sym", 6), (2, "triv", 5), (3, "sym", 6),
+                                      (3, "triv", 6), (3, "213", 6), (3, "231", 6)])
+def test_elementary_split_poset_is_the_full_subcategory(q, d, nmax):
+    # oracle: the very elementary poset cut out of the full poset, as desclink once built it
+    config = Config.make(q, 1, d)
+    for n in range(1, nmax + 1):
+        records = split_records(config, n)
+        elementary = {r.object_id() for r in records if r.is_very_elementary}
+        star = elementary_split_poset(records)
+        assert star == split_class_poset(records).full_subcategory(elementary), (q, d, n)
+        assert set(star.objects) == elementary
 
 
 def test_star_poset_empty_below_q(sym3):
     # a size-q block needs q targets, so nothing splits below n = q
     records = split_records(sym3, 2)
     full = split_class_poset(records)
-    star = elementary_split_poset(full, records)
+    star = elementary_split_poset(records)
     assert star.objects == ()
     assert full.objects == ()
 
@@ -274,7 +287,7 @@ def test_star_poset_matches_complex(sym2, triv2):
     for config in (sym2, triv2):
         for n in (3, 4):
             recs = split_records(config, n)
-            star = elementary_split_poset(split_class_poset(recs), recs)
+            star = elementary_split_poset(recs)
             cx = build_complex(config, n)
             records = {r.object_id(): r for r in recs}
             simplex_of = {oid: elementary_record_to_simplex(records[oid])
@@ -291,7 +304,7 @@ def test_lk_star_homology_matches_complex(sym2, triv2):
     for config in (sym2, triv2):
         for n in (3, 4):
             records = split_records(config, n)
-            star = elementary_split_poset(split_class_poset(records), records)
+            star = elementary_split_poset(records)
             honest, _ = underlying_poset(star)
             res_star = reduced_homology(order_complex(honest), 2)
             res_cx = reduced_homology(build_complex(config, n).chain_complex(3), 2)
@@ -305,7 +318,7 @@ def test_split_posets_are_honest(q, d, n):
     config = Config.make(q, 1, d)
     records = split_records(config, n)
     full = split_class_poset(records)
-    star = elementary_split_poset(full, records)
+    star = elementary_split_poset(records)
     for poset in (full, star):
         assert poset.objects and not poset.iso_pairs()
         assert underlying_poset(poset)[0] == poset

@@ -57,26 +57,6 @@ def test_validate_scans_each_poset_once(monkeypatch):
     assert scanned == [good, bad]
 
 
-def test_full_subcategory_of_a_checked_poset_is_not_scanned(monkeypatch):
-    scanned = []
-    scan = GenPoset._witness.func
-    counted = cached_property(lambda self: scanned.append(self) or scan(self))
-    counted.__set_name__(GenPoset, "_witness")
-    monkeypatch.setattr(GenPoset, "_witness", counted)
-    chain = transitive_closure("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
-    unchecked = chain.full_subcategory("ace")
-    checked = chain.require_valid().full_subcategory("ace")
-    assert checked == unchecked and scanned == [chain]
-    assert reduced_homology(order_complex(checked), 0) == reduced_homology(order_complex(unchecked), 0)
-    assert scanned == [chain, unchecked]
-    # a subcategory of a poset with a missing composite is still scanned
-    bad = GenPoset.make("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c"), ("b", "d")])
-    assert bad.validate() == ("a", "b", "d")
-    assert bad.full_subcategory("abd").validate() == ("a", "b", "d")
-    assert bad.full_subcategory("abc").validate() is None
-    assert len(scanned) == 5
-
-
 def test_iso_pair_is_valid():
     p = GenPoset.make(["a", "b"], [("a", "b"), ("b", "a")])
     assert p.validate() is None
