@@ -12,8 +12,9 @@ object only (see ``count_cell_orbits``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, combinations_with_replacement, groupby, permutations, product
+from operator import or_
 
 from .groups import Address, Config, LabeledIsometry, LeafPartition, TreePair, Word
 from .homology import ChainComplex, flag_complex
@@ -63,20 +64,20 @@ class DecoratedComplex:
         """Bit j of neighbours[i] is set when vertices i and j have disjoint supports.
 
         Vertices come in runs that share a support, and every vertex of a run
-        has the same neighbours: the union of the runs whose supports miss its
-        own.  So the masks take a test per pair of runs, not per pair of
-        vertices.
+        has the same neighbours: the vertices outside the OR of meets[x], the
+        mask of the vertices whose support holds x, over x in its support.
+        That is O(q) mask operations per run, not a test per pair of runs.
         """
-        runs = []  # (support bitmask, bitmask of the run's vertices, run length)
+        runs = [(s, len(list(run))) for s, run in groupby(self.vertices, key=lambda v: v.support)]
+        meets = [0] * (self.n + 1)
         start = 0
-        for support, run in groupby(self.vertices, key=lambda v: v.support):
-            k = len(list(run))
-            runs.append((sum(1 << x for x in support), ((1 << k) - 1) << start, k))
+        for support, k in runs:
+            for x in support:
+                meets[x] |= ((1 << k) - 1) << start
             start += k
-        out: list[int] = []
-        for s, _, k in runs:
-            out += [sum(block for t, block, _ in runs if not s & t)] * k
-        return tuple(out)
+        every = (1 << start) - 1
+        return tuple(chain.from_iterable([every ^ reduce(or_, map(meets.__getitem__, support))] * k
+                                         for support, k in runs))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

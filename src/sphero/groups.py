@@ -141,8 +141,12 @@ class LeafPartition:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("summand count must be at least 1")
-        if list(self.leaves) != sorted(self.leaves):
-            raise ValueError("leaves must be canonically sorted")
+        it = iter(self.leaves)
+        prev = next(it, None)
+        for leaf in it:  # adjacent pairs in one scan; equal leaves pass here and fail validate()
+            if not prev <= leaf:
+                raise ValueError("leaves must be canonically sorted")
+            prev = leaf
 
     def validate(self, q: int) -> None:
         """Raise ValueError unless each summand's leaves are a complete prefix code.

@@ -50,10 +50,11 @@ v: that is the column's low, found without its other entries.  Most
 columns are emergent (Ripser's emergent pairs): no earlier column holds a
 pivot on their low.  Such a column is not reduced at all, so
 its unreduced entries, +-1 at the low and entries on smaller cofaces, are
-its pivot column as they stand; it stays its (face, coface vertices) pair,
-and its entries are built only when a later column is reduced against it.
-Rows that carry a unit pivot in one coboundary name columns of the next
-that reduce to zero, and those columns are left out.
+its pivot column as they stand; it stays its face's index in the listing,
+read in place, and its entries are built only when a later column is
+reduced against it.  Rows that carry a unit pivot in one coboundary name
+columns of the next that reduce to zero, and the next pass leaves out the
+columns on its pivot table's rows.
 This is exact over the integers, in any vertex order.
 For the forest, d1 d2 = 0 and peeling the forest from its leaves write each
 forest-edge row of d2 as an integer combination of the other rows.  Above
@@ -102,7 +103,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -456,8 +457,9 @@ def _sparse_snf_full(columns: list[Column]) -> tuple[list[int], int]:
     return _divisibility_chain(diag), len(diag)
 
 
-def sparse_invariant_factors(columns: list[Column], pivot_rows: set[int] | None = None,
-                             lazy: _Coboundary | None = None) -> tuple[list[int], int]:
+def sparse_invariant_factors(columns: list[Column], pivots: dict[int, Column | int] | None = None,
+                             faces: Sequence[int] = (), commons: Sequence[int] = (),
+                             cleared: Container[int] = ()) -> tuple[list[int], int]:
     """Invariant factors and rank from sparse integer columns.
 
     Each column is reduced on its lowest row against the unit pivots found so
@@ -465,27 +467,22 @@ def sparse_invariant_factors(columns: list[Column], pivot_rows: set[int] | None 
     column is parked.  Parked columns are then cleared on every pivot row.  The
     pivot columns are unit triangular on the pivot rows, so the matrix is
     equivalent to an identity block plus the cleared parked columns, and only
-    that core goes to the Euclidean routine.  If ``pivot_rows`` is given, the
-    rows of the unit pivots are added to it.
+    that core goes to the Euclidean routine.  If ``pivots`` is given, the unit
+    pivots are left in it, keyed by their rows.
 
-    With ``lazy``, an empty column i is unfilled: its low is ``lazy.lows[i]``,
-    known before its entries, ``lazy.fill(i)``.  If no pivot sits on that low
-    yet, it becomes one as its index, and is filled the first time a column is
-    reduced against it; otherwise it is filled and reduced like any other
-    column.  A filled column takes its place in ``columns`` and is never
-    edited, so afterwards each holds its entries or, never needed, none.
+    With ``faces``, the columns are a coboundary's, read in place off a
+    listing: column i is face faces[i] with coface vertices commons[i], from
+    the last i to the first, and faces in ``cleared`` or without cofaces give
+    none.  Its low, f | v for the highest v in commons[i], is known before its
+    entries.  If no pivot sits on that low yet, it becomes one as its index i
+    and is filled when a column is first reduced against it; otherwise it is
+    filled and reduced.  ``columns`` then starts empty and gets each filled
+    column, which is never edited.
     """
-    pivots: dict[int, Column | int] = {}  # an int: the index of an emergent column, unfilled
+    if pivots is None:
+        pivots = {}  # an int: the listing index of an emergent column, unfilled
     parked: list[Column] = []
-    for i, col in enumerate(columns):
-        if not col:
-            if lazy is None:
-                continue
-            low = lazy.lows[i]
-            if low not in pivots:
-                pivots[low] = i  # emergent: filled when a column is reduced against it
-                continue
-            col = columns[i] = lazy.fill(i)
+    for col in _filled_columns(columns, pivots, faces, commons, cleared) if faces else columns:
         shared = True  # still the caller's column: copied before its first edit
         while col:
             low = max(col)
@@ -493,8 +490,8 @@ def sparse_invariant_factors(columns: list[Column], pivot_rows: set[int] | None 
             if p is None:
                 break
             if type(p) is int:
-                # targets left to right: columns[p] while p is still the index
-                columns[p] = pivots[low] = p = lazy.fill(p)
+                pivots[low] = p = _coboundary_column(faces[p], commons[p])
+                columns.append(p)
             if shared:
                 col, shared = dict(col), False
             f = col[low] * p[low]  # p[low] is +-1
@@ -523,7 +520,8 @@ def sparse_invariant_factors(columns: list[Column], pivot_rows: set[int] | None 
                 continue  # cancelled by fill-in, or queued twice
             p = pivots[r]
             if type(p) is int:
-                columns[p] = pivots[r] = p = lazy.fill(p)
+                pivots[r] = p = _coboundary_column(faces[p], commons[p])
+                columns.append(p)
             f = col[r] * p[r]
             for rr, v in p.items():
                 nv = col.get(rr, 0) - f * v
@@ -535,13 +533,45 @@ def sparse_invariant_factors(columns: list[Column], pivot_rows: set[int] | None 
                     col.pop(rr, None)
         if col:
             core.append(col)
-    if pivot_rows is not None:
-        pivot_rows.update(pivots)
     units = [1] * len(pivots)
     if not core:
         return units, len(pivots)
     factors, rank = _sparse_snf_full(core)
     return units + factors, len(pivots) + rank
+
+
+def _filled_columns(columns: list[Column], pivots: dict[int, Column | int], faces: Sequence[int],
+                    commons: Sequence[int], cleared: Container[int]) -> Iterator[Column]:
+    """The listing's columns, last face first, that are not emergent, each filled into ``columns``.
+
+    An emergent column goes into ``pivots`` on its low as its index instead.
+    """
+    for i in range(len(faces) - 1, -1, -1):
+        m, f = commons[i], faces[i]
+        if m and f not in cleared:
+            low = f | 1 << (m.bit_length() - 1)
+            if low not in pivots:
+                pivots[low] = i
+                continue
+            columns.append(col := _coboundary_column(f, m))
+            yield col
+
+
+def _coboundary_column(f: int, m: int) -> Column:
+    """Face f's column: f | v for v in m, highest first, with sign (-1)^(bits of f below v)."""
+    col: Column = {}
+    rest, sign = f, -1 if f.bit_count() & 1 else 1
+    while m:
+        top = 1 << rest.bit_length() >> 1  # the next bit of f from the top; 0 past the last
+        rest ^= top
+        run = m & -top if top else m  # the candidates above top: one sign
+        m ^= run
+        while run:
+            high = 1 << (run.bit_length() - 1)
+            run ^= high
+            col[f | high] = sign
+        sign = -sign
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -588,45 +618,6 @@ def _spanning_forest(neighbours: Sequence[int]) -> set[int]:
     return forest
 
 
-class _Coboundary:
-    """A coboundary on (face, coface vertices) pairs, in their order, each column kept as its pair.
-
-    Column i is the face faces[i], a (d-1)-cell, with cands[i], the vertices v
-    whose f | v is a d-cell; its low is lows[i], the largest of those cofaces,
-    and its entries, on the rows named by the coface masks, are built only by
-    ``fill``.  ``columns`` holds () for each until ``sparse_invariant_factors``
-    fills it.  Cleared faces and faces without cofaces give no column.
-    """
-
-    __slots__ = ("faces", "cands", "lows", "columns")
-
-    def __init__(self, pairs: Iterable[tuple[int, int]], cleared: set[int]):
-        faces, cands, lows = self.faces, self.cands, self.lows = [], [], []
-        for f, m in pairs:
-            if m and f not in cleared:
-                faces.append(f)
-                cands.append(m)
-                lows.append(f | 1 << (m.bit_length() - 1))
-        self.columns = [()] * len(faces)  # one slot per column: () until it is filled
-
-    def fill(self, i: int) -> Column:
-        """Column i's entries, highest v first: f | v with sign (-1)^(bits of f below v)."""
-        f, m = self.faces[i], self.cands[i]
-        col: Column = {}
-        rest, sign = f, -1 if f.bit_count() & 1 else 1
-        while m:
-            top = 1 << rest.bit_length() >> 1  # the next bit of f from the top; 0 past the last
-            rest ^= top
-            run = m & -top if top else m  # the candidates above top: one sign
-            m ^= run
-            while run:
-                high = 1 << (run.bit_length() - 1)
-                run ^= high
-                col[f | high] = sign
-            sign = -sign
-        return col
-
-
 def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     """Reduced homology in degrees 0..through_dim (degree 0 via augmentation).
 
@@ -638,7 +629,9 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
     sp = cx.spread
     rank: dict[int, int] = {0: 1 if cx.n_cells(0) else 0}  # augmentation
     factors: dict[int, list[int]] = {}
-    cleared: set[int] = set()  # cells whose rows of the next boundary are dropped
+    # cells whose rows of the next boundary are dropped: the forest's edges, then the
+    # pivot table of the last pass, keyed by its rows
+    cleared: Container[int] = set()
     for d in range(1, through_dim + 2):
         if not cx.n_cells(d):
             f, r = [], 0
@@ -647,9 +640,9 @@ def reduced_homology(cx: ChainComplex, through_dim: int) -> HomologyResult:
             cleared = _spanning_forest(cx.neighbours if sp is None else sp.neighbours)
             f, r = [1] * len(cleared), len(cleared)
         else:
-            cob = _Coboundary(zip(reversed(sp.levels[d - 1]), reversed(sp.commons[d - 1])), cleared)
-            pivots: set[int] = set()
-            f, r = sparse_invariant_factors(cob.columns, pivots, cob)
+            pivots: dict[int, Column | int] = {}
+            f, r = sparse_invariant_factors([], pivots, sp.levels[d - 1], sp.commons[d - 1],
+                                            cleared)
             cleared = pivots
         factors[d], rank[d] = f, r
     betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))

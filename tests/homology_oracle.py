@@ -40,15 +40,25 @@ vertices' neighbour masks, before the spread copy kept every clique's common
 neighbours.  ``complex_from_simplices`` builds an ``ExplicitComplex`` from
 simplex tuples; ``sphero.homology`` took such complexes, flag or not, before
 it reduced flag complexes only, and the oracles still do.
+``slot_list_homology_oracle`` runs the passes as ``reduced_homology`` ran them
+before they read the spread listing in place: each coboundary copied into a
+``SlotListCoboundary`` (its faces, coface vertices and lows in parallel lists,
+and a () slot per column) and reduced by ``slot_list_invariant_factors``, the
+pass that filled those slots, with the pivot rows copied into a set for the
+next pass.  ``pairwise_runs_neighbours_oracle`` is
+``sphero.complexes.DecoratedComplex.neighbours`` as it tested every pair of
+support runs, before it took the vertices meeting each ground element.
 """
 
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import groupby
 
-from sphero.homology import (ChainComplex, Column, HomologyError, HomologyResult, _Coboundary,
-                             _cyc_reduce, _free_reduce, flag_complex, sparse_invariant_factors)
+from sphero.homology import (ChainComplex, Column, HomologyError, HomologyResult, _cyc_reduce,
+                             _free_reduce, _spanning_forest, _sparse_snf_full, flag_complex,
+                             sparse_invariant_factors)
 from sphero.posets import GenPoset, ObjId, PosetError
 
 
@@ -485,7 +495,162 @@ def early_forest_oracle(n0: int, edges: tuple[int, ...]) -> set[int]:
     return forest
 
 
-class RowCoboundary(_Coboundary):
+class SlotListCoboundary:
+    """A coboundary on (face, coface vertices) pairs, in their order, each column kept as its pair.
+
+    Column i is the face faces[i], a (d-1)-cell, with cands[i], the vertices v
+    whose f | v is a d-cell; its low is lows[i], the largest of those cofaces,
+    and its entries, on the rows named by the coface masks, are built only by
+    ``fill``.  ``columns`` holds () for each until ``slot_list_invariant_factors``
+    fills it.  Cleared faces and faces without cofaces give no column.
+    """
+
+    __slots__ = ("faces", "cands", "lows", "columns")
+
+    def __init__(self, pairs: Iterable[tuple[int, int]], cleared: set[int]):
+        faces, cands, lows = self.faces, self.cands, self.lows = [], [], []
+        for f, m in pairs:
+            if m and f not in cleared:
+                faces.append(f)
+                cands.append(m)
+                lows.append(f | 1 << (m.bit_length() - 1))
+        self.columns = [()] * len(faces)  # one slot per column: () until it is filled
+
+    def fill(self, i: int) -> Column:
+        """Column i's entries, highest v first: f | v with sign (-1)^(bits of f below v)."""
+        f, m = self.faces[i], self.cands[i]
+        col: Column = {}
+        rest, sign = f, -1 if f.bit_count() & 1 else 1
+        while m:
+            top = 1 << rest.bit_length() >> 1  # the next bit of f from the top; 0 past the last
+            rest ^= top
+            run = m & -top if top else m  # the candidates above top: one sign
+            m ^= run
+            while run:
+                high = 1 << (run.bit_length() - 1)
+                run ^= high
+                col[f | high] = sign
+            sign = -sign
+        return col
+
+
+def slot_list_invariant_factors(columns: list[Column], pivot_rows: set[int] | None = None,
+                                lazy: SlotListCoboundary | None = None) -> tuple[list[int], int]:
+    """Invariant factors and rank from sparse integer columns, a lazy one filled into its slot.
+
+    Each column is reduced on its lowest row against the unit pivots found so
+    far; a column whose low ends up a unit becomes a pivot, any other nonzero
+    column is parked.  Parked columns are then cleared on every pivot row.  The
+    pivot columns are unit triangular on the pivot rows, so the matrix is
+    equivalent to an identity block plus the cleared parked columns, and only
+    that core goes to the Euclidean routine.  If ``pivot_rows`` is given, the
+    rows of the unit pivots are added to it.
+
+    With ``lazy``, an empty column i is unfilled: its low is ``lazy.lows[i]``,
+    known before its entries, ``lazy.fill(i)``.  If no pivot sits on that low
+    yet, it becomes one as its index, and is filled the first time a column is
+    reduced against it; otherwise it is filled and reduced like any other
+    column.  A filled column takes its place in ``columns`` and is never
+    edited, so afterwards each holds its entries or, never needed, none.
+    """
+    pivots: dict[int, Column | int] = {}  # an int: the index of an emergent column, unfilled
+    parked: list[Column] = []
+    for i, col in enumerate(columns):
+        if not col:
+            if lazy is None:
+                continue
+            low = lazy.lows[i]
+            if low not in pivots:
+                pivots[low] = i  # emergent: filled when a column is reduced against it
+                continue
+            col = columns[i] = lazy.fill(i)
+        shared = True  # still the caller's column: copied before its first edit
+        while col:
+            low = max(col)
+            p = pivots.get(low)
+            if p is None:
+                break
+            if type(p) is int:
+                # targets left to right: columns[p] while p is still the index
+                columns[p] = pivots[low] = p = lazy.fill(p)
+            if shared:
+                col, shared = dict(col), False
+            f = col[low] * p[low]  # p[low] is +-1
+            for r, v in p.items():
+                nv = col.get(r, 0) - f * v
+                if nv:
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
+        if not col:
+            continue
+        low = max(col)
+        if abs(col[low]) == 1:
+            pivots[low] = col  # pivot columns are only read from here on
+        else:
+            parked.append(dict(col) if shared else col)
+    core: list[Column] = []
+    for col in parked:
+        # highest pivot row first: pivots[r] has no entry below r, so fill-in
+        # only lands on lower rows and no cleared row comes back
+        todo = [-r for r in col if r in pivots]
+        heapify(todo)
+        while todo:
+            r = -heappop(todo)
+            if r not in col:
+                continue  # cancelled by fill-in, or queued twice
+            p = pivots[r]
+            if type(p) is int:
+                columns[p] = pivots[r] = p = lazy.fill(p)
+            f = col[r] * p[r]
+            for rr, v in p.items():
+                nv = col.get(rr, 0) - f * v
+                if nv:
+                    if rr not in col and rr in pivots:
+                        heappush(todo, -rr)
+                    col[rr] = nv
+                else:
+                    col.pop(rr, None)
+        if col:
+            core.append(col)
+    if pivot_rows is not None:
+        pivot_rows.update(pivots)
+    units = [1] * len(pivots)
+    if not core:
+        return units, len(pivots)
+    factors, rank = _sparse_snf_full(core)
+    return units + factors, len(pivots) + rank
+
+
+def slot_list_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyResult:
+    """Reduced homology from the spanning forest and the cleared coboundaries of cx's spread listing.
+
+    Each coboundary is a ``SlotListCoboundary`` copied off the listing, reduced
+    by ``slot_list_invariant_factors``, and its pivot rows are copied into the
+    next pass's cleared set.
+    """
+    sp = cx.spread
+    rank: dict[int, int] = {0: 1 if cx.n_cells(0) else 0}  # augmentation
+    factors: dict[int, list[int]] = {}
+    cleared: set[int] = set()
+    for d in range(1, through_dim + 2):
+        if not cx.n_cells(d):
+            f, r = [], 0
+        elif d == 1:
+            cleared = _spanning_forest(cx.neighbours if sp is None else sp.neighbours)
+            f, r = [1] * len(cleared), len(cleared)
+        else:
+            cob = SlotListCoboundary(zip(reversed(sp.levels[d - 1]), reversed(sp.commons[d - 1])), cleared)
+            pivots: set[int] = set()
+            f, r = slot_list_invariant_factors(cob.columns, pivots, cob)
+            cleared = pivots
+        factors[d], rank[d] = f, r
+    betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
+    torsion = tuple(tuple(x for x in factors[d + 1] if x > 1) for d in range(through_dim + 1))
+    return HomologyResult(betti, torsion)
+
+
+class RowCoboundary(SlotListCoboundary):
     """A coboundary whose columns put each coface on its row, filled on first use.
 
     Column i is the face faces[i] with cands[i], the vertices v whose f | v
@@ -584,7 +749,7 @@ def row_indexed_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyR
         else:
             pivots: set[int] = set()
             cob = row_indexed_coboundary_oracle(cx, d, cleared)
-            f, r = sparse_invariant_factors(cob.columns, pivots, cob)
+            f, r = slot_list_invariant_factors(cob.columns, pivots, cob)
             top = cx.cells[d]
             cleared = {top[-1 - p] for p in pivots}
         factors[d], rank[d] = f, r
@@ -624,7 +789,7 @@ def eager_flag_complex_oracle(vertices: Iterable, neighbours: Sequence[int], max
 
 
 def and_coboundary_oracle(neighbours: Sequence[int], faces: Iterable[int],
-                          cleared: set[int]) -> _Coboundary:
+                          cleared: set[int]) -> SlotListCoboundary:
     """The coboundary on these faces, in their order, cleared faces left out, unfilled.
 
     The cofaces of face f are the f | v, v in the AND of the neighbour masks
@@ -642,4 +807,22 @@ def and_coboundary_oracle(neighbours: Sequence[int], faces: Iterable[int],
             m &= adj[b]
         if m:
             pairs.append((f, m))
-    return _Coboundary(pairs, set())
+    return SlotListCoboundary(pairs, set())
+
+
+def pairwise_runs_neighbours_oracle(vertices: Sequence) -> tuple[int, ...]:
+    """``DecoratedComplex.neighbours`` by a disjointness test per pair of support runs.
+
+    Vertices come in runs that share a support; each vertex of a run gets the
+    union of the runs whose supports miss its own.
+    """
+    runs = []  # (support bitmask, bitmask of the run's vertices, run length)
+    start = 0
+    for support, run in groupby(vertices, key=lambda v: v.support):
+        k = len(list(run))
+        runs.append((sum(1 << x for x in support), ((1 << k) - 1) << start, k))
+        start += k
+    out: list[int] = []
+    for s, _, k in runs:
+        out += [sum(block for t, block, _ in runs if not s & t)] * k
+    return tuple(out)

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 from block_orbit import orbit_canonical_block, split_records_oracle
-from homology_oracle import complex_from_simplices, flag_complex_oracle
+from homology_oracle import complex_from_simplices, flag_complex_oracle, pairwise_runs_neighbours_oracle
 from orbit_oracle import count_cell_orbits_oracle
 
 from sphero.complexes import (
@@ -76,6 +76,26 @@ def test_build_complex_edges_match_set_loop():
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
             assert list(cx.neighbours) == masks, (q, d, n)
+
+
+def test_neighbour_masks_match_pairwise_runs_oracle():
+    # the masks from the vertices meeting each ground element, against a test per pair of
+    # support runs: on every grid point with n <= 10 (n < q has no vertices), and on seeded
+    # subsequences of its vertices, whose runs are shortened or missing
+    rng = Random(20261028)
+    empty = sub_runs = 0
+    for q, d in [(2, "sym"), (2, "triv")] + [(3, d) for d in ("sym", "triv", "213", "231")]:
+        config = Config.make(q, 1, d)
+        for n in range(1, 11):
+            cx = build_complex(config, n)
+            assert cx.neighbours == pairwise_runs_neighbours_oracle(cx.vertices), (q, d, n)
+            empty += not cx.vertices
+            for p in (0.2, 0.5, 0.9):
+                vs = tuple(v for v in cx.vertices if rng.random() < p)
+                sub = DecoratedComplex(n, config, vs)
+                assert sub.neighbours == pairwise_runs_neighbours_oracle(vs), (q, d, n, vs)
+                sub_runs += len(vs) > 1
+    assert empty == 10 and sub_runs >= 100, (empty, sub_runs)
 
 
 def test_chain_complex_matches_tuple_clique_oracle():

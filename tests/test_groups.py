@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 from random import Random
@@ -154,6 +155,23 @@ def test_partition_validation_matches_oracle_on_every_small_leaf_set():
             assert got == _verdict(oracle.validate_partition, p, q), p.leaves
             valid += got is None
     assert valid == 26 + 9 + 2 * 2  # complete codes: c(d) = 1 + c(d - 1)^q, c(0) = 1
+
+
+def test_partition_order_check_matches_a_sorted_copy(rng):
+    # the one-scan order check of LeafPartition against the comparison with a sorted copy that
+    # it replaced: the same ValueError for the same leaves, adjacent duplicates passing
+    outcomes = Counter()
+    for q in (2, 3):
+        config = Config.make(q, 1, "triv")
+        for _ in range(150):
+            part = random_partition(rng, config, rng.randint(1, 3), 3)
+            for leaves in ([], list(part.leaves[:1]), *_corruptions(rng, part, q)):
+                for order in (sorted(leaves), rng.sample(leaves, len(leaves))):
+                    want = "leaves must be canonically sorted" if order != sorted(order) else None
+                    got = _verdict(LeafPartition, part.n, tuple(order))
+                    assert got == want, order
+                    outcomes[got, len(set(order)) < len(order)] += 1
+    assert len(outcomes) == 4, outcomes  # sorted or not, with and without duplicates
 
 
 # ---------------------------------------------------------------------------
