@@ -209,7 +209,9 @@ def cmd_desclink(args) -> int:
             rows += [["full"] + r for r in frows]
             payload["full_components"] = len(full.components())
         if want_star:
-            star = elementary_split_poset(records)
+            # the full poset, once built, holds the star poset as a full subcategory
+            star = (full.full_subcategory(r.object_id() for r in records if r.is_very_elementary)
+                    if want_full else elementary_split_poset(records))
             payload["star_poset"] = star.to_json()
             payload["inclusion"] = {o: o for o in star.objects}  # both posets name objects by record id
             srows = _poset_homology_rows(star)

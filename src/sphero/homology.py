@@ -25,10 +25,19 @@ and ``level(d)`` lists nothing above d.  At q=2 with Sym(2) and n=14,
 i of s being s less its i-th lowest bit with sign (-1)^i, so boundary
 squared vanishes by construction: ``faces`` enumerates them, and the
 coboundaries below take each column from the neighbour masks.  They are
-reduced by one elimination: a unit-pivot column pass, then a Euclidean
-sparse Smith normal form on the leftover core of columns with non-unit lows,
-cleared on the pivot rows (empty on torsion-free instances).  Entries are
-Python integers, so no overflow is possible.
+reduced by one elimination: a unit-pivot column pass, then the leftover core
+of columns with non-unit lows, cleared on the pivot rows (empty on
+torsion-free instances), is echeloned by its lows and finished by a Euclidean
+sparse Smith normal form.  The echelon reduces each core column on its low as
+the pass does, and where the low entry a of the column holding that low
+does not divide the reduced column's b it replaces the pair by a 2 x 2
+extended-gcd column step of determinant 1, leaving +-gcd(a, b) on the low
+and zero in the reduced column; so dependent columns vanish, and the same on
+the transpose leaves a rank x rank square.
+Unimodular steps and transposing keep the invariant factors, so this is
+exact: at q=2 with Sym(2) and n=9 the 42 core columns of rank 10 reach the
+Euclidean routine as a 10 x 10 square.  Entries are Python integers, so no
+overflow is possible.
 
 ``reduced_homology`` needs only the rank and invariant factors of each
 boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
@@ -379,6 +388,84 @@ def _divisibility_chain(diag: list[int]) -> list[int]:
 
 
 def _sparse_snf_full(columns: list[Column]) -> tuple[list[int], int]:
+    """Invariant factors and rank of a core: echeloned on columns, then rows, then Euclidean.
+
+    ``_echelon`` leaves as many columns as the rank, with distinct lows, by
+    column steps of determinant 1; on the transpose it leaves a rank x rank
+    matrix by row steps of determinant 1.  Unimodular steps on either side,
+    and transposing, keep the invariant factors, so ``_euclidean_snf`` gets
+    the same factors from that square as from the core (Kannan-Bachem 1979).
+    """
+    return _euclidean_snf(_echelon(_transposed(_echelon(columns))))
+
+
+def _echelon(columns: list[Column]) -> list[Column]:
+    """The columns brought to column echelon form by lows: as many as the rank, none zero.
+
+    Shortest first, each column is reduced on its low against the column that
+    holds that low, as in the unit pass, until its low is free or it is zero.
+    Where that column's low entry a does not divide this column's b, the two
+    columns p and c become s*p + t*c, with g = s*a + t*b = +-gcd(a, b) at
+    the low, and (a/g)*c - (b/g)*p, which is zero there: a 2 x 2 column step
+    of determinant (s*a + t*b)/g = 1.  Distinct lows make the columns left
+    independent.
+    """
+    pivots: dict[int, Column] = {}
+    for col in sorted(columns, key=len):
+        col = dict(col)
+        while col:
+            low = max(col)
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = col
+                break
+            a, b = p[low], col[low]
+            if b % a:
+                g, s, t = _extended_gcd(a, b)
+                pivots[low] = _combined(s, p, t, col)
+                col = _combined(a // g, col, -b // g, p)
+                continue
+            q = b // a
+            for r, v in p.items():
+                nv = col.get(r, 0) - q * v
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+    return list(pivots.values())
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = s*a + t*b = +-gcd(a, b); either sign serves the column step."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _combined(x: int, c: Column, y: int, d: Column) -> Column:
+    """The column x*c + y*d, without zero entries."""
+    out = {r: x * v for r, v in c.items()} if x else {}
+    for r, v in d.items():
+        nv = out.get(r, 0) + y * v
+        if nv:
+            out[r] = nv
+        else:
+            out.pop(r, None)
+    return out
+
+
+def _transposed(columns: list[Column]) -> list[Column]:
+    """The rows of the columns, as columns keyed by column index."""
+    rows: dict[int, Column] = {}
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[j] = v
+    return list(rows.values())
+
+
+def _euclidean_snf(columns: list[Column]) -> tuple[list[int], int]:
     """Sparse integer diagonalization with smallest-entry pivoting.
 
     Unit pivots eliminate for free; otherwise Euclidean row/column steps

@@ -198,17 +198,21 @@ def _spy(monkeypatch, module, name):
 
 
 def test_desclink_full_and_star_enumerates_once(tmp_path, monkeypatch):
-    # one enumeration of records, and each model's poset built from its own records
+    # one enumeration of records and one poset build: the star model is cut out of the full
+    # poset as its full subcategory on the very elementary records
     from sphero import complexes
 
     enumerated = _spy(monkeypatch, complexes, "split_records")
     built = _spy(monkeypatch, complexes, "split_class_poset")
+    out = tmp_path / "dl.json"
     assert run(["desclink", "--q", "2", "--subgroup", "sym", "--n", "4", "--full", "--star",
-                "--out", str(tmp_path / "dl.json")]) == 0
+                "--out", str(out)]) == 0
     assert len(enumerated) == 1
-    [(records,), (elementary,)] = built
+    [(records,)] = built
     assert len(records) == 36
-    assert elementary == [r for r in records if r.is_very_elementary] and len(elementary) == 9
+    elementary = sorted(r.object_id() for r in records if r.is_very_elementary)
+    assert json.loads(out.read_text())["star_poset"]["objects"] == elementary
+    assert len(elementary) == 9
 
 
 def test_desclink_star_builds_only_the_very_elementary_poset(tmp_path, monkeypatch):

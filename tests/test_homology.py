@@ -26,6 +26,8 @@ from sphero.homology import (
     HomologyError,
     HomologyResult,
     _divisibility_chain,
+    _echelon,
+    _euclidean_snf,
     _sparse_snf_full,
     flag_complex,
     neighbour_masks,
@@ -152,7 +154,7 @@ def test_schur_core_matches_whole_matrix_oracle(cores):
         nonzero = [c for c in cols if c]
         cores.clear()
         factors, rank = sparse_invariant_factors(cols)
-        want_factors, want_rank = _sparse_snf_full(cols)
+        want_factors, want_rank = _euclidean_snf(cols)
         assert (sorted(factors), rank) == (sorted(want_factors), want_rank), cols
         if diag is not None:
             assert sorted(factors) == diag, cols
@@ -187,7 +189,7 @@ def test_schur_core_has_no_entry_on_a_pivot_row(cores):
         factors, rank = sparse_invariant_factors(cols)
         assert len(cores) == 1
         assert all(r >= k for col in cores[0] for r in col), cols
-        want_factors, want_rank = _sparse_snf_full(cols)
+        want_factors, want_rank = _euclidean_snf(cols)
         assert (sorted(factors), rank) == (sorted(want_factors), want_rank), cols
         assert sorted(factors)[:k] == [1] * k and all(f % 3 == 0 for f in sorted(factors)[k:])
 
@@ -196,10 +198,73 @@ def test_schur_core_on_matching_complex_boundary(cores):
     # d_3 of the q=2 sym complex at n=9 carries 8 x Z/3
     cols = _face_columns(build_complex(Config.make(2, 1, "sym"), 9).chain_complex(3), 3)
     factors, rank = sparse_invariant_factors(cols)
-    want_factors, want_rank = _sparse_snf_full(cols)
+    want_factors, want_rank = _euclidean_snf(cols)
     assert (sorted(factors), rank) == (sorted(want_factors), want_rank)
     assert [f for f in factors if f > 1] == [3] * 8
     assert len(cores) == 1 and len(cores[0]) < len(cols)
+
+
+def _repeated_low_columns(rng):
+    """Columns whose lows fall on two rows, with low entries that often divide neither way."""
+    m, n = rng.randrange(3, 10), rng.randrange(2, 10)
+    lows = rng.sample(range(1, m), 2)
+    cols = []
+    for _ in range(n):
+        low = rng.choice(lows)
+        col = {r: v for r in range(low) if rng.random() < 0.5 and (v := rng.randrange(-4, 5))}
+        col[low] = rng.choice((2, 3, 4, 6, 9, -2, -3, -6))
+        cols.append(col)
+    return cols
+
+
+def _assert_echelon_exact(cols):
+    """The echelon's shape, and the core routine's factors against the Euclidean routine on the
+    raw columns; return the echelon."""
+    echelon = _echelon(cols)
+    rows = {r for col in cols for r in col}
+    want_factors, want_rank = _euclidean_snf(cols)
+    assert all(echelon), cols
+    assert len({max(col) for col in echelon}) == len(echelon) == want_rank, cols
+    assert {r for col in echelon for r in col} <= rows, cols
+    assert _euclidean_snf(echelon) == _sparse_snf_full(cols) == (want_factors, want_rank), cols
+    return echelon
+
+
+@pytest.mark.parametrize("kind", ["random", "torsion", "repeated-lows"])
+def test_echelon_keeps_rank_many_columns_and_the_invariant_factors(kind):
+    rng = Random({"random": 20261101, "torsion": 20261102, "repeated-lows": 20261103}[kind])
+    gcd_steps = 0
+    for _ in range(300):
+        if kind == "random":
+            cols = _random_columns(rng)
+        elif kind == "torsion":
+            cols, diag = _torsion_columns(rng)
+        else:
+            cols = _repeated_low_columns(rng)
+        _assert_echelon_exact(cols)
+        factors, rank = _sparse_snf_full(cols)
+        rows = sorted({r for col in cols for r in col})
+        # the dense oracle's entries explode past 10**4000 on some 12 x 10 random matrices
+        if rows and min(len(rows), len(cols)) < 10:
+            dense = [[col.get(r, 0) for col in cols] for r in rows]
+            assert smith_normal_form(dense, with_transforms=False) == (factors, rank), cols
+        if kind == "torsion":
+            assert factors == diag, cols
+        on_lows = [[col[low] for col in cols if col and max(col) == low]
+                   for low in {max(col) for col in cols if col}]
+        gcd_steps += any(a % b and b % a for low in on_lows for a, b in combinations(low, 2))
+    if kind == "repeated-lows":
+        assert gcd_steps >= 150, gcd_steps  # low entries neither of which divides the other
+
+
+@pytest.mark.parametrize("sub,n", [("sym", 7), ("sym", 9), ("sym", 10), ("triv", 9)])
+def test_echelon_on_torsion_grid_cores(cores, sub, n):
+    # the cleared cores through nu + 1, against the Euclidean routine on each whole core
+    cc, through = _torsion_grid_point(sub, n)
+    reduced_homology(cc, through)
+    assert len(cores) == 1
+    echelon = _assert_echelon_exact(cores[0])
+    assert len(echelon) < len(cores[0]) or (sub, n) in {("sym", 7), ("sym", 10)}
 
 
 def test_matching_complex_m7_has_z3_in_degree_one():
