@@ -18,8 +18,8 @@ ones as the popcounts of the last extension masks.  Those lists are the
 complex's counts, and ``reduced_homology`` reduces them as they are; its
 passes reach a top cell only as a coface f | v of a listed face.  The cells
 in the complex's own labels are listed only when ``cells``, ``level``,
-``basis``, ``dump_matrices``, equality or ``pi1_report`` first read them,
-and ``level(d)`` lists nothing above d.  At q=2 with Sym(2) and n=14,
+``basis``, ``dump_matrices`` or equality first read them, and ``level(d)``
+lists nothing above d.  At q=2 with Sym(2) and n=14,
 ``chain_complex(4)`` so lists 363,454 cliques once and not the 945,945
 4-cells.  Boundary matrices are not stored but derived from the cells, face
 i of s being s less its i-th lowest bit with sign (-1)^i, so boundary
@@ -93,19 +93,22 @@ Only the homology leaves the function: the cell order, ``basis`` and
 
 ``pi1_report`` presents the edge-path group by a generator for each edge off
 a breadth-first spanning tree and a relator for each triangle: the letters
-of its three edges, those of tree edges dropped.  The relators are implicit,
-as the coboundary columns are: a budgeted Tietze search reads a triangle's
-relator off its mask only when it first needs it, that is when the
-generator of one of its edges is eliminated (the triangles on edge e are the
-e | v, v in the AND of the neighbour masks of e's ends, when the complex has
-2-cells; a complex of dimension 1 has none), or when the triangle comes
-first in cell order among those never read and no relator shorter than 3 is
-left.  Only the triangles on tree edges, of lengths 1 and 2, are read up
-front; the letter total the budget is counted from is 3 * (2-cells) less
-the cofaces of the tree edges.  So a search's
-work is bounded by its budget, not by the complex: at q=2 with trivial
-labels and n=9, budget 5000 reads 976 of the 10,080 triangles.  Each step
-decides as a search over every relator would.
+of its three edges, those of tree edges dropped.  It is read off the
+neighbour masks and lists nothing in the complex's own labels: a lazy walk
+of the masks in lexicographic order (``_lex_walk``) numbers the edges as
+``level(1)`` lists them and finds triangles in ``level(2)``'s order, and the
+letter total the budget is counted from is 3 * ``n_cells(2)`` less the
+cofaces of the tree edges.  The relators are implicit, as the coboundary
+columns are: a budgeted Tietze search reads a triangle's relator off its
+mask only when it first needs it, that is when the generator of one of its
+edges is eliminated (the triangles on edge e are the e | v, v in the AND of
+the neighbour masks of e's ends, when the complex has 2-cells; a complex of
+dimension 1 has none), or when the triangle comes first in cell order among
+those never read and no relator shorter than 3 is left; only the triangles
+on tree edges, of lengths 1 and 2, are read up front.  So a search's work is
+bounded by its budget, not by the complex: at q=2 with trivial labels and
+n=9, budget 5000 reads 976 of the 10,080 triangles.  Each step decides as a
+search over every relator would.
 """
 
 from __future__ import annotations
@@ -749,8 +752,9 @@ def pi1_report(cx: ChainComplex, h1: HomologyResult, budget: int = 5000) -> dict
     "trivial" is only answered when the presentation simplifies to nothing
     within budget; "nontrivial" only with an abelianization witness, so a
     "trivial" answer is always sound.  The generators are the edges off a
-    breadth-first spanning tree and the relators the triangles, each read off
-    its mask only when the search first needs it (``_Triangles``).
+    breadth-first spanning tree, numbered by a walk of the masks in the order
+    of ``level(1)``, and the relators the triangles, each read off its mask
+    when first needed (``_Triangles``).
     """
     if len(h1.betti) < 2:
         raise HomologyError("pi1 report needs the reduced homology through degree 1")
@@ -772,8 +776,8 @@ def pi1_report(cx: ChainComplex, h1: HomologyResult, budget: int = 5000) -> dict
         raise HomologyError("pi1 report requires a connected complex")
     # edges run from their lower bit to their higher one; tree edges get no letter
     in_tree = set(tree)
-    edges = cx.level(1) if cx.dim >= 1 else ()
-    letter = {e: g + 1 for g, e in enumerate(e for e in edges if e not in in_tree)}
+    off_tree = (e for e in _lex_walk(cx.neighbours, 1) if e not in in_tree)
+    letter = {e: g for g, e in enumerate(off_tree, 1)}
     if not letter:
         return {"status": "trivial", "generators": 0, "relators": 0}
     if h1.betti[1] > 0 or h1.torsion[1]:
@@ -781,6 +785,24 @@ def pi1_report(cx: ChainComplex, h1: HomologyResult, budget: int = 5000) -> dict
     status = _tietze_trivializes(len(letter), _Triangles(cx, tree, letter), budget)
     return {"status": "trivial" if status else "unknown",
             "generators": len(letter), "relators": cx.n_cells(2)}
+
+
+def _lex_walk(neighbours: Sequence[int], d: int) -> Iterator[int]:
+    """The edges (d = 1) or triangles (d = 2) of the masks, walked depth first in ``level(d)``'s order."""
+    for a, m in enumerate(neighbours):
+        x = 1 << a
+        m &= -(x << 1)  # the neighbours above a
+        while m:
+            y = m & -m
+            m ^= y  # m keeps the neighbours of a above y
+            if d == 1:
+                yield x | y
+                continue
+            c = m & neighbours[y.bit_length() - 1]
+            while c:
+                z = c & -c
+                c ^= z
+                yield x | y | z
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -796,10 +818,10 @@ def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _cyc_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
-    w = _free_reduce(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    w, k = _free_reduce(word), 0
+    while 2 * k + 1 < len(w) and w[k] == -w[-1 - k]:  # the cancelling end pairs, cut in one slice
+        k += 1
+    return w[k:len(w) - k]
 
 
 class _Relators:
@@ -836,22 +858,19 @@ class _Triangles(_Relators):
     edge e are the e | v, v in the AND of the neighbour masks of e's ends, in
     a complex with 2-cells; one of dimension 1 has no triangle, whatever
     cliques its graph has, and so its masks are taken as empty.  ``read``
-    holds the triangles whose relator was read.  A triangle's position is
-    (a * n0 + b) * n0 + c, which orders the triangles as cells[2] lists them.
+    holds the triangles whose relator was read, and ``rest`` walks the masks
+    in the order of ``level(2)``, which positions (a * n0 + b) * n0 + c keep.
     """
 
     def __init__(self, cx: ChainComplex, tree: Iterable[int], letter: dict[int, int]):
         self.n0, self.letter = cx.n_cells(0), letter
         self.edge = [0, *letter]  # generator -> its edge
-        self.cells = cx.level(2) if cx.dim >= 2 else ()
-        self.neighbours = cx.neighbours if self.cells else (0,) * self.n0
+        self.neighbours = cx.neighbours if cx.n_cells(2) else (0,) * self.n0
         self.read: set[int] = set()
-        self.rest = iter(self.cells)  # the triangles after head, in cell order
+        self.rest = _lex_walk(self.neighbours, 2)  # the triangles after head, in cell order
         self.head, self.first = 0, None  # the first triangle not read and its (3, position)
-        self.given = {}
-        for e in tree:
-            self.given.update(self._on(e))
-        self.later = 3 * (len(self.cells) - len(self.read))
+        self.given = {p: r for e in tree for p, r in self._on(e)}
+        self.later = 3 * (cx.n_cells(2) - len(self.read))
 
     def relator(self, t: int) -> tuple[int, ...]:
         low, high = t & -t, 1 << (t.bit_length() - 1)
@@ -866,15 +885,26 @@ class _Triangles(_Relators):
 
     def _on(self, e: int) -> list[tuple[int, tuple[int, ...]]]:
         """(position, relator) for the triangles on edge e not read before, now read."""
-        m = self.neighbours[(e & -e).bit_length() - 1] & self.neighbours[e.bit_length() - 1]
-        read, position, relator, out = self.read, self._position, self.relator, []
+        n0, get, read, out = self.n0, self.letter.get, self.read, []
+        lo = e & -e
+        a, b = lo.bit_length() - 1, e.bit_length() - 1
+        hi, le = 1 << b, get(e, 0)
+        m = self.neighbours[a] & self.neighbours[b]
         while m:
             v = m & -m
             m ^= v
             t = e | v
-            if t not in read:
-                read.add(t)
-                out.append((position(t), relator(t)))
+            if t in read:
+                continue
+            read.add(t)
+            c, la, lb = v.bit_length() - 1, get(lo | v, 0), get(hi | v, 0)
+            if v < lo:  # c < a < b
+                p, word = (c * n0 + a) * n0 + b, (la, le, -lb)
+            elif v < hi:  # a < c < b
+                p, word = (a * n0 + c) * n0 + b, (la, lb, -le)
+            else:  # a < b < c
+                p, word = (a * n0 + b) * n0 + c, (le, lb, -la)
+            out.append((p, tuple(x for x in word if x) if 0 in word else word))
         return out
 
     def containing(self, g: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -904,12 +934,12 @@ def _tietze_trivializes(ngens: int, relators: _Relators, budget: int) -> bool:
     The search is incremental.  Relators are kept in a dict keyed by their
     position, with a running total of their lengths and an index from each
     generator to the relators that may hold it (a superset: letters that
-    reduction cancels are not taken out).  A step rewrites and free-reduces
-    only the relators in the eliminated generator's index entry, and the next
-    step cyclically reduces only those.  A heap holds (length, position) for
-    the relators with a once-occurring generator; an entry is checked when it
-    reaches the top, and dropped if its relator is gone, has another length
-    now, or has no once-occurring generator left.
+    reduction cancels are not taken out).  A step rewrites only the relators
+    in the eliminated generator's index entry, free-reducing each as it is
+    written, and the next step cyclically reduces only those.  A heap holds
+    (length, position) for the relators with a once-occurring generator; an
+    entry is checked when it reaches the top, and dropped if its relator is
+    gone, has another length now, or has no once-occurring generator left.
 
     Relators that ``relators`` did not give up front join as the search needs
     them: those holding the eliminated generator before its rewrite, and the
@@ -941,7 +971,7 @@ def _tietze_trivializes(ngens: int, relators: _Relators, budget: int) -> bool:
         for p, r in ps:
             rels[p] = r
             for x in r:
-                occ[abs(x)].add(p)
+                occ[x if x > 0 else -x].add(p)
 
     index(relators.given.items())
     total = sum(map(len, rels.values())) + relators.later
@@ -961,13 +991,11 @@ def _tietze_trivializes(ngens: int, relators: _Relators, budget: int) -> bool:
             if not r:
                 del rels[p]
                 continue
-            counts: dict[int, int] = {}
             for x in r:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            g = next((abs(x) for x in r if counts[abs(x)] == 1 and abs(x) in gens), None)
-            if g is not None:
-                once[p] = g
-                heappush(heap, (len(r), p))
+                if r.count(x) + r.count(-x) == 1 and (x if x > 0 else -x) in gens:
+                    once[p] = x if x > 0 else -x
+                    heappush(heap, (len(r), p))
+                    break
         while heap and (heap[0][1] not in once or len(rels[heap[0][1]]) != heap[0][0]):
             heappop(heap)
         first = relators.untouched()
@@ -977,11 +1005,11 @@ def _tietze_trivializes(ngens: int, relators: _Relators, budget: int) -> bool:
             rel = rels.pop(pk)
         elif first is not None:
             _, rel = relators.take()
-            g = abs(rel[0])
+            g = rel[0] if rel[0] > 0 else -rel[0]
         else:
             return False
         total -= len(rel)
-        i = next(k for k, x in enumerate(rel) if abs(x) == g)
+        i = rel.index(g) if g in rel else rel.index(-g)
         rest = rel[i + 1:] + rel[:i]  # rel ~ g * rest or g^-1 * rest cyclically
         if rel[i] > 0:
             sub = tuple(-x for x in reversed(rest))  # g = rest^-1
@@ -994,18 +1022,17 @@ def _tietze_trivializes(ngens: int, relators: _Relators, budget: int) -> bool:
             r = rels.get(p)
             if r is None or (g not in r and -g not in r):
                 continue
-            w: list[int] = []
+            w: list[int] = []  # r with g substituted, free-reduced as it is written
             for x in r:
-                if x == g:
-                    w.extend(sub)
-                elif x == -g:
-                    w.extend(inv)
-                else:
-                    w.append(x)
-            rels[p] = new = _free_reduce(tuple(w))
+                for y in sub if x == g else inv if x == -g else (x,):
+                    if w and w[-1] == -y:
+                        w.pop()
+                    else:
+                        w.append(y)
+            rels[p] = new = tuple(w)
             total += len(new) - len(r)
             touched.append(p)
-        for a in {abs(x) for x in rest}:
+        for a in {x if x > 0 else -x for x in rest}:
             occ[a].update(touched)
         gens.remove(g)
     return not gens

@@ -42,15 +42,12 @@ class GenPoset:
 
     @cached_property
     def _witness(self) -> tuple[ObjId, ObjId, ObjId] | None:
-        """The answer of ``validate``, scanned once per poset: the poset is frozen."""
+        """The answer of ``validate``, scanned once per frozen poset: the least witness, unsorted."""
         out = {}
-        for a, b in sorted(self.arrows):
+        for a, b in self.arrows:
             out.setdefault(a, []).append(b)
-        for a, b in sorted(self.arrows):
-            for c in out.get(b, []):
-                if a != c and (a, c) not in self.arrows:
-                    return (a, b, c)
-        return None
+        return min(((a, b, c) for a, b in self.arrows for c in out.get(b, ())
+                    if a != c and (a, c) not in self.arrows), default=None)
 
     def require_valid(self) -> "GenPoset":
         w = self.validate()

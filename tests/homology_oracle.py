@@ -48,6 +48,10 @@ pass that filled those slots, with the pivot rows copied into a set for the
 next pass.  ``pairwise_runs_neighbours_oracle`` is
 ``sphero.complexes.DecoratedComplex.neighbours`` as it tested every pair of
 support runs, before it took the vertices meeting each ground element.
+``cyc_reduce_oracle`` is ``sphero.homology._cyc_reduce`` as it stripped each
+cancelling end pair with a fresh slice, before it cut them in one.
+``witness_oracle`` is ``sphero.posets.GenPoset.validate`` as it scanned the
+arrows in sorted order, before it took the least witness of an unsorted scan.
 """
 
 import math
@@ -233,6 +237,13 @@ def tietze_trivializes_oracle(ngens: int, relators: list[tuple[int, ...]], budge
     return not gens
 
 
+def cyc_reduce_oracle(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The free reduction of word, then its cancelling end pairs stripped one slice at a time."""
+    w = _free_reduce(word)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
 
 def pi1_presentation_oracle(cx: ChainComplex) -> tuple[int, list[tuple[int, ...]], bool]:
     """The edge-path presentation as ``pi1_report`` built it whole: generators, relators, tree-only.
@@ -384,6 +395,18 @@ def simplicial_join(a: ChainComplex, b: ChainComplex) -> ExplicitComplex:
         for db, cells_b in enumerate(sb):
             by_dim[da + db + 1].update(tuple(sorted(s + t)) for s in cells_a for t in cells_b)
     return complex_from_simplices([sorted(cells) for cells in by_dim if cells])
+
+
+def witness_oracle(p: GenPoset) -> tuple[ObjId, ObjId, ObjId] | None:
+    """The first (a, b, c) with arrows a -> b -> c and none a -> c, in sorted order, or None."""
+    out: dict = {}
+    for a, b in sorted(p.arrows):
+        out.setdefault(a, []).append(b)
+    for a, b in sorted(p.arrows):
+        for c in out.get(b, []):
+            if a != c and (a, c) not in p.arrows:
+                return (a, b, c)
+    return None
 
 
 def chains_oracle(p: GenPoset) -> list[list[tuple[ObjId, ...]]]:

@@ -5,14 +5,16 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations, count
 from operator import and_
+from pathlib import Path
 from random import Random
 
 import homology_oracle
 import pytest
 from dense_snf import smith_normal_form
+from golden_cases import OUTPUTS
 from homology_oracle import (and_coboundary_oracle, boundary_columns_oracle, coboundary_oracle,
-                             complex_from_simplices, eager_flag_complex_oracle, early_forest_oracle,
-                             flag_complex_oracle, one_pass_coboundary_oracle,
+                             complex_from_simplices, cyc_reduce_oracle, eager_flag_complex_oracle,
+                             early_forest_oracle, flag_complex_oracle, one_pass_coboundary_oracle,
                              pi1_presentation_oracle, pi1_report_oracle, reduced_homology_oracle,
                              row_indexed_homology_oracle, spanning_forest_oracle,
                              spread_copy_oracle, tietze_trivializes_oracle)
@@ -1241,7 +1243,7 @@ def _spy_presentations(cx, budgets):
     search = homology._tietze_trivializes
 
     def spy(ngens, relators, budget):
-        seen.append((ngens, [relators.relator(t) for t in relators.cells]))
+        seen.append((ngens, [relators.relator(t) for t in homology._lex_walk(relators.neighbours, 2)]))
         return search(ngens, relators, budget)
 
     h1 = reduced_homology(cx, 1)
@@ -1453,3 +1455,92 @@ def test_pi1_search_reads_triangles_within_its_budget():
         rep = pi1_report(cx, h1, 5000)
     assert rep == {"status": "unknown", "generators": 1441, "relators": 10080}
     assert len(set(built)) == len(built) < 0.2 * 10080
+
+
+def test_cyc_reduce_matches_the_slice_loop_on_random_words():
+    # the cancelling end pairs cut in one slice against the loop that sliced each off; the
+    # words cancel deep at their ends, as a substitution leaves them, and some hold zeros
+    rng = Random(20261030)
+    deep = 0
+    for _ in range(2000):
+        ends = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 9))]
+        core = [rng.choice((1, -1, 0)) * rng.randint(1, 4) for _ in range(rng.randint(0, 6))]
+        word = tuple(ends + core + [-x for x in reversed(ends)])
+        got = homology._cyc_reduce(word)
+        assert got == cyc_reduce_oracle(word), word
+        deep += len(word) - len(got) >= 8
+    assert deep > 300, deep
+
+
+def _assert_lex_walks_list_the_levels(cx):
+    """The mask walks that pi1_report reads its edges and triangles from, against level(1) and
+    level(2): the triangles walked are a complex's 2-cells, none below dimension 2."""
+    edges = tuple(homology._lex_walk(cx.neighbours, 1))
+    triangles = tuple(homology._Triangles(cx, (), {}).rest)
+    assert edges == (cx.level(1) if cx.dim >= 1 else ())
+    assert triangles == (cx.level(2) if cx.dim >= 2 else ())
+    assert len(triangles) == cx.n_cells(2)
+
+
+def test_lex_walks_list_the_levels_on_random_flag_complexes():
+    rng = Random(20261031)
+    for max_dim in range(4):
+        _assert_lex_walks_list_the_levels(flag_complex((), (), max_dim))
+    graph_triangles = 0
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        p = rng.choice((0.2, 0.5, 0.8))
+        verts, adj = neighbour_masks(range(n), [e for e in combinations(range(n), 2) if rng.random() < p])
+        cx = flag_complex(verts, adj, rng.randrange(0, 4))
+        _assert_lex_walks_list_the_levels(cx)
+        graph_triangles += cx.dim == 1 and any(homology._lex_walk(cx.neighbours, 2))
+    assert graph_triangles >= 30, graph_triangles
+
+
+def _torsion_grid_complexes():
+    """The complexes of the torsion benchmark's verify-nu runs, q=2 sym nmax 9 and triv nmax 8,
+    built and reduced as verify-nu builds them: ((subgroup, n), complex, its homology or None
+    when it is empty)."""
+    for sub, nmax in (("sym", 9), ("triv", 8)):
+        config = Config.make(2, 1, sub)
+        for n in range(2, nmax + 1):
+            through = max(connectivity_bound(config, n) + 1, 0)
+            cc = build_complex(config, n).chain_complex(through + 1)
+            yield (sub, n), cc, reduced_homology(cc, max(through, 1)) if cc.n_cells(0) else None
+
+
+def test_lex_walks_list_the_levels_on_torsion_grid_points():
+    for _, cc, _ in _torsion_grid_complexes():
+        _assert_lex_walks_list_the_levels(cc)
+
+
+def test_pi1_report_lists_no_level_on_torsion_grid_points():
+    # the generators and the triangles are read off the neighbour masks: no dimension is
+    # listed in the complex's own labels
+    statuses = {}
+    with pytest.MonkeyPatch.context() as mp:
+        own, _ = _listings(mp)
+        for key, cc, res in _torsion_grid_complexes():
+            if res is not None and res.betti[0] == 0 and cc.dim >= 1:
+                statuses[key] = pi1_report(cc, res, 5000)["status"]
+    assert own == []
+    want = {}  # the pi1 column of the verify-nu goldens of those runs
+    for sub, nmax in (("sym", 9), ("triv", 8)):
+        lines = Path(OUTPUTS, f"verify-nu-q2-{sub}-nmax{nmax}.csv").read_text().splitlines()[2:]
+        want.update(((sub, int(r[0])), r[5]) for r in (line.split(",") for line in lines) if r[5] != "n/a")
+    assert statuses == want and len(want) == 9
+
+
+def test_pi1_search_reads_976_triangles_at_triv_n9():
+    # budget 5000 at q=2 triv n=9 reads the triangles on the tree edges and on the eliminated
+    # generators' edges: 976 of 10,080, every one a 2-cell
+    cx = build_complex(Config.make(2, 1, "triv"), 9).chain_complex(2)
+    h1 = reduced_homology(cx, 1)
+    searched = []
+    search = homology._tietze_trivializes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_tietze_trivializes",
+                   lambda ngens, relators, budget: searched.append(relators) or search(ngens, relators, budget))
+        assert pi1_report(cx, h1, 5000)["status"] == "unknown"
+    (triangles,) = searched
+    assert len(triangles.read) == 976 and triangles.read <= set(cx.level(2))

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 from homology_oracle import (chains_oracle, complex_from_simplices, reduced_homology_oracle,
-                             simplicial_join)
+                             simplicial_join, witness_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +37,24 @@ def test_validate_reports_missing_composite():
     assert p.validate() == ("0", "1", "2")
     with pytest.raises(PosetError):
         p.require_valid()
+
+
+def test_validate_reports_the_least_witness():
+    # a -> c -> d and b -> c -> d both lack their composite: the sorted scan meets a -> c first
+    p = GenPoset.make("abcde", [("d", "e"), ("c", "d"), ("b", "c"), ("a", "c"), ("a", "b")])
+    assert p.validate() == witness_oracle(p) == ("a", "c", "d")
+
+
+def test_validate_matches_the_sorted_scan_on_random_relations():
+    rng = Random(20261032)
+    open_ = 0
+    for _ in range(300):
+        objs = [str(i) for i in range(rng.randint(1, 9))]
+        arrows = [(a, b) for a in objs for b in objs if rng.random() < 0.3]
+        p = GenPoset.make(objs, arrows)
+        assert p.validate() == witness_oracle(p), arrows
+        open_ += p.validate() is not None
+    assert 100 < open_ < 290, open_
 
 
 def test_validate_scans_each_poset_once(monkeypatch):
