@@ -6,24 +6,25 @@ of this kind (a simplex of a decorated disjoint-support complex is a set of
 pairwise disjoint vertices, one of an order complex a chain, a clique of
 the comparability graph), and so, as in Bauer's Ripser (2021), a coface
 f | v of a cell needs no membership test.  A chain complex is its vertex
-labels, its cell counts, the neighbour masks of its 1-skeleton and, read
-through ``cells`` and ``level``, its simplices: each an int bitmask (bit i
-is vertices[i], as Ripser's simplices are integers) oriented by the vertex
-order and listed in lexicographic order.  ``flag_complex`` builds it from
-those masks, not edge lists, and lists each clique once (Zomorodian's
-incremental clique search, 2010), in the order homology reduces them: from
-dimension 2 up, it lists the cliques below its top dimension in the spread
-vertex order below, each with its common neighbours, and counts the top
-ones as the popcounts of the last extension masks.  Those lists are the
-complex's counts, and ``reduced_homology`` reduces them as they are; its
-passes reach a top cell only as a coface f | v of a listed face.  The cells
-in the complex's own labels are listed only when ``cells``, ``level``,
-``basis``, ``dump_matrices`` or equality first read them, and ``level(d)``
-lists nothing above d.  At q=2 with Sym(2) and n=14,
+labels, its cell counts and the neighbour masks of its 1-skeleton.  Its
+simplices are the cliques of those masks, each an int bitmask (bit i is
+vertices[i], as Ripser's simplices are integers) oriented by the vertex
+order; they are named by their masks and never stored in the complex's own
+labels.  ``_lex_walk`` is the one walk that enumerates the d-cells in those
+labels, lazily and in lexicographic order (``_lex_walk`` order), for the
+readers that need them in that order: ``dump_matrices``, the boundary check
+and the pi1 report.  ``flag_complex`` builds a complex from the masks, not
+edge lists, and lists each clique once (Zomorodian's incremental clique
+search, 2010), in the order homology reduces them: from dimension 2 up, it
+lists the cliques below its top dimension in the spread vertex order below,
+each with its common neighbours, and counts the top ones as the popcounts
+of the last extension masks.  Those lists are the complex's counts, and
+``reduced_homology`` reduces them as they are; its passes reach a top cell
+only as a coface f | v of a listed face.  At q=2 with Sym(2) and n=14,
 ``chain_complex(4)`` so lists 363,454 cliques once and not the 945,945
 4-cells.  Boundary matrices are not stored but derived from the cells, face
 i of s being s less its i-th lowest bit with sign (-1)^i, so boundary
-squared vanishes by construction: ``faces`` enumerates them, and the
+squared vanishes by construction: ``_faces`` enumerates them, and the
 coboundaries below take each column from the neighbour masks.  They are
 reduced by one elimination: a unit-pivot column pass, then the leftover core
 of columns with non-unit lows, cleared on the pivot rows (empty on
@@ -88,15 +89,14 @@ each extended by its common neighbours below its lowest bit, and keeps with
 each the clique's common neighbours, the vertices of its coboundary column,
 so no column ANDs neighbour masks again.  A complex keeps that listing,
 made once when it is built, as ``spread``; each f | v above is then a cell.
-Only the homology leaves the function: the cell order, ``basis`` and
-``dump_matrices`` stay cx's.
+Only the homology leaves the function: ``dump_matrices`` and the pi1 report
+read the complex's own labels, in ``_lex_walk`` order.
 
 ``pi1_report`` presents the edge-path group by a generator for each edge off
 a breadth-first spanning tree and a relator for each triangle: the letters
 of its three edges, those of tree edges dropped.  It is read off the
-neighbour masks and lists nothing in the complex's own labels: a lazy walk
-of the masks in lexicographic order (``_lex_walk``) numbers the edges as
-``level(1)`` lists them and finds triangles in ``level(2)``'s order, and the
+neighbour masks and lists nothing in the complex's own labels: the edges
+are numbered, and the triangles found, in ``_lex_walk`` order, and the
 letter total the budget is counted from is 3 * ``n_cells(2)`` less the
 cofaces of the tree edges.  The relators are implicit, as the coboundary
 columns are: a budgeted Tietze search reads a triangle's relator off its
@@ -117,7 +117,6 @@ import math
 from collections import defaultdict
 from collections.abc import Collection, Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -153,18 +152,14 @@ class ChainComplex:
     """A flag complex as vertex labels, cell counts and its 1-skeleton's neighbour masks.
 
     Its d-cells are the cliques of d + 1 vertices of the 1-skeleton, for d up
-    to its dimension.  cells[d] lists them as int bitmasks, bit i standing for
-    vertices[i], so cells[0] is (1, 2, 4, ...); each simplex is oriented by the
-    vertex order, and each dimension is sorted lexicographically by the bit
-    positions of its cells.  neighbours[i] is the neighbour mask of vertex i
-    in the 1-skeleton.  ``faces`` derives the boundaries from the cells.
-
-    ``counts[d]`` is the number of d-cells.  ``flag_complex`` lists no cell in
-    its own labels when it builds one: from dimension 2 up it keeps
-    ``spread``, its cliques below the top in the spread order that homology
-    reduces, and ``level(d)`` lists cells[d] in its own labels on first read,
-    as cliques of the neighbour masks, nothing above d.  Equality compares the
-    vertices and the cells, not the masks.
+    to its dimension: int bitmasks, bit i standing for vertices[i], each
+    oriented by the vertex order.  neighbours[i] is the neighbour mask of
+    vertex i in the 1-skeleton, and ``counts[d]`` the number of d-cells.
+    ``flag_complex`` lists no cell in its own labels when it builds one: from
+    dimension 2 up it keeps ``spread``, its cliques below the top in the
+    spread order that homology reduces.  ``dump_matrices`` and
+    ``check_boundary_squared`` number the cells in ``_lex_walk`` order and
+    store none.  Complexes compare by identity.
     """
 
     vertices: tuple
@@ -173,60 +168,11 @@ class ChainComplex:
     spread: _Spread | None = field(default=None, repr=False)
 
     @property
-    def cells(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.level(d) for d in range(self.dim + 1))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainComplex):
-            return NotImplemented
-        return self.vertices == other.vertices and self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.cells))
-
-    @cached_property
-    def basis(self) -> tuple[tuple[tuple, ...], ...]:
-        """basis[d] lists the d-simplices as vertex tuples in vertex order, derived on first use."""
-        verts = self.vertices  # the binary digits of s, lowest first, pick its vertices
-        return tuple(tuple(tuple(v for v, b in zip(verts, f"{s:b}"[::-1]) if b == "1") for s in cells)
-                     for cells in self.cells)
-
-    @property
     def dim(self) -> int:
         return len(self.counts) - 1
 
     def n_cells(self, d: int) -> int:
         return self.counts[d] if 0 <= d < len(self.counts) else 0
-
-    @cached_property
-    def _listed(self) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, ...]]]:
-        """The dimensions listed in its own labels so far, and the rest."""
-        return [], _lex_levels(self.neighbours, self.dim)
-
-    def level(self, d: int) -> tuple[int, ...]:
-        """cells[d], 0 <= d <= dim, listing no dimension above d."""
-        listed, rest = self._listed
-        while len(listed) <= d:
-            listed.append(next(rest))
-        return listed[d]
-
-    def faces(self, d: int) -> Iterator[tuple[int, int, int]]:
-        """(cell index, face index, sign) for every face of every d-cell, 1 <= d <= dim.
-
-        Face i of a simplex drops its i-th lowest bit and carries the sign
-        (-1)^i.
-        """
-        index = {s: i for i, s in enumerate(self.level(d - 1))}
-        for j, s in enumerate(self.level(d)):
-            m, sign = s, 1
-            while m:
-                low = m & -m
-                m ^= low
-                yield j, index[s ^ low], sign
-                sign = -sign
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * self.n_cells(d) for d in range(self.dim + 1))
 
     def dump_matrices(self) -> str:
         """Boundary matrices as text: a dimension header, then row-major integers."""
@@ -235,7 +181,7 @@ class ChainComplex:
             rows, cols = self.n_cells(d - 1), self.n_cells(d)
             lines.append(f"dim {d} {rows}x{cols}")
             table = [[0] * cols for _ in range(rows)]
-            for j, r, v in self.faces(d):
+            for j, r, v in _faces(self.neighbours, d):
                 table[r][j] = v
             lines.extend(" ".join(str(x) for x in row) for row in table)
         return "\n".join(lines) + "\n"
@@ -247,10 +193,10 @@ class ChainComplex:
         """
         for d in range(2, self.dim + 1):
             lower: list[Column] = [{} for _ in range(self.n_cells(d - 1))]
-            for j, r, v in self.faces(d - 1):
+            for j, r, v in _faces(self.neighbours, d - 1):
                 lower[j][r] = v
             acc: list[Column] = [{} for _ in range(self.n_cells(d))]
-            for j, r, v in self.faces(d):
+            for j, r, v in _faces(self.neighbours, d):
                 for rr, vv in lower[r].items():
                     acc[j][rr] = acc[j].get(rr, 0) + v * vv
             for j, col in enumerate(acc):
@@ -302,26 +248,40 @@ def flag_complex(vertices: Iterable, neighbours: Sequence[int], max_dim: int) ->
                         spread=spread)
 
 
-def _lex_levels(neighbours: Sequence[int], top: int) -> Iterator[tuple[int, ...]]:
-    """The cliques of each dimension 0..top in these labels, each dimension sorted by bit position.
+def _lex_walk(neighbours: Sequence[int], d: int) -> Iterator[int]:
+    """The d-cells (cliques of d + 1 vertices) of the masks' flag complex, lazily, in lexicographic order.
 
-    Each clique is extended by its common neighbours above its highest bit,
-    in increasing order, from cliques in lexicographic order.
+    Level k of the walk extends each clique of level k - 1, in order, by its
+    common neighbours above its highest bit, lowest first, starting from the
+    empty clique with every vertex; the innermost level yields the cells.
     """
-    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
-    # the last cliques, each with its common neighbours above its highest bit
-    cliques, above = tuple(adj), [m & -(x << 1) for x, m in adj.items()]
-    yield cliques
-    for _ in range(top):
-        nxt, nxt_above = [], []
-        for clique, m in zip(cliques, above):
+    def extended(cliques: Iterable[tuple[int, int]], last: bool) -> Iterator:
+        for clique, m in cliques:  # each clique with its common neighbours above its highest bit
             while m:
-                low = m & -m
-                m ^= low  # m keeps the common neighbours above low
-                nxt.append(clique | low)
-                nxt_above.append(m & adj[low])
-        cliques, above = tuple(nxt), nxt_above
-        yield cliques
+                y = m & -m
+                m ^= y  # m keeps the common neighbours above y
+                yield clique | y if last else (clique | y, m & neighbours[y.bit_length() - 1])
+
+    cliques: Iterable[tuple[int, int]] = ((0, (1 << len(neighbours)) - 1),)
+    for _ in range(d):
+        cliques = extended(cliques, False)
+    return extended(cliques, True)
+
+
+def _faces(neighbours: Sequence[int], d: int) -> Iterator[tuple[int, int, int]]:
+    """(cell index, face index, sign) for every face of every d-cell of the masks' flag complex, d >= 1.
+
+    Cells are numbered in ``_lex_walk`` order; face i of a simplex drops its
+    i-th lowest bit and carries the sign (-1)^i.
+    """
+    index = {s: i for i, s in enumerate(_lex_walk(neighbours, d - 1))}
+    for j, s in enumerate(_lex_walk(neighbours, d)):
+        m, sign = s, 1
+        while m:
+            low = m & -m
+            m ^= low
+            yield j, index[s ^ low], sign
+            sign = -sign
 
 
 def _spread(neighbours: Sequence[int], top: int) -> _Spread:
@@ -752,9 +712,9 @@ def pi1_report(cx: ChainComplex, h1: HomologyResult, budget: int = 5000) -> dict
     "trivial" is only answered when the presentation simplifies to nothing
     within budget; "nontrivial" only with an abelianization witness, so a
     "trivial" answer is always sound.  The generators are the edges off a
-    breadth-first spanning tree, numbered by a walk of the masks in the order
-    of ``level(1)``, and the relators the triangles, each read off its mask
-    when first needed (``_Triangles``).
+    breadth-first spanning tree, numbered in ``_lex_walk`` order, and the
+    relators the triangles, each read off its mask when first needed
+    (``_Triangles``).
     """
     if len(h1.betti) < 2:
         raise HomologyError("pi1 report needs the reduced homology through degree 1")
@@ -785,24 +745,6 @@ def pi1_report(cx: ChainComplex, h1: HomologyResult, budget: int = 5000) -> dict
     status = _tietze_trivializes(len(letter), _Triangles(cx, tree, letter), budget)
     return {"status": "trivial" if status else "unknown",
             "generators": len(letter), "relators": cx.n_cells(2)}
-
-
-def _lex_walk(neighbours: Sequence[int], d: int) -> Iterator[int]:
-    """The edges (d = 1) or triangles (d = 2) of the masks, walked depth first in ``level(d)``'s order."""
-    for a, m in enumerate(neighbours):
-        x = 1 << a
-        m &= -(x << 1)  # the neighbours above a
-        while m:
-            y = m & -m
-            m ^= y  # m keeps the neighbours of a above y
-            if d == 1:
-                yield x | y
-                continue
-            c = m & neighbours[y.bit_length() - 1]
-            while c:
-                z = c & -c
-                c ^= z
-                yield x | y | z
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -859,7 +801,7 @@ class _Triangles(_Relators):
     a complex with 2-cells; one of dimension 1 has no triangle, whatever
     cliques its graph has, and so its masks are taken as empty.  ``read``
     holds the triangles whose relator was read, and ``rest`` walks the masks
-    in the order of ``level(2)``, which positions (a * n0 + b) * n0 + c keep.
+    in ``_lex_walk`` order, which positions (a * n0 + b) * n0 + c keep.
     """
 
     def __init__(self, cx: ChainComplex, tree: Iterable[int], letter: dict[int, int]):

@@ -1,9 +1,20 @@
 """Oracles for ``sphero.homology``, kept from the code they replaced.
 
+``lex_levels_oracle`` is ``_lex_levels``, the listing of a flag complex's
+cells in its own labels, every dimension through the top, in lexicographic
+order, that ``ChainComplex`` cached and read through its ``cells``,
+``level``, ``basis``, ``faces``, ``euler_characteristic``,
+``dump_matrices`` and equality, before ``sphero.homology._lex_walk``, one
+lazy walk for every dimension, replaced it.  Those members are kept here
+as ``cells_oracle``, ``level_oracle``, ``basis_oracle``, ``faces_oracle``,
+``euler_characteristic_oracle``, ``dump_matrices_oracle`` and
+``complex_key_oracle`` (what equality compared, with the counts and masks);
+they read an ``ExplicitComplex``'s ``simplices`` and list any other complex
+from its neighbour masks.
 ``flag_complex_oracle`` is the clique search that built every simplex as a
 vertex tuple, before chain complexes held vertex bitmasks.
 ``boundary_columns_oracle`` is the column builder that chain complexes used
-when they stored their boundary matrices; it slices the tuple ``basis``.
+when they stored their boundary matrices; it slices the vertex tuples.
 ``reduced_homology_oracle`` is the homology-direction loop: it hands every
 boundary matrix, in its own column order and without clearing, to
 ``sparse_invariant_factors``: no spanning forest for the first boundary, no
@@ -18,7 +29,7 @@ triangles only when it needed them.  ``simplicial_join`` is
 the join of two simplicial complexes, the oracle for ``sphero.posets.join``.
 ``chains_oracle`` lists the chains of an honest poset as tuples, as
 ``sphero.posets.order_complex`` did before it took the clique search.
-``coboundary_oracle`` builds a cleared coboundary from ``ChainComplex.faces``,
+``coboundary_oracle`` builds a cleared coboundary from ``faces_oracle``,
 as ``reduced_homology`` did before its one-pass coboundary, and
 ``spanning_forest_oracle`` is Kruskal's scan over every edge, before the
 forest stopped once it spanned.  ``one_pass_coboundary_oracle`` fills every
@@ -55,7 +66,7 @@ arrows in sorted order, before it took the least witness of an unsorted scan.
 """
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import groupby
@@ -71,14 +82,112 @@ class ExplicitComplex(ChainComplex):
     """A simplicial complex that holds its cells, listed in full, and need not be a flag complex.
 
     It keeps no spread listing, so ``sphero.homology`` cannot reduce it; only
-    the oracles here read it, through ``cells``, ``level``, ``basis`` and
-    ``faces``.
+    the oracles here read it, through ``cells_oracle``, ``level_oracle``,
+    ``basis_oracle`` and ``faces_oracle``, which take its ``simplices``.  The
+    ``dump_matrices`` and ``check_boundary_squared`` it inherits walk its
+    neighbour masks, so they describe the flag complex of its 1-skeleton:
+    ``dump_matrices_oracle`` dumps its own cells.
     """
 
     simplices: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
-    def level(self, d: int) -> tuple[int, ...]:
-        return self.simplices[d]
+
+def lex_levels_oracle(neighbours: Sequence[int], top: int) -> list[tuple[int, ...]]:
+    """The cliques of each dimension 0..top of the masks, each dimension sorted by bit position.
+
+    Each clique is extended by its common neighbours above its highest bit,
+    in increasing order, from cliques in lexicographic order.
+    """
+    adj = {1 << i: m for i, m in enumerate(neighbours)}  # keyed by the vertex's bit
+    # the last cliques, each with its common neighbours above its highest bit
+    cliques, above = tuple(adj), [m & -(x << 1) for x, m in adj.items()]
+    levels = [cliques]
+    for _ in range(top):
+        nxt, nxt_above = [], []
+        for clique, m in zip(cliques, above):
+            while m:
+                low = m & -m
+                m ^= low  # m keeps the common neighbours above low
+                nxt.append(clique | low)
+                nxt_above.append(m & adj[low])
+        cliques, above = tuple(nxt), nxt_above
+        levels.append(cliques)
+    return levels
+
+
+def cells_oracle(cx: ChainComplex, top: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """cx's cells of each dimension through top (default: its dimension), as int bitmasks.
+
+    Bit i stands for vertices[i], and each dimension is sorted
+    lexicographically by bit positions.  An ``ExplicitComplex``'s cells are
+    its ``simplices``; a flag complex's are ``lex_levels_oracle``'s cliques of
+    its neighbour masks, nothing above top listed.
+    """
+    top = cx.dim if top is None else min(top, cx.dim)
+    if isinstance(cx, ExplicitComplex):
+        return cx.simplices[:top + 1]
+    return tuple(lex_levels_oracle(cx.neighbours, top))
+
+
+def level_oracle(cx: ChainComplex, d: int) -> tuple[int, ...]:
+    """cx's d-cells, 0 <= d <= its dimension, listing no dimension above d."""
+    return cells_oracle(cx, d)[d]
+
+
+def basis_oracle(cx: ChainComplex, top: int | None = None) -> tuple[tuple[tuple, ...], ...]:
+    """The d-simplices as vertex tuples in vertex order, for each dimension d through top."""
+    return tuple(_vertex_tuples(cx, cells) for cells in cells_oracle(cx, top))
+
+
+def _vertex_tuples(cx: ChainComplex, cells: Iterable[int]) -> tuple[tuple, ...]:
+    """Each cell's vertices, lowest bit first."""
+    verts, out = cx.vertices, []
+    for s in cells:
+        simplex = []
+        while s:
+            low = s & -s
+            s ^= low
+            simplex.append(verts[low.bit_length() - 1])
+        out.append(tuple(simplex))
+    return tuple(out)
+
+
+def faces_oracle(cx: ChainComplex, d: int) -> Iterator[tuple[int, int, int]]:
+    """(cell index, face index, sign) for every face of every d-cell, 1 <= d <= dim.
+
+    Face i of a simplex drops its i-th lowest bit and carries the sign (-1)^i.
+    """
+    lower, upper = cells_oracle(cx, d)[d - 1:]
+    index = {s: i for i, s in enumerate(lower)}
+    for j, s in enumerate(upper):
+        m, sign = s, 1
+        while m:
+            low = m & -m
+            m ^= low
+            yield j, index[s ^ low], sign
+            sign = -sign
+
+
+def complex_key_oracle(cx: ChainComplex) -> tuple:
+    """cx's vertices, counts, neighbour masks and cells: what two listings of one complex share."""
+    return cx.vertices, cx.counts, cx.neighbours, cells_oracle(cx)
+
+
+def euler_characteristic_oracle(cx: ChainComplex) -> int:
+    return sum((-1) ** d * cx.n_cells(d) for d in range(cx.dim + 1))
+
+
+def dump_matrices_oracle(cx: ChainComplex) -> str:
+    """Boundary matrices as text, from ``faces_oracle``: a dimension header, then row-major integers."""
+    lines = []
+    for d in range(1, cx.dim + 1):
+        rows, cols = cx.n_cells(d - 1), cx.n_cells(d)
+        lines.append(f"dim {d} {rows}x{cols}")
+        table = [[0] * cols for _ in range(rows)]
+        for j, r, v in faces_oracle(cx, d):
+            table[r][j] = v
+        lines.extend(" ".join(str(x) for x in row) for row in table)
+    return "\n".join(lines) + "\n"
 
 
 def complex_from_simplices(simplices_by_dim: list[list[tuple]]) -> ExplicitComplex:
@@ -162,9 +271,10 @@ def boundary_columns_oracle(cx: ChainComplex, d: int) -> list[Column]:
     """Columns of the boundary map from dimension d, empty beyond range."""
     if not 1 <= d <= cx.dim:
         return []
-    index = {s: i for i, s in enumerate(cx.basis[d - 1])}
+    lower, upper = (_vertex_tuples(cx, cells) for cells in cells_oracle(cx, d)[d - 1:])
+    index = {s: i for i, s in enumerate(lower)}
     cols = []
-    for s in cx.basis[d]:
+    for s in upper:
         col: Column = {}
         for j in range(len(s)):
             face = s[:j] + s[j + 1:]
@@ -255,7 +365,8 @@ def pi1_presentation_oracle(cx: ChainComplex) -> tuple[int, list[tuple[int, ...]
     n0 = cx.n_cells(0)
     if n0 == 0:
         raise HomologyError("empty complex")
-    edges = cx.cells[1] if cx.dim >= 1 else ()
+    listed = cells_oracle(cx, 2)
+    edges = listed[1] if cx.dim >= 1 else ()
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n0)]
     for ei, e in enumerate(edges):
         a, b = (e & -e).bit_length() - 1, e.bit_length() - 1
@@ -276,7 +387,7 @@ def pi1_presentation_oracle(cx: ChainComplex) -> tuple[int, list[tuple[int, ...]
     # edges run from their lower bit to their higher one; tree edges get no letter
     letter = {e: g + 1 for g, e in enumerate(e for ei, e in enumerate(edges) if ei not in tree)}
     relators = []
-    for t in cx.cells[2] if cx.dim >= 2 else ():
+    for t in listed[2] if cx.dim >= 2 else ():
         # the triangle a < b < c reads ab, bc, then ac backwards; 0 is the empty word
         low, high = t & -t, 1 << (t.bit_length() - 1)
         relators.append(_free_reduce((letter.get(t ^ high, 0), letter.get(t ^ low, 0),
@@ -386,8 +497,8 @@ def simplicial_join(a: ChainComplex, b: ChainComplex) -> ExplicitComplex:
     Vertices of the two inputs are tagged to stay disjoint; simplices are all
     unions of a simplex from each side (or from one side alone).
     """
-    sa = [[tuple(("a", v) for v in s) for s in cells] for cells in a.basis]
-    sb = [[tuple(("b", v) for v in s) for s in cells] for cells in b.basis]
+    sa = [[tuple(("a", v) for v in s) for s in cells] for cells in basis_oracle(a)]
+    sb = [[tuple(("b", v) for v in s) for s in cells] for cells in basis_oracle(b)]
     by_dim: list[set] = [set() for _ in range(a.dim + b.dim + 2)]
     for d, cells in [*enumerate(sa), *enumerate(sb)]:
         by_dim[d].update(cells)
@@ -441,7 +552,7 @@ def coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -> list[Colum
     cob: list[Column | None] = [{} for _ in range(cx.n_cells(d - 1))]
     for r in cleared:
         cob[r] = None
-    for j, r, v in cx.faces(d):
+    for j, r, v in faces_oracle(cx, d):
         col = cob[r]
         if col is not None:
             col[top - j] = v
@@ -476,11 +587,11 @@ def one_pass_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -> l
     (by index) get no column, and faces without cofaces give an empty one, left
     out.
     """
-    lower = cx.cells[d - 1]
+    lower, upper = cells_oracle(cx, d)[d - 1:]
     cols: dict[int, Column] = {lower[i]: {} for i in range(len(lower) - 1, -1, -1)
                                if i not in cleared}
     row = cx.n_cells(d)
-    for s in cx.cells[d]:
+    for s in upper:
         row -= 1
         m, sign = s, 1
         while m:
@@ -712,11 +823,12 @@ def row_indexed_coboundary_oracle(cx: ChainComplex, d: int, cleared: set[int]) -
     vertices that gives a cell.  Cleared faces (by mask) and faces without
     cofaces give no column.
     """
-    rows = {s: r for r, s in enumerate(reversed(cx.cells[d]))}
+    lower, upper = cells_oracle(cx, d)[d - 1:]
+    rows = {s: r for r, s in enumerate(reversed(upper))}
     adj = {1 << i: m for i, m in enumerate(cx.neighbours)}
     cob = RowCoboundary((), set())
     cob.rows = rows
-    for f in reversed(cx.cells[d - 1]):
+    for f in reversed(lower):
         if f in cleared:
             continue
         m, x = -1, f
@@ -759,7 +871,7 @@ def row_indexed_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyR
     The forest is Kruskal's over the lexicographic edge list; each unit pivot
     row of a coboundary clears its d-cell's column of the next one.
     """
-    n0 = cx.n_cells(0)
+    n0, listed = cx.n_cells(0), cells_oracle(cx, through_dim + 1)
     rank: dict[int, int] = {0: 1 if n0 else 0}  # augmentation
     factors: dict[int, list[int]] = {}
     cleared: set[int] = set()
@@ -767,14 +879,13 @@ def row_indexed_homology_oracle(cx: ChainComplex, through_dim: int) -> HomologyR
         if not cx.n_cells(d):
             f, r = [], 0
         elif d == 1:
-            cleared = {cx.cells[1][j] for j in early_forest_oracle(n0, cx.cells[1])}
+            cleared = {listed[1][j] for j in early_forest_oracle(n0, listed[1])}
             f, r = [1] * len(cleared), len(cleared)
         else:
             pivots: set[int] = set()
             cob = row_indexed_coboundary_oracle(cx, d, cleared)
             f, r = slot_list_invariant_factors(cob.columns, pivots, cob)
-            top = cx.cells[d]
-            cleared = {top[-1 - p] for p in pivots}
+            cleared = {listed[d][-1 - p] for p in pivots}
         factors[d], rank[d] = f, r
     betti = tuple(cx.n_cells(d) - rank[d] - rank[d + 1] for d in range(through_dim + 1))
     torsion = tuple(tuple(x for x in factors[d + 1] if x > 1) for d in range(through_dim + 1))

@@ -12,9 +12,11 @@ import homology_oracle
 import pytest
 from dense_snf import smith_normal_form
 from golden_cases import OUTPUTS
-from homology_oracle import (and_coboundary_oracle, boundary_columns_oracle, coboundary_oracle,
-                             complex_from_simplices, cyc_reduce_oracle, eager_flag_complex_oracle,
-                             early_forest_oracle, flag_complex_oracle, one_pass_coboundary_oracle,
+from homology_oracle import (and_coboundary_oracle, basis_oracle, boundary_columns_oracle,
+                             cells_oracle, coboundary_oracle, complex_from_simplices, complex_key_oracle,
+                             cyc_reduce_oracle, dump_matrices_oracle, eager_flag_complex_oracle,
+                             early_forest_oracle, euler_characteristic_oracle, flag_complex_oracle,
+                             level_oracle, lex_levels_oracle, one_pass_coboundary_oracle,
                              pi1_presentation_oracle, pi1_report_oracle, reduced_homology_oracle,
                              row_indexed_homology_oracle, spanning_forest_oracle,
                              spread_copy_oracle, tietze_trivializes_oracle)
@@ -89,11 +91,11 @@ def test_snf_random_certified_and_matches_sparse(seed):
 
 
 def _face_columns(cx, d):
-    """Boundary columns from dimension d, read off ``faces``; empty beyond range."""
+    """Boundary columns from dimension d of a flag complex, read off ``_faces``; empty beyond range."""
     if not 1 <= d <= cx.dim:
         return []
     cols = [{} for _ in range(cx.n_cells(d))]
-    for j, r, v in cx.faces(d):
+    for j, r, v in homology._faces(cx.neighbours, d):
         cols[j][r] = v
     return cols
 
@@ -374,7 +376,7 @@ def _subdivision(cx):
 
     Its vertices are cx's cells, as masks, each joined to its proper faces.
     """
-    faces = [s for cells in cx.cells for s in cells]
+    faces = [s for cells in cells_oracle(cx) for s in cells]
     index = {s: i for i, s in enumerate(faces)}
     adj = [0] * len(faces)
     for i, s in enumerate(faces):
@@ -419,7 +421,7 @@ def test_flag_complex_bases_come_out_sorted():
         edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < 0.6]
         cx = flag_complex(*neighbour_masks(labels, edges), n)
         adjacent = {frozenset(e) for e in edges}
-        for d, cells in enumerate(cx.basis):
+        for d, cells in enumerate(basis_oracle(cx)):
             assert list(cells) == sorted(cells)
             want = [c for c in combinations(sorted(labels), d + 1)
                     if all(frozenset(p) in adjacent for p in combinations(c, 2))]
@@ -438,9 +440,9 @@ def test_flag_complex_matches_tuple_oracle():
         max_dim = rng.randrange(0, 5)
         cx = flag_complex(*neighbour_masks(labels, edges), max_dim)
         bases = flag_complex_oracle(labels, edges, max_dim)
-        assert cx.basis == tuple(map(tuple, bases)), trial
+        assert basis_oracle(cx) == tuple(map(tuple, bases)), trial
         oracle = complex_from_simplices(bases)
-        assert oracle == cx, trial
+        assert complex_key_oracle(oracle) == complex_key_oracle(cx), trial
         for d in range(1, cx.dim + 1):
             assert _face_columns(cx, d) == boundary_columns_oracle(oracle, d), (trial, d)
         through = max(cx.dim - 1, 0)
@@ -456,7 +458,7 @@ def test_euler_characteristic_matches_betti_sum():
         cx = flag_complex(*neighbour_masks(verts, edges), n)
         res = reduced_homology(cx, cx.dim)
         assert all(not t for t in res.torsion)  # flag complexes here stay torsion-free
-        chi_cells = cx.euler_characteristic()
+        chi_cells = euler_characteristic_oracle(cx)
         chi_betti = 1 + sum((-1) ** d * res.betti[d] for d in range(len(res.betti)))
         assert chi_cells == chi_betti
 
@@ -559,7 +561,7 @@ def test_coboundary_matches_face_oracle_on_grid_points(q, sub):
     config = Config.make(q, 1, sub)
     for n in range(q, 10):
         cc = build_complex(config, n).chain_complex(max(connectivity_bound(config, n), 0) + 2)
-        cleared = early_forest_oracle(cc.n_cells(0), cc.cells[1]) if cc.dim else set()
+        cleared = early_forest_oracle(cc.n_cells(0), level_oracle(cc, 1)) if cc.dim else set()
         for d in range(2, cc.dim + 1):
             cols = one_pass_coboundary_oracle(cc, d, cleared)
             assert _items(cols) == _items(coboundary_oracle(cc, d, cleared)), (n, d)
@@ -576,7 +578,7 @@ def test_spanning_forest_stops_where_full_kruskal_would():
         p = rng.choice((0.05, 0.15, 0.3, 0.6, 0.9))
         edges = [e for e in combinations(range(n0), 2) if rng.random() < p]
         cx = flag_complex(*neighbour_masks(range(n0), edges), 1)
-        cells = cx.cells[1] if cx.dim else ()
+        cells = level_oracle(cx, 1) if cx.dim else ()
         if trial % 2:
             cells = tuple(rng.sample(cells, len(cells)))  # Kruskal on any edge order
         forest = early_forest_oracle(n0, cells)
@@ -594,7 +596,7 @@ def test_mask_forest_is_kruskals_early_forest():
         p = rng.choice((0.03, 0.1, 0.2, 0.4, 0.8))
         edges = [e for e in combinations(range(n0), 2) if rng.random() < p]
         cx = flag_complex(*neighbour_masks(range(n0), edges), 1)
-        cells = tuple(sorted(cx.cells[1] if cx.dim else (), reverse=True))
+        cells = tuple(sorted(level_oracle(cx, 1) if cx.dim else (), reverse=True))
         want = {cells[j] for j in spanning_forest_oracle(n0, cells)}
         assert homology._spanning_forest(cx.neighbours) == want, trial
         # complex_from_simplices derives the same masks from any order of the same edges
@@ -685,8 +687,9 @@ def _explicit_passes(cx, through):
     the forest, then per coboundary its factors and rank and its pivot rows."""
     if through < 0 or not cx.n_cells(1):
         return []
-    cleared = early_forest_oracle(cx.n_cells(0), cx.cells[1])
-    seen = [{cx.cells[1][j] for j in cleared}]
+    edges = level_oracle(cx, 1)
+    cleared = early_forest_oracle(cx.n_cells(0), edges)
+    seen = [{edges[j] for j in cleared}]
     for d in range(2, through + 2):
         if not cx.n_cells(d):
             break
@@ -699,7 +702,7 @@ def _explicit_passes(cx, through):
 
 def _reversed(cx):
     """cx with its vertex order reversed: vertex i takes bit n0 - 1 - i."""
-    bases = [list(b) for b in cx.basis]
+    bases = [list(b) for b in basis_oracle(cx)]
     bases[0].reverse()
     return complex_from_simplices(bases)
 
@@ -716,7 +719,7 @@ def _assert_same_pivots(cx, through):
     forests, passes, res = _pivot_passes(cx, through)
     oc = _reversed(cx) if cx.spread is None else spread_copy_oracle(cx, through)
     want_res, want = _spied_passes(lambda: row_indexed_homology_oracle(oc, through))
-    n0 = cx.n_cells(0)
+    n0, oc_cells = cx.n_cells(0), cells_oracle(oc)
 
     def rev(m):
         return int(f"{m:0{n0}b}"[::-1], 2)
@@ -727,7 +730,7 @@ def _assert_same_pivots(cx, through):
     assert [{rev(e) for e in forest} for forest in forests] == explicit[:1]
     assert len(passes) == len(want)
     for d, got, exp in zip(count(2), passes, want):
-        row = {s: r for r, s in enumerate(reversed(oc.cells[d]))}
+        row = {s: r for r, s in enumerate(reversed(oc_cells[d]))}
         assert {row[rev(m)] for m in got["pivots"]} == exp["pivots"], d
         assert [got[k] for k in ("out", "fills", "additions")] == \
             [exp[k] for k in ("out", "fills", "additions")], d
@@ -751,7 +754,7 @@ def _random_complex(rng, trial):
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     cx = flag_complex(*neighbour_masks(range(n), edges), rng.randrange(2, 5))
     if trial % 2 and cx.dim >= 2:
-        bases = [list(b) for b in cx.basis]
+        bases = [list(b) for b in basis_oracle(cx)]
         bases[-1] = [s for s in bases[-1] if rng.random() < 0.5]
         explicit = complex_from_simplices(bases if bases[-1] else bases[:-1])
         return _subdivision(explicit), explicit
@@ -869,7 +872,7 @@ def test_reduced_homology_is_invariant_under_vertex_relabelling_on_torsion_grid_
     assert any(want.torsion)
     for _ in range(20):
         cy = _relabelled(cc, rng)
-        assert [len(c) for c in cy.cells] == [len(c) for c in cc.cells]
+        assert [len(c) for c in cells_oracle(cy)] == [len(c) for c in cells_oracle(cc)]
         assert reduced_homology(cy, through) == want
 
 
@@ -898,7 +901,7 @@ def _assert_spread_listing(cx, through):
 
     neighbours, levels, commons = sp.neighbours, sp.levels, sp.commons
     assert cx.dim <= len(levels) <= cx.dim + 1
-    assert levels == [sorted(map(moved, cx.cells[d]), reverse=True) for d in range(len(levels))]
+    assert levels == [sorted(map(moved, cells), reverse=True) for cells in cells_oracle(cx, len(levels) - 1)]
     assert sp.top == cx.n_cells(len(levels))
     assert [neighbours[t] for t in label] == list(map(moved, cx.neighbours))
     assert commons == [[_common(neighbours, s) for s in level] for level in levels]
@@ -954,7 +957,7 @@ def test_mask_homology_matches_oracle_on_projective_plane():
                  rng.sample(tris, len(tris))]
         cx = complex_from_simplices(bases)
         assert all(list(c) == sorted(c, key=lambda s: [i for i in range(6) if s >> i & 1])
-                   for c in cx.cells), trial
+                   for c in cells_oracle(cx)), trial
         # the library on its barycentric subdivision
         res = reduced_homology(_subdivision(cx), 2)
         assert res == reduced_homology_oracle(cx, 2), trial
@@ -967,30 +970,36 @@ def test_chain_complex_carries_its_one_skeleton_masks():
     for max_dim in (1, 2):
         cx = flag_complex(verts, adj, max_dim)
         assert cx.neighbours == tuple(adj)
-        assert complex_from_simplices([list(b) for b in cx.basis]).neighbours == tuple(adj)
+        assert complex_from_simplices([list(b) for b in basis_oracle(cx)]).neighbours == tuple(adj)
 
 
 # ---------------------------------------------------------------------------
-# a flag complex: its cliques listed once, in the spread order, its own labels on first read
+# a flag complex: its cliques listed once, in the spread order, its own labels walked on read
 
 
-_READERS = {"cells": lambda c: c.cells, "basis": lambda c: c.basis,
-            "dump_matrices": lambda c: c.dump_matrices(), "==": lambda c: c}
+_READERS = {"cells": cells_oracle, "basis": basis_oracle,
+            "vertices, counts, masks and cells": complex_key_oracle}
 
 
 def _assert_lazy_top_matches_eager(verts, adj):
     """For every max_dim through the clique number + 1, flag_complex against the eager oracle:
-    the counts, read first and listing nothing in its own labels, the top counted and not
-    listed in the spread order, each way of reading the cells, and the homology."""
+    the counts, read first and walking nothing in its own labels, the top counted and not
+    listed in the spread order, the dump walking no dimension above max_dim, each way of
+    reading the cells, and the homology."""
     n = len(adj)
     omega = eager_flag_complex_oracle(verts, adj, n).dim + 1 if n else 0
     for max_dim in range(omega + 2):
         want = eager_flag_complex_oracle(verts, adj, max_dim)
-        cx = flag_complex(verts, adj, max_dim)
-        assert cx.dim == want.dim, max_dim
-        assert [cx.n_cells(d) for d in range(-1, want.dim + 2)] == \
-            [want.n_cells(d) for d in range(-1, want.dim + 2)], max_dim
-        assert "_listed" not in vars(cx), max_dim
+        with pytest.MonkeyPatch.context() as mp:
+            walked, _ = _listings(mp)
+            cx = flag_complex(verts, adj, max_dim)
+            assert cx.dim == want.dim, max_dim
+            assert [cx.n_cells(d) for d in range(-1, want.dim + 2)] == \
+                [want.n_cells(d) for d in range(-1, want.dim + 2)], max_dim
+            assert walked == [], max_dim
+            assert cx.dump_matrices() == dump_matrices_oracle(want), max_dim
+        assert sorted(set(walked)) == list(range(cx.dim + 1 if cx.dim else 0)), (max_dim, walked)
+        assert cx.dim <= max_dim, max_dim
         if max_dim < 2:
             assert cx.spread is None, max_dim
         else:
@@ -1001,9 +1010,7 @@ def _assert_lazy_top_matches_eager(verts, adj):
         if max_dim == 0 or not want.n_cells(1):
             assert cx.neighbours == (0,) * n, max_dim
         for name, read in _READERS.items():
-            cx = flag_complex(verts, adj, max_dim)  # each reader lists the cells itself
             assert read(cx) == read(want), (max_dim, name)
-        assert hash(cx) == hash(want) and want == cx, max_dim
         for through in range(want.dim + 1):
             assert reduced_homology(flag_complex(verts, adj, max_dim), through) == \
                 reduced_homology_oracle(want, through), (max_dim, through)
@@ -1031,19 +1038,13 @@ def test_lazy_top_matches_eager_flag_complex_on_grid_points(q, sub, nmax):
 
 
 def _listings(mp):
-    """Patch the clique listings to record them: the dimension of every level a flag complex
-    lists in its own labels, and the number of spread listings."""
-    own, spread = [], []
-    lex, spread_of = homology._lex_levels, homology._spread
-
-    def spy_lex(neighbours, top):
-        for d, level in enumerate(lex(neighbours, top)):
-            own.append(d)
-            yield level
-
-    mp.setattr(homology, "_lex_levels", spy_lex)
+    """Patch the clique walk and the spread listing to record them: the d of every walk of a
+    complex's d-cells in its own labels, and the number of spread listings."""
+    walked, spread = [], []
+    walk, spread_of = homology._lex_walk, homology._spread
+    mp.setattr(homology, "_lex_walk", lambda neighbours, d: walked.append(d) or walk(neighbours, d))
     mp.setattr(homology, "_spread", lambda *a: spread.append(1) or spread_of(*a))
-    return own, spread
+    return walked, spread
 
 
 @pytest.mark.parametrize("q,sub,n,top", [(2, "sym", 11, 17_325), (3, "triv", 9, 30_240)])
@@ -1083,9 +1084,10 @@ def test_verify_nu_pi1_lists_nothing_above_dimension_two(tmp_path):
         assert cli.main(["verify-nu", "--q", "2", "--subgroup", "sym", "--nmax", "9",
                          "--pi1-budget", "5000", "--out", str(out)]) == 0
     rows = {int(r[0]): r for r in (line.split(",") for line in out.read_text().splitlines()[2:])}
-    # nu = 1 at n = 8 and 9: a 3-dimensional complex whose pi1 was searched, its top not listed
+    # nu = 1 at n = 8 and 9: a 3-dimensional complex whose pi1 was searched, its top not
+    # walked: the pi1 report walks the edges and the triangles, and nothing else walks
     assert [rows[n][1] for n in (8, 9)] == ["1", "1"] and "n/a" not in (rows[8][5], rows[9][5])
-    assert all(d <= 2 for d in listed), listed
+    assert set(listed) == {1, 2}, listed
 
 
 def _assert_mask_columns_match_and_oracle(cx):
@@ -1180,7 +1182,7 @@ def test_ranks_mod_p_certify_grid_homology():
         if cc.dim <= through + 1:  # no cell above: the whole complex
             full = reduced_homology(cc, cc.dim)
             chi = sum((-1) ** d * b for d, b in enumerate(full.betti))
-            assert chi == cc.euler_characteristic() - 1, n
+            assert chi == euler_characteristic_oracle(cc) - 1, n
     assert drops == [(7, 2, 3, 1), (9, 3, 3, 8)]
 
 
@@ -1260,7 +1262,7 @@ def test_pi1_orients_edges_by_vertex_order():
     # same bitmasks, so the same presentation as the ascending one
     cx_up = _k4(2)
     cx_down = flag_complex((3, 2, 1, 0), cx_up.neighbours, 2)
-    assert cx_down.vertices == (3, 2, 1, 0) and cx_down.cells == cx_up.cells
+    assert cx_down.vertices == (3, 2, 1, 0) and cells_oracle(cx_down) == cells_oracle(cx_up)
     assert _spy_presentations(cx_down, [5000]) == _spy_presentations(cx_up, [5000])
 
 
@@ -1436,7 +1438,7 @@ def test_pi1_matches_oracle_on_relabelled_complexes():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(homology._Triangles, "take", lambda self: taken.append(1) or take(self))
                 got, want = _pi1_outcomes(cx, h1)
-            assert got == want, (i, cx.cells)
+            assert got == want, (i, cells_oracle(cx))
             _count_outcomes(statuses, got)
     assert statuses["trivial"] and statuses["unknown"] and statuses["nontrivial"], statuses
     assert len(taken) > 100
@@ -1448,13 +1450,20 @@ def test_pi1_search_reads_triangles_within_its_budget():
     # eliminated generators' edges, not every triangle
     cx = build_complex(Config.make(2, 1, "triv"), 9).chain_complex(2)
     h1 = reduced_homology(cx, 1)
-    built = []
-    relator = homology._Triangles.relator
+    searched, built = [], []
+    search, on, take = homology._tietze_trivializes, homology._Triangles._on, homology._Triangles.take
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology._Triangles, "relator", lambda self, t: built.append(t) or relator(self, t))
+        mp.setattr(homology, "_tietze_trivializes",
+                   lambda ngens, relators, budget: searched.append(relators) or search(ngens, relators, budget))
+        # every relator the search is given: the triangles on an edge, and the first one not read
+        mp.setattr(homology._Triangles, "_on", lambda self, e: built.extend(out := on(self, e)) or out)
+        mp.setattr(homology._Triangles, "take", lambda self: built.append(out := take(self)) or out)
         rep = pi1_report(cx, h1, 5000)
     assert rep == {"status": "unknown", "generators": 1441, "relators": 10080}
-    assert len(set(built)) == len(built) < 0.2 * 10080
+    (triangles,) = searched
+    positions = [p for p, _ in built]
+    assert len(set(positions)) == len(positions) == len(triangles.read)
+    assert 0 < len(triangles.read) < 0.2 * 10080
 
 
 def test_cyc_reduce_matches_the_slice_loop_on_random_words():
@@ -1473,12 +1482,13 @@ def test_cyc_reduce_matches_the_slice_loop_on_random_words():
 
 
 def _assert_lex_walks_list_the_levels(cx):
-    """The mask walks that pi1_report reads its edges and triangles from, against level(1) and
-    level(2): the triangles walked are a complex's 2-cells, none below dimension 2."""
+    """The mask walks that pi1_report reads its edges and triangles from, against the listing
+    oracle's levels 1 and 2: the triangles walked are a complex's 2-cells, none below dimension
+    2."""
     edges = tuple(homology._lex_walk(cx.neighbours, 1))
     triangles = tuple(homology._Triangles(cx, (), {}).rest)
-    assert edges == (cx.level(1) if cx.dim >= 1 else ())
-    assert triangles == (cx.level(2) if cx.dim >= 2 else ())
+    assert edges == (level_oracle(cx, 1) if cx.dim >= 1 else ())
+    assert triangles == (level_oracle(cx, 2) if cx.dim >= 2 else ())
     assert len(triangles) == cx.n_cells(2)
 
 
@@ -1495,6 +1505,57 @@ def test_lex_walks_list_the_levels_on_random_flag_complexes():
         _assert_lex_walks_list_the_levels(cx)
         graph_triangles += cx.dim == 1 and any(homology._lex_walk(cx.neighbours, 2))
     assert graph_triangles >= 30, graph_triangles
+
+
+def _assert_lex_walk_lists_every_level(neighbours, dim):
+    """The one lexicographic clique walk against the listing oracle at every d from 0 through
+    dim + 1; return the number of cliques walked above dimension 2."""
+    want = lex_levels_oracle(neighbours, dim + 1)
+    for d in range(dim + 2):
+        assert tuple(homology._lex_walk(neighbours, d)) == want[d], d
+    return sum(map(len, want[3:]))
+
+
+def test_lex_walk_lists_every_level_on_random_graphs():
+    rng = Random(20261032)
+    deep = 0
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        p = rng.choice((0.2, 0.5, 0.8, 1.0))
+        _, adj = neighbour_masks(range(n), [e for e in combinations(range(n), 2) if rng.random() < p])
+        # through the clique number, whose level is empty
+        deep += bool(_assert_lex_walk_lists_every_level(adj, flag_complex(range(n), adj, n).dim))
+    assert deep >= 75, deep
+
+
+def test_lex_walk_lists_every_level_on_torsion_grid_points():
+    deep = 0
+    for _, cc, _ in _torsion_grid_complexes():
+        deep += bool(_assert_lex_walk_lists_every_level(cc.neighbours, cc.dim))
+    assert deep >= 3, deep
+
+
+def test_dump_matrices_matches_the_listing_oracle_on_random_flag_complexes():
+    # against the oracle dump of the complex itself and of the tuple clique search's complex
+    rng = Random(20261033)
+    deep = 0
+    for trial in range(150):
+        n = rng.randrange(0, 11)
+        p = rng.choice((0.2, 0.5, 0.8, 0.9))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        max_dim = rng.randrange(0, 5)
+        cx = flag_complex(*neighbour_masks(range(n), edges), max_dim)
+        want = dump_matrices_oracle(complex_from_simplices(flag_complex_oracle(range(n), edges, max_dim)))
+        assert cx.dump_matrices() == dump_matrices_oracle(cx) == want, trial
+        deep += cx.dim >= 3
+    assert deep >= 20, deep
+
+
+def test_dump_matrices_matches_the_listing_oracle_through_dimension_three():
+    # no golden dump reaches dimension 3
+    cc = build_complex(Config.make(2, 1, "sym"), 8).chain_complex(3)
+    assert cc.counts == (28, 210, 420, 105)
+    assert cc.dump_matrices() == dump_matrices_oracle(cc)
 
 
 def _torsion_grid_complexes():
@@ -1515,15 +1576,15 @@ def test_lex_walks_list_the_levels_on_torsion_grid_points():
 
 
 def test_pi1_report_lists_no_level_on_torsion_grid_points():
-    # the generators and the triangles are read off the neighbour masks: no dimension is
-    # listed in the complex's own labels
+    # the generators and the triangles are read off the neighbour masks: nothing is listed in
+    # the complex's own labels, and the lazy walk goes over the edges and triangles only
     statuses = {}
     with pytest.MonkeyPatch.context() as mp:
-        own, _ = _listings(mp)
+        walked, _ = _listings(mp)
         for key, cc, res in _torsion_grid_complexes():
             if res is not None and res.betti[0] == 0 and cc.dim >= 1:
                 statuses[key] = pi1_report(cc, res, 5000)["status"]
-    assert own == []
+    assert set(walked) == {1, 2}, walked
     want = {}  # the pi1 column of the verify-nu goldens of those runs
     for sub, nmax in (("sym", 9), ("triv", 8)):
         lines = Path(OUTPUTS, f"verify-nu-q2-{sub}-nmax{nmax}.csv").read_text().splitlines()[2:]
@@ -1543,4 +1604,4 @@ def test_pi1_search_reads_976_triangles_at_triv_n9():
                    lambda ngens, relators, budget: searched.append(relators) or search(ngens, relators, budget))
         assert pi1_report(cx, h1, 5000)["status"] == "unknown"
     (triangles,) = searched
-    assert len(triangles.read) == 976 and triangles.read <= set(cx.level(2))
+    assert len(triangles.read) == 976 and triangles.read <= set(level_oracle(cx, 2))
