@@ -28,17 +28,18 @@ squared vanishes by construction: ``_faces`` enumerates them, and the
 coboundaries below take each column from the neighbour masks.  They are
 reduced by one elimination: a unit-pivot column pass, then the leftover core
 of columns with non-unit lows, cleared on the pivot rows (empty on
-torsion-free instances), is echeloned by its lows and finished by a Euclidean
-sparse Smith normal form.  The echelon reduces each core column on its low as
-the pass does, and where the low entry a of the column holding that low
-does not divide the reduced column's b it replaces the pair by a 2 x 2
-extended-gcd column step of determinant 1, leaving +-gcd(a, b) on the low
-and zero in the reduced column; so dependent columns vanish, and the same on
-the transpose leaves a rank x rank square.
+torsion-free instances), is echeloned by its lows, and that echelon is
+alternated on columns and rows until diagonal.  The echelon reduces each core
+column on its low as the pass does, and where the low entry a of the column
+holding that low does not divide the reduced column's b it replaces the pair
+by a 2 x 2 extended-gcd column step of determinant 1, leaving +-gcd(a, b) on
+the low and zero in the reduced column; so dependent columns vanish.  It
+then reduces each column's entries on lower pivot rows modulo those pivots
+(Hermite form), which keeps the next pass's entries small.
 Unimodular steps and transposing keep the invariant factors, so this is
-exact: at q=2 with Sym(2) and n=9 the 42 core columns of rank 10 reach the
-Euclidean routine as a 10 x 10 square.  Entries are Python integers, so no
-overflow is possible.
+exact: at q=2 with Sym(2) and n=9 the 42 core columns of rank 10 are
+diagonal after a column and a row pass, and at n=10 after three passes.
+Entries are Python integers, so no overflow is possible.
 
 ``reduced_homology`` needs only the rank and invariant factors of each
 boundary, and finds them with clearing (Chen-Kerber 2011; Bauer's Ripser,
@@ -351,19 +352,34 @@ def _divisibility_chain(diag: list[int]) -> list[int]:
 
 
 def _sparse_snf_full(columns: list[Column]) -> tuple[list[int], int]:
-    """Invariant factors and rank of a core: echeloned on columns, then rows, then Euclidean.
+    """Invariant factors and rank of a core: the echelon alternated on columns and rows until diagonal.
 
     ``_echelon`` leaves as many columns as the rank, with distinct lows, by
-    column steps of determinant 1; on the transpose it leaves a rank x rank
-    matrix by row steps of determinant 1.  Unimodular steps on either side,
-    and transposing, keep the invariant factors, so ``_euclidean_snf`` gets
-    the same factors from that square as from the core (Kannan-Bachem 1979).
+    column steps of determinant 1; on the transpose it does the same by row
+    steps.  Unimodular steps on either side, and transposing, keep the
+    invariant factors, so once each column has one entry the diagonal has
+    them (Kannan-Bachem 1979, who alternate column and row Hermite forms).
+
+    The alternation ends.  Call the entry on the largest low the corner.  A
+    column pass leaves it alone in its row, as +-gcd of that row, and a row
+    pass alone in its column, as +-gcd of that column; so each pass's corner
+    divides the last one, which lay in the line the pass reduces.  If
+    |corner| does not shrink, the last corner divided that line and was alone
+    in its other line: the pass goes shortest first, so a one-entry line
+    keeps the low (``_extended_gcd(k*a, a)`` is (a, 0, 1): one holding k*a
+    yields to one holding a), and every other entry of the line is reduced to
+    zero.  The corner is then alone in its row and column, and no later step
+    touches it.  So each round either strictly shrinks |corner| or leaves it
+    inert, and the rest of the matrix goes on without it.
     """
-    return _euclidean_snf(_echelon(_transposed(_echelon(columns))))
+    columns = _echelon(columns)
+    while any(len(col) > 1 for col in columns):
+        columns = _echelon(_transposed(columns))
+    return _divisibility_chain([v for col in columns for v in col.values()]), len(columns)
 
 
 def _echelon(columns: list[Column]) -> list[Column]:
-    """The columns brought to column echelon form by lows: as many as the rank, none zero.
+    """The columns brought to Hermite column form: as many as the rank, none zero, sorted by low.
 
     Shortest first, each column is reduced on its low against the column that
     holds that low, as in the unit pass, until its low is free or it is zero.
@@ -371,7 +387,9 @@ def _echelon(columns: list[Column]) -> list[Column]:
     columns p and c become s*p + t*c, with g = s*a + t*b = +-gcd(a, b) at
     the low, and (a/g)*c - (b/g)*p, which is zero there: a 2 x 2 column step
     of determinant (s*a + t*b)/g = 1.  Distinct lows make the columns left
-    independent.
+    independent.  Then each column's entry on a lower pivot row r, highest
+    first, is reduced by floor division modulo the low entry p[r] of the
+    column p with low r, into [0, |p[r]|) with its sign; lows do not change.
     """
     pivots: dict[int, Column] = {}
     for col in sorted(columns, key=len):
@@ -395,7 +413,13 @@ def _echelon(columns: list[Column]) -> list[Column]:
                     col[r] = nv
                 else:
                     del col[r]
-    return list(pivots.values())
+    lows = sorted(pivots)
+    for i, low in enumerate(lows):
+        for r in reversed(lows[:i]):
+            q = pivots[low].get(r, 0) // pivots[r][r]
+            if q:
+                pivots[low] = _combined(1, pivots[low], -q, pivots[r])
+    return [pivots[low] for low in lows]
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -428,85 +452,6 @@ def _transposed(columns: list[Column]) -> list[Column]:
     return list(rows.values())
 
 
-def _euclidean_snf(columns: list[Column]) -> tuple[list[int], int]:
-    """Sparse integer diagonalization with smallest-entry pivoting.
-
-    Unit pivots eliminate for free; otherwise Euclidean row/column steps
-    shrink the pivot until it divides its row and column, keeping coefficient
-    growth under control.  Returns the invariant factors and the rank.
-    """
-    rows: dict[int, int] = {}  # wide row keys, such as coface masks, numbered as they first appear
-    colmap: dict[int, Column] = {j: {rows.setdefault(r, len(rows)): v for r, v in c.items()}
-                                 for j, c in enumerate(columns) if c}
-    rowidx: dict[int, set[int]] = {}
-    for j, col in colmap.items():
-        for r in col:
-            rowidx.setdefault(r, set()).add(j)
-
-    def set_entry(j: int, r: int, v: int) -> None:
-        col = colmap[j]
-        if v:
-            if r not in col:
-                rowidx.setdefault(r, set()).add(j)
-            col[r] = v
-        elif r in col:
-            del col[r]
-            rowidx[r].discard(j)
-
-    def col_op(j_dst: int, j_src: int, f: int) -> None:
-        # column j_dst -= f * column j_src
-        for r, v in list(colmap[j_src].items()):
-            set_entry(j_dst, r, colmap[j_dst].get(r, 0) - f * v)
-        if not colmap[j_dst]:
-            del colmap[j_dst]
-
-    def row_op(r_dst: int, r_src: int, f: int) -> None:
-        # row r_dst -= f * row r_src
-        for j in list(rowidx.get(r_src, ())):
-            v = colmap[j].get(r_src, 0)
-            set_entry(j, r_dst, colmap[j].get(r_dst, 0) - f * v)
-
-    diag: list[int] = []
-    while colmap:
-        best = None
-        for j, col in colmap.items():
-            for r, v in col.items():
-                a = abs(v)
-                cost = (a != 1, (len(rowidx[r]) - 1) * (len(col) - 1), a)
-                if best is None or cost < best[0]:
-                    best = (cost, r, j)
-            if best is not None and best[0][0] is False and best[0][1] == 0:
-                break
-        _, r, j = best
-        while True:
-            piv = colmap[j][r]
-            off_col = [rr for rr in colmap[j] if rr != r and colmap[j][rr] % piv]
-            if off_col:
-                rr = off_col[0]
-                q = colmap[j][rr] // piv
-                row_op(rr, r, q)  # leaves a remainder of smaller absolute value
-                r = rr
-                continue
-            off_row = [jj for jj in rowidx[r] if jj != j and colmap[jj][r] % piv]
-            if off_row:
-                jj = off_row[0]
-                q = colmap[jj][r] // piv
-                col_op(jj, j, q)
-                j = jj
-                continue
-            break
-        piv = colmap[j][r]
-        for rr in [x for x in colmap[j] if x != r]:
-            row_op(rr, r, colmap[j][rr] // piv)
-        for jj in [x for x in list(rowidx[r]) if x != j]:
-            col_op(jj, j, colmap[jj][r] // piv)
-        for rr in colmap[j]:
-            rowidx[rr].discard(j)
-        del colmap[j]
-        diag.append(abs(piv))
-    return _divisibility_chain(diag), len(diag)
-
-
 def sparse_invariant_factors(columns: list[Column], pivots: dict[int, Column | int] | None = None,
                              faces: Sequence[int] = (), commons: Sequence[int] = (),
                              cleared: Container[int] = ()) -> tuple[list[int], int]:
@@ -517,7 +462,8 @@ def sparse_invariant_factors(columns: list[Column], pivots: dict[int, Column | i
     column is parked.  Parked columns are then cleared on every pivot row.  The
     pivot columns are unit triangular on the pivot rows, so the matrix is
     equivalent to an identity block plus the cleared parked columns, and only
-    that core goes to the Euclidean routine.  If ``pivots`` is given, the unit
+    that core goes on to the echelon, alternated until diagonal
+    (``_sparse_snf_full``).  If ``pivots`` is given, the unit
     pivots are left in it, keyed by their rows.
 
     With ``faces``, the columns are a coboundary's, read in place off a

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .groups import _json_int
+
 
 class ScheduleError(ValueError):
     def __init__(self, missing_k: int):
         super().__init__(f"k={missing_k} unreachable")
         self.missing_k = missing_k
-
-
-def _json_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return x
 
 
 @dataclass(frozen=True)

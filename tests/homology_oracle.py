@@ -63,6 +63,10 @@ support runs, before it took the vertices meeting each ground element.
 cancelling end pair with a fresh slice, before it cut them in one.
 ``witness_oracle`` is ``sphero.posets.GenPoset.validate`` as it scanned the
 arrows in sorted order, before it took the least witness of an unsorted scan.
+``euclidean_snf_oracle`` is ``_euclidean_snf``, the sparse Smith normal form
+that finished the echeloned core with Euclidean row and column steps, before
+``sphero.homology._sparse_snf_full`` alternated the echelon until diagonal;
+it reads any matrix whole.
 """
 
 import math
@@ -72,8 +76,8 @@ from heapq import heapify, heappop, heappush
 from itertools import groupby
 
 from sphero.homology import (ChainComplex, Column, HomologyError, HomologyResult, _cyc_reduce,
-                             _free_reduce, _spanning_forest, _sparse_snf_full, flag_complex,
-                             sparse_invariant_factors)
+                             _divisibility_chain, _free_reduce, _spanning_forest, _sparse_snf_full,
+                             flag_complex, sparse_invariant_factors)
 from sphero.posets import GenPoset, ObjId, PosetError
 
 
@@ -677,7 +681,7 @@ def slot_list_invariant_factors(columns: list[Column], pivot_rows: set[int] | No
     column is parked.  Parked columns are then cleared on every pivot row.  The
     pivot columns are unit triangular on the pivot rows, so the matrix is
     equivalent to an identity block plus the cleared parked columns, and only
-    that core goes to the Euclidean routine.  If ``pivot_rows`` is given, the
+    that core goes to ``_sparse_snf_full``.  If ``pivot_rows`` is given, the
     rows of the unit pivots are added to it.
 
     With ``lazy``, an empty column i is unfilled: its low is ``lazy.lows[i]``,
@@ -960,3 +964,82 @@ def pairwise_runs_neighbours_oracle(vertices: Sequence) -> tuple[int, ...]:
     for s, _, k in runs:
         out += [sum(block for t, block, _ in runs if not s & t)] * k
     return tuple(out)
+
+
+def euclidean_snf_oracle(columns: list[Column]) -> tuple[list[int], int]:
+    """Sparse integer diagonalization with smallest-entry pivoting.
+
+    Unit pivots eliminate for free; otherwise Euclidean row/column steps
+    shrink the pivot until it divides its row and column, keeping coefficient
+    growth under control.  Returns the invariant factors and the rank.
+    """
+    rows: dict[int, int] = {}  # wide row keys, such as coface masks, numbered as they first appear
+    colmap: dict[int, Column] = {j: {rows.setdefault(r, len(rows)): v for r, v in c.items()}
+                                 for j, c in enumerate(columns) if c}
+    rowidx: dict[int, set[int]] = {}
+    for j, col in colmap.items():
+        for r in col:
+            rowidx.setdefault(r, set()).add(j)
+
+    def set_entry(j: int, r: int, v: int) -> None:
+        col = colmap[j]
+        if v:
+            if r not in col:
+                rowidx.setdefault(r, set()).add(j)
+            col[r] = v
+        elif r in col:
+            del col[r]
+            rowidx[r].discard(j)
+
+    def col_op(j_dst: int, j_src: int, f: int) -> None:
+        # column j_dst -= f * column j_src
+        for r, v in list(colmap[j_src].items()):
+            set_entry(j_dst, r, colmap[j_dst].get(r, 0) - f * v)
+        if not colmap[j_dst]:
+            del colmap[j_dst]
+
+    def row_op(r_dst: int, r_src: int, f: int) -> None:
+        # row r_dst -= f * row r_src
+        for j in list(rowidx.get(r_src, ())):
+            v = colmap[j].get(r_src, 0)
+            set_entry(j, r_dst, colmap[j].get(r_dst, 0) - f * v)
+
+    diag: list[int] = []
+    while colmap:
+        best = None
+        for j, col in colmap.items():
+            for r, v in col.items():
+                a = abs(v)
+                cost = (a != 1, (len(rowidx[r]) - 1) * (len(col) - 1), a)
+                if best is None or cost < best[0]:
+                    best = (cost, r, j)
+            if best is not None and best[0][0] is False and best[0][1] == 0:
+                break
+        _, r, j = best
+        while True:
+            piv = colmap[j][r]
+            off_col = [rr for rr in colmap[j] if rr != r and colmap[j][rr] % piv]
+            if off_col:
+                rr = off_col[0]
+                q = colmap[j][rr] // piv
+                row_op(rr, r, q)  # leaves a remainder of smaller absolute value
+                r = rr
+                continue
+            off_row = [jj for jj in rowidx[r] if jj != j and colmap[jj][r] % piv]
+            if off_row:
+                jj = off_row[0]
+                q = colmap[jj][r] // piv
+                col_op(jj, j, q)
+                j = jj
+                continue
+            break
+        piv = colmap[j][r]
+        for rr in [x for x in colmap[j] if x != r]:
+            row_op(rr, r, colmap[j][rr] // piv)
+        for jj in [x for x in list(rowidx[r]) if x != j]:
+            col_op(jj, j, colmap[jj][r] // piv)
+        for rr in colmap[j]:
+            rowidx[rr].discard(j)
+        del colmap[j]
+        diag.append(abs(piv))
+    return _divisibility_chain(diag), len(diag)

@@ -15,9 +15,10 @@ from golden_cases import OUTPUTS
 from homology_oracle import (and_coboundary_oracle, basis_oracle, boundary_columns_oracle,
                              cells_oracle, coboundary_oracle, complex_from_simplices, complex_key_oracle,
                              cyc_reduce_oracle, dump_matrices_oracle, eager_flag_complex_oracle,
-                             early_forest_oracle, euler_characteristic_oracle, flag_complex_oracle,
-                             level_oracle, lex_levels_oracle, one_pass_coboundary_oracle,
-                             pi1_presentation_oracle, pi1_report_oracle, reduced_homology_oracle,
+                             early_forest_oracle, euclidean_snf_oracle, euler_characteristic_oracle,
+                             flag_complex_oracle, level_oracle, lex_levels_oracle,
+                             one_pass_coboundary_oracle, pi1_presentation_oracle, pi1_report_oracle,
+                             reduced_homology_oracle,
                              row_indexed_homology_oracle, spanning_forest_oracle,
                              spread_copy_oracle, tietze_trivializes_oracle)
 from hypothesis import given, settings
@@ -31,7 +32,6 @@ from sphero.homology import (
     HomologyResult,
     _divisibility_chain,
     _echelon,
-    _euclidean_snf,
     _sparse_snf_full,
     flag_complex,
     neighbour_masks,
@@ -158,7 +158,7 @@ def test_schur_core_matches_whole_matrix_oracle(cores):
         nonzero = [c for c in cols if c]
         cores.clear()
         factors, rank = sparse_invariant_factors(cols)
-        want_factors, want_rank = _euclidean_snf(cols)
+        want_factors, want_rank = euclidean_snf_oracle(cols)
         assert (sorted(factors), rank) == (sorted(want_factors), want_rank), cols
         if diag is not None:
             assert sorted(factors) == diag, cols
@@ -193,7 +193,7 @@ def test_schur_core_has_no_entry_on_a_pivot_row(cores):
         factors, rank = sparse_invariant_factors(cols)
         assert len(cores) == 1
         assert all(r >= k for col in cores[0] for r in col), cols
-        want_factors, want_rank = _euclidean_snf(cols)
+        want_factors, want_rank = euclidean_snf_oracle(cols)
         assert (sorted(factors), rank) == (sorted(want_factors), want_rank), cols
         assert sorted(factors)[:k] == [1] * k and all(f % 3 == 0 for f in sorted(factors)[k:])
 
@@ -202,7 +202,7 @@ def test_schur_core_on_matching_complex_boundary(cores):
     # d_3 of the q=2 sym complex at n=9 carries 8 x Z/3
     cols = _face_columns(build_complex(Config.make(2, 1, "sym"), 9).chain_complex(3), 3)
     factors, rank = sparse_invariant_factors(cols)
-    want_factors, want_rank = _euclidean_snf(cols)
+    want_factors, want_rank = euclidean_snf_oracle(cols)
     assert (sorted(factors), rank) == (sorted(want_factors), want_rank)
     assert [f for f in factors if f > 1] == [3] * 8
     assert len(cores) == 1 and len(cores[0]) < len(cols)
@@ -222,15 +222,15 @@ def _repeated_low_columns(rng):
 
 
 def _assert_echelon_exact(cols):
-    """The echelon's shape, and the core routine's factors against the Euclidean routine on the
+    """The echelon's shape, and the core routine's factors against the Euclidean oracle on the
     raw columns; return the echelon."""
     echelon = _echelon(cols)
     rows = {r for col in cols for r in col}
-    want_factors, want_rank = _euclidean_snf(cols)
+    want_factors, want_rank = euclidean_snf_oracle(cols)
     assert all(echelon), cols
     assert len({max(col) for col in echelon}) == len(echelon) == want_rank, cols
     assert {r for col in echelon for r in col} <= rows, cols
-    assert _euclidean_snf(echelon) == _sparse_snf_full(cols) == (want_factors, want_rank), cols
+    assert euclidean_snf_oracle(echelon) == _sparse_snf_full(cols) == (want_factors, want_rank), cols
     return echelon
 
 
@@ -263,12 +263,85 @@ def test_echelon_keeps_rank_many_columns_and_the_invariant_factors(kind):
 
 @pytest.mark.parametrize("sub,n", [("sym", 7), ("sym", 9), ("sym", 10), ("triv", 9)])
 def test_echelon_on_torsion_grid_cores(cores, sub, n):
-    # the cleared cores through nu + 1, against the Euclidean routine on each whole core
+    # the cleared cores through nu + 1, against the Euclidean oracle on each whole core
     cc, through = _torsion_grid_point(sub, n)
     reduced_homology(cc, through)
     assert len(cores) == 1
     echelon = _assert_echelon_exact(cores[0])
     assert len(echelon) < len(cores[0]) or (sub, n) in {("sym", 7), ("sym", 10)}
+
+
+def _wide_columns(rng, size):
+    """m, and n columns of m rows, m and n uniform in 1..size, of a density from 0.1 to 1 and
+    entries uniform in [-R, R] for R from 1 to 20, zeros dropped, row i keyed i*7919 + 3."""
+    m, n = rng.randint(1, size), rng.randint(1, size)
+    density, bound = rng.choice((0.1, 0.3, 0.6, 1)), rng.choice((1, 2, 3, 6, 20))
+    return m, [{i * 7919 + 3: v for i in range(m)
+                if rng.random() < density and (v := rng.randint(-bound, bound))} for _ in range(n)]
+
+
+def test_sparse_snf_full_matches_the_whole_matrix_oracles():
+    # The oracles grow their own entries on raw dense matrices: on this seed's draws of up
+    # to 20 x 20, euclidean_snf_oracle runs past 100 s on a 20 x 20 one and 4 s on a 20 x 19
+    # one, and smith_normal_form stalls on some whose smaller side is 7 or more; so m, n <= 18
+    # here, and the dense check takes a smaller side under 7.
+    rng = Random(7)
+    for _ in range(300):
+        m, cols = _wide_columns(rng, 18)
+        got = _sparse_snf_full(cols)
+        assert got == euclidean_snf_oracle(cols), cols
+        if min(m, len(cols)) < 7:
+            dense = [[col.get(i * 7919 + 3, 0) for col in cols] for i in range(m)]
+            assert smith_normal_form(dense, with_transforms=False) == got, cols
+
+
+@pytest.mark.parametrize("cols,want", [
+    # the corner ties the other entry of its column, which the row pass meets as a one-entry row
+    ([{0: 3, 1: 3}], ([3], 1)),
+    ([{0: -3, 1: 3}], ([3], 1)),
+    ([{0: 6, 1: 3}], ([3], 1)),  # ... or divides it: _extended_gcd(6, 3) is (3, 0, 1)
+    ([{0: 4}, {0: 2, 1: 2}], ([2, 4], 2)),  # the corner 2 ties the entry above it, left mod 4
+    ([{0: 8}, {0: 4, 1: 2}], ([2, 8], 2)),  # ... or divides it
+    ([{1: 4}, {0: 2, 1: 2}], ([2, 4], 2)),  # the corner's column comes second on its low
+    ([{0: 6}, {0: 6, 1: 3}, {1: 3, 2: 3}], ([3, 3, 6], 3)),  # the Hermite reduction diagonalizes
+    # three passes: the row pass shrinks the corner, and the next one meets a tie
+    ([{0: 3, 1: 2}, {0: 2, 1: 4}], ([1, 8], 2)),
+    ([{1: 6}, {0: 6, 1: 3, 2: 2}, {1: 6}], ([1, 12], 2)),  # _extended_gcd(6, 2) in the row pass
+])
+def test_sparse_snf_full_on_corner_ties(cols, want):
+    assert _sparse_snf_full(cols) == euclidean_snf_oracle(cols) == want
+    rows = sorted({r for col in cols for r in col})
+    assert smith_normal_form([[col.get(r, 0) for col in cols] for r in rows],
+                             with_transforms=False) == want
+
+
+def test_extended_gcd_of_a_multiple_keeps_the_divisor():
+    for a in (1, 2, 3, 7, -3):
+        for k in (1, -1, 2, -5):
+            assert homology._extended_gcd(k * a, a) == (a, 0, 1)
+
+
+@pytest.mark.parametrize("kind", ["random", "torsion", "repeated-lows"])
+def test_echelon_is_sorted_by_low_and_hermite_reduced(kind):
+    # each entry on a lower pivot row r is reduced modulo the low entry p of the column with
+    # low r: it lies in [0, |p|) with the sign of p
+    rng = Random({"random": 20261104, "torsion": 20261105, "repeated-lows": 20261106}[kind])
+    draw = {"random": _random_columns, "torsion": lambda rng: _torsion_columns(rng)[0],
+            "repeated-lows": _repeated_low_columns}[kind]
+    reduced = 0
+    for _ in range(300):
+        cols = draw(rng)
+        echelon = _echelon(cols)
+        lows = [max(col) for col in echelon]
+        assert lows == sorted(lows), cols
+        pivot = {low: col[low] for low, col in zip(lows, echelon)}
+        for low, col in zip(lows, echelon):
+            for r, v in col.items():
+                if r < low and r in pivot:
+                    p = pivot[r]
+                    assert (v if p > 0 else -v) in range(abs(p)), (cols, echelon)
+                    reduced += abs(p) > 1
+    assert reduced >= 100, reduced
 
 
 def test_matching_complex_m7_has_z3_in_degree_one():
@@ -625,8 +698,8 @@ _ADDITION_LINES = {fn.__code__: _addition_lines(fn)
 def _spied_passes(run, trace=True):
     """run()'s result, and per coboundary pass (a sparse_invariant_factors call, or one of the
     oracles' slot-list pass): its factors and rank, its pivot rows, how many of its lazy columns
-    were filled, its column additions (0 unless traced) and the core it handed to the Euclidean
-    routine (None if none)."""
+    were filled, its column additions (0 unless traced) and the core it handed to
+    _sparse_snf_full, whose echelon is alternated until diagonal (None if none)."""
     passes = []
     full = homology._sparse_snf_full
     additions = 0
